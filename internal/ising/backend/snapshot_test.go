@@ -182,3 +182,38 @@ func TestPackedLayoutsAgree(t *testing.T) {
 		t.Fatal("multispin snapshot bytes differ from Lattice.PackSpins of the same configuration")
 	}
 }
+
+// TestPodSnapshotsPinnedToMultispin pins the checkpoint layout of both pod
+// engines: after the same hot-start run, their snapshots must carry exactly
+// the spin bytes, step and RNG key of the bit-identical multispin chain, so
+// checkpoints written by any earlier build stay resumable.
+func TestPodSnapshotsPinnedToMultispin(t *testing.T) {
+	cfg := Config{Rows: 64, Cols: 128, Temperature: 2.3, Seed: 7, Hot: true}
+	snapAfter := func(name string, cfg Config) *ising.Snapshot {
+		t.Helper()
+		b, err := New(name, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < 5; i++ {
+			b.Sweep()
+		}
+		snap, err := b.(ising.Snapshotter).Snapshot()
+		if err != nil {
+			t.Fatalf("%s: Snapshot: %v", name, err)
+		}
+		return snap
+	}
+	want := snapAfter("multispin", cfg)
+	pod := cfg
+	pod.GridR, pod.GridC = 2, 2
+	for _, name := range []string{"sharded", "sharded-ensemble"} {
+		got := snapAfter(name, pod)
+		if !bytes.Equal(got.Spins, want.Spins) {
+			t.Errorf("%s: snapshot spins differ from multispin's", name)
+		}
+		if got.Step != want.Step || !bytes.Equal(got.RNG, want.RNG) {
+			t.Errorf("%s: snapshot step %d / RNG %x, multispin %d / %x", name, got.Step, got.RNG, want.Step, want.RNG)
+		}
+	}
+}
