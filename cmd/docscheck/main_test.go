@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"tpuising/internal/ising/backend"
 )
 
 func TestNormalize(t *testing.T) {
@@ -72,5 +76,54 @@ func TestRepositoryDocsResolve(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("checked no references; the scanner is broken")
+	}
+}
+
+// backendRowName matches the backend name of a README backend-table row:
+// the first code span of the row's first cell.
+var backendRowName = regexp.MustCompile("^\\| `([^`]+)`")
+
+// TestReadmeBackendTableMatchesRegistry cross-checks README's backend table
+// against the registry: every backend.Names() entry has a row, and every row
+// names a registry backend or says it is "Not selected by name".
+func TestReadmeBackendTableMatchesRegistry(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	registered := map[string]bool{}
+	for _, name := range backend.Names() {
+		registered[name] = false
+	}
+	inSection, rows := false, 0
+	scanner := bufio.NewScanner(f)
+	for scanner.Scan() {
+		line := scanner.Text()
+		if strings.HasPrefix(line, "## ") {
+			inSection = line == "## Backends"
+			continue
+		}
+		m := backendRowName.FindStringSubmatch(line)
+		if !inSection || m == nil {
+			continue
+		}
+		rows++
+		if _, ok := registered[m[1]]; ok {
+			registered[m[1]] = true
+		} else if !strings.Contains(line, "Not selected by name") {
+			t.Errorf("README backend row %q is not a registry backend and does not say \"Not selected by name\"", m[1])
+		}
+	}
+	if err := scanner.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rows == 0 {
+		t.Fatal("found no backend table under \"## Backends\" in README.md")
+	}
+	for name, documented := range registered {
+		if !documented {
+			t.Errorf("registry backend %q has no row in README's backend table", name)
+		}
 	}
 }

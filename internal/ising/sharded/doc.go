@@ -24,4 +24,11 @@
 // the whole-lattice multispin engine at the same seed, for every shard grid
 // — the property the distributed correctness tests assert, mirroring how the
 // paper validates the TPU pod against the single-core implementation.
+//
+// The decomposition itself — shard geometry, the four halo permutes per
+// half-sweep, the lockstep sweep loop and the global row walk behind the
+// gather, scatter, hash and snapshot — is the Driver, which the engine
+// plugs its word layout and row kernel into. The lane-packed composed engine
+// (internal/ising/shardedensemble) runs on the same Driver with 64-lane site
+// words, one word per boundary site in its column halos.
 package sharded

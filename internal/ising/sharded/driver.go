@@ -1,0 +1,307 @@
+package sharded
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+
+	"tpuising/internal/device/metrics"
+	"tpuising/internal/pod"
+)
+
+// Geometry is the part of a pod engine's configuration the driver owns: the
+// lattice, the shard grid, and the engine's word layout.
+type Geometry struct {
+	// Engine prefixes the driver's validation errors.
+	Engine string
+	// Rows and Cols are the per-chain lattice dimensions: Rows even and
+	// divisible by GridR, Cols a positive multiple of 64 divisible by
+	// GridC into shards of whole ColGroup-column groups.
+	Rows, Cols int
+	// GridR and GridC are the shard grid dimensions (0 means 1).
+	GridR, GridC int
+	// SiteBits is the number of word bits one site occupies: 1 for
+	// spin-packed words (64 columns per word), 64 for lane-packed words (one
+	// site per word, one bit per replica). A boundary column travels as
+	// halo words at the same density — bit-packed, 64 rows per word, for
+	// spin words; one word per row for lane words.
+	SiteBits int
+	// ColGroup is the column granularity of the row kernel: shards are a
+	// whole number of ColGroup-column groups wide.
+	ColGroup int
+	// Lanes is the number of chains each site word carries (0 means 1); it
+	// scales the attempted updates Counts reports.
+	Lanes int
+}
+
+// RowKernel updates the sites of one colour in one shard row. westWrap and
+// eastWrap are the row's neighbour sites beyond the shard's west and east
+// edges, placed where the kernel reads them: the high SiteBits bits of
+// westWrap and the low SiteBits bits of eastWrap. globalRow and colOff
+// locate the row's first site in the global lattice, which is what keys the
+// engine's random stream.
+type RowKernel func(shard int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64)
+
+// shard is one core's block of the lattice plus its halo buffers.
+type shard struct {
+	words  []uint64 // shardRows rows of rowWords words
+	rowOff int      // global row of local row 0
+	colOff int      // global column of local column 0
+	// north and south hold the neighbour rows received for the current
+	// half-sweep; west and east the neighbours' boundary columns.
+	north, south, west, east []uint64
+	edge                     []uint64 // outgoing boundary column
+}
+
+// Driver runs one engine over an R x C grid of shards on the simulated pod
+// mesh: it owns the shards, the halo exchanges and the sweep loop, and
+// walks the shards in global order for the engine's gather, scatter and
+// observables. The engine supplies its word layout (Geometry) and its row
+// kernel.
+type Driver struct {
+	rows, cols   int
+	gridR, gridC int
+	shardRows    int
+	shardCols    int // sites per shard row
+	rowWords     int // words per shard row
+	siteBits     uint
+	siteMask     uint64 // low siteBits bits
+	lanes        int64
+	pod          *pod.Pod
+	shards       []*shard // indexed by core ID (row-major over the mesh grid)
+	kernel       RowKernel
+	step         uint64
+}
+
+// NewDriver validates the geometry and allocates a cold (all +1) lattice
+// over the shards.
+func NewDriver(g Geometry, kernel RowKernel) (*Driver, error) {
+	gridR, gridC := max(g.GridR, 1), max(g.GridC, 1)
+	if g.GridR < 0 || g.GridC < 0 {
+		return nil, fmt.Errorf("%s: shard grid must be positive, got %dx%d", g.Engine, g.GridR, g.GridC)
+	}
+	if g.Rows < 2 || g.Rows%2 != 0 {
+		return nil, fmt.Errorf("%s: rows must be even and >= 2, got %d", g.Engine, g.Rows)
+	}
+	if g.Rows%gridR != 0 {
+		return nil, fmt.Errorf("%s: %d rows do not divide over %d shard rows (want rows %% gridR == 0)",
+			g.Engine, g.Rows, gridR)
+	}
+	if g.Cols <= 0 || g.Cols%WordBits != 0 {
+		return nil, fmt.Errorf("%s: cols must be a positive multiple of %d, got %d", g.Engine, WordBits, g.Cols)
+	}
+	if g.Cols%(gridC*g.ColGroup) != 0 {
+		return nil, fmt.Errorf(
+			"%s: %d cols do not divide over %d shard columns into whole %d-column groups (want cols %% (gridC*%d) == 0)",
+			g.Engine, g.Cols, gridC, g.ColGroup, g.ColGroup)
+	}
+	d := &Driver{
+		rows: g.Rows, cols: g.Cols,
+		gridR: gridR, gridC: gridC,
+		shardRows: g.Rows / gridR,
+		shardCols: g.Cols / gridC,
+		siteBits:  uint(g.SiteBits),
+		siteMask:  ^uint64(0) >> (WordBits - g.SiteBits),
+		lanes:     int64(max(g.Lanes, 1)),
+		kernel:    kernel,
+		// Mesh X axis = shard columns, Y axis = shard rows, matching the
+		// paper's mapping of the lattice onto the pod grid.
+		pod: pod.New(gridC, gridR),
+	}
+	d.rowWords = d.shardCols * g.SiteBits / WordBits
+	sitesPerWord := WordBits / g.SiteBits
+	d.shards = make([]*shard, d.pod.NumCores())
+	for id := range d.shards {
+		x, y := d.pod.Mesh().Coord(id)
+		sh := &shard{
+			words:  make([]uint64, d.shardRows*d.rowWords),
+			rowOff: y * d.shardRows,
+			colOff: x * d.shardCols,
+			edge:   make([]uint64, (d.shardRows+sitesPerWord-1)/sitesPerWord),
+		}
+		for i := range sh.words {
+			sh.words[i] = ^uint64(0)
+		}
+		d.shards[id] = sh
+	}
+	return d, nil
+}
+
+// Rows returns the per-chain row count.
+func (d *Driver) Rows() int { return d.rows }
+
+// Cols returns the per-chain column count.
+func (d *Driver) Cols() int { return d.cols }
+
+// N returns the number of spins of one chain.
+func (d *Driver) N() int { return d.rows * d.cols }
+
+// Grid returns the shard grid dimensions (rows, cols of shards).
+func (d *Driver) Grid() (gridR, gridC int) { return d.gridR, d.gridC }
+
+// NumShards returns the number of shards (= simulated mesh cores).
+func (d *Driver) NumShards() int { return len(d.shards) }
+
+// Step returns the number of colour updates performed so far.
+func (d *Driver) Step() uint64 { return d.step }
+
+// SetStep replaces the colour-step counter (for snapshot restores).
+func (d *Driver) SetStep(step uint64) { d.step = step }
+
+// Pod exposes the underlying simulated pod (for profiling and tests).
+func (d *Driver) Pod() *pod.Pod { return d.pod }
+
+// Counts reports the attempted spin updates of every chain in Ops (host
+// work, like the other host engines) plus the pod-total interconnect traffic
+// of the halo exchanges, which the perf package's traffic models mirror
+// analytically.
+func (d *Driver) Counts() metrics.Counts {
+	total := d.pod.TotalCounts()
+	return metrics.Counts{
+		Ops:        int64(d.step) / 2 * int64(d.N()) * d.lanes,
+		CommBytes:  total.CommBytes,
+		CommEvents: total.CommEvents,
+		CommHops:   total.CommHops,
+	}
+}
+
+// row returns the words of one local row of a shard.
+func (d *Driver) row(sh *shard, r int) []uint64 {
+	return sh.words[r*d.rowWords : (r+1)*d.rowWords]
+}
+
+// packEdge gathers the shard's west (first site of every row) or east (last
+// site) boundary column into sh.edge, SiteBits bits per row, and returns it.
+func (d *Driver) packEdge(sh *shard, east bool) []uint64 {
+	clear(sh.edge)
+	perWord := WordBits / int(d.siteBits)
+	for r := 0; r < d.shardRows; r++ {
+		row := d.row(sh, r)
+		site := row[0] & d.siteMask
+		if east {
+			site = row[d.rowWords-1] >> (WordBits - d.siteBits)
+		}
+		sh.edge[r/perWord] |= site << (uint(r%perWord) * d.siteBits)
+	}
+	return sh.edge
+}
+
+// haloSite returns local row r's site from a received boundary column, in
+// the low SiteBits bits.
+func (d *Driver) haloSite(halo []uint64, r int) uint64 {
+	perWord := WordBits / int(d.siteBits)
+	return halo[r/perWord] >> (uint(r%perWord) * d.siteBits) & d.siteMask
+}
+
+// exchangeHalos trades the four boundary halos with the mesh neighbours
+// through the interconnect fabric: whole rows north and south, packed
+// boundary columns east and west. Each call is four lockstep collective
+// permutes; the received buffers are pre-update snapshots, which is exact
+// because a colour update only reads sites of the other colour.
+func (d *Driver) exchangeHalos(r *pod.Replica, sh *shard) {
+	// Send my last row south; receive my north neighbour's last row.
+	sh.north = r.ShiftExchangeWords(d.row(sh, d.shardRows-1), 0, 1)
+	// Send my first row north; receive my south neighbour's first row.
+	sh.south = r.ShiftExchangeWords(d.row(sh, 0), 0, -1)
+	// Send my west column west; receive my east neighbour's west column.
+	sh.east = r.ShiftExchangeWords(d.packEdge(sh, false), -1, 0)
+	// Send my east column east; receive my west neighbour's east column.
+	sh.west = r.ShiftExchangeWords(d.packEdge(sh, true), 1, 0)
+}
+
+// updateColor runs the row kernel over one colour of one shard, with the
+// freshly exchanged halos at the shard boundaries.
+func (d *Driver) updateColor(id int, sh *shard, parity int, step uint64) {
+	for r := 0; r < d.shardRows; r++ {
+		north, south := sh.north, sh.south
+		if r > 0 {
+			north = d.row(sh, r-1)
+		}
+		if r < d.shardRows-1 {
+			south = d.row(sh, r+1)
+		}
+		westWrap := d.haloSite(sh.west, r) << (WordBits - d.siteBits)
+		d.kernel(id, d.row(sh, r), north, south, westWrap, d.haloSite(sh.east, r),
+			sh.rowOff+r, sh.colOff, parity, step)
+	}
+}
+
+// Sweep performs one whole-lattice update: all shards exchange halos and
+// update their black sites in lockstep, then exchange again and update the
+// white sites, consuming two colour-step indices like the other engines.
+func (d *Driver) Sweep() {
+	step := d.step
+	err := d.pod.Replicate(func(r *pod.Replica) error {
+		sh := d.shards[r.ID]
+		d.exchangeHalos(r, sh)
+		d.updateColor(r.ID, sh, 0, step)
+		d.exchangeHalos(r, sh)
+		d.updateColor(r.ID, sh, 1, step+1)
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	d.step += 2
+}
+
+// Run performs n sweeps.
+func (d *Driver) Run(n int) {
+	for i := 0; i < n; i++ {
+		d.Sweep()
+	}
+}
+
+// EachRow calls fn with every shard row in global row-major order — the
+// whole-lattice word order of the unsharded engines — giving the global row
+// and the global column of the row's first site.
+func (d *Driver) EachRow(fn func(row, col int, words []uint64)) {
+	mesh := d.pod.Mesh()
+	for gr := 0; gr < d.rows; gr++ {
+		for x := 0; x < d.gridC; x++ {
+			sh := d.shards[mesh.ID(x, gr/d.shardRows)]
+			fn(gr, sh.colOff, d.row(sh, gr-sh.rowOff))
+		}
+	}
+}
+
+// EachBond calls fn with every shard row, the row below it (across a shard
+// boundary, the south neighbour's first row) and the first word of the east
+// neighbour's same row, which holds the east bond partner of the row's last
+// site. Between sweeps the shards are quiescent, so the walk reads the
+// neighbours directly rather than through the fabric.
+func (d *Driver) EachBond(fn func(row, south []uint64, eastWord uint64)) {
+	mesh := d.pod.Mesh()
+	for id, sh := range d.shards {
+		x, y := mesh.Coord(id)
+		eastSh := d.shards[mesh.ID(x+1, y)]
+		south := d.row(d.shards[mesh.ID(x, y+1)], 0)
+		for r := d.shardRows - 1; r >= 0; r-- {
+			row := d.row(sh, r)
+			fn(row, south, d.row(eastSh, r)[0])
+			south = row
+		}
+	}
+}
+
+// Segment returns the shard row holding global site (row, col) and the
+// site's column within it.
+func (d *Driver) Segment(row, col int) (words []uint64, localCol int) {
+	sh := d.shards[d.pod.Mesh().ID(col/d.shardCols, row/d.shardRows)]
+	return d.row(sh, row-sh.rowOff), col - sh.colOff
+}
+
+// HashWords returns an FNV-1a hash of the lattice words, masked, in global
+// row-major order — directly comparable with the hash of the unsharded
+// engine holding the same configuration.
+func (d *Driver) HashWords(mask uint64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	d.EachRow(func(_, _ int, words []uint64) {
+		for _, v := range words {
+			binary.LittleEndian.PutUint64(buf[:], v&mask)
+			h.Write(buf[:])
+		}
+	})
+	return h.Sum64()
+}

@@ -18,25 +18,18 @@ import (
 // With this, sharded isingd jobs checkpoint and resume like the other host
 // engines. It satisfies ising.Snapshotter.
 func (e *Engine) Snapshot() (*ising.Snapshot, error) {
-	spins := make([]byte, ising.PackedSpinBytes(e.rows, e.cols))
-	mesh := e.pod.Mesh()
-	idx := 0
-	for gr := 0; gr < e.rows; gr++ {
-		y := gr / e.shardRows
-		for x := 0; x < e.gridC; x++ {
-			sh := e.shards[mesh.ID(x, y)]
-			for _, v := range e.rowWords(sh, gr-sh.rowOff) {
-				binary.LittleEndian.PutUint64(spins[idx:], v)
-				idx += 8
-			}
+	spins := make([]byte, 0, ising.PackedSpinBytes(e.Rows(), e.Cols()))
+	e.EachRow(func(_, _ int, words []uint64) {
+		for _, v := range words {
+			spins = binary.LittleEndian.AppendUint64(spins, v)
 		}
-	}
+	})
 	return &ising.Snapshot{
 		Backend:     e.Name(),
-		Rows:        e.rows,
-		Cols:        e.cols,
+		Rows:        e.Rows(),
+		Cols:        e.Cols(),
 		Temperature: e.temperature,
-		Step:        e.step,
+		Step:        e.Step(),
 		RNG:         rng.MarshalKey(e.kern.Key),
 		Spins:       spins,
 	}, nil
@@ -44,12 +37,13 @@ func (e *Engine) Snapshot() (*ising.Snapshot, error) {
 
 // Restore replaces the engine's chain state with a snapshot previously taken
 // from the same sharded variant at the same lattice size (any shard grid):
-// the global packed words are scattered back over the shards, and the host
-// Ops counter is re-derived from the step so Counts stays consistent with an
-// uninterrupted run. The interconnect counters restart from zero — they
-// count this process's halo traffic, not the chain's history.
+// the global packed words are scattered back over the shards, and the step
+// counter (from which Counts derives the host Ops) is restored, so Counts
+// stays consistent with an uninterrupted run. The interconnect counters
+// restart from zero — they count this process's halo traffic, not the
+// chain's history.
 func (e *Engine) Restore(snap *ising.Snapshot) error {
-	if err := snap.Check(e.Name(), e.rows, e.cols); err != nil {
+	if err := snap.Check(e.Name(), e.Rows(), e.Cols()); err != nil {
 		return err
 	}
 	key, err := rng.UnmarshalKey(snap.RNG)
@@ -57,21 +51,14 @@ func (e *Engine) Restore(snap *ising.Snapshot) error {
 		return err
 	}
 	e.kern.Key = key
-	mesh := e.pod.Mesh()
-	idx := 0
-	for gr := 0; gr < e.rows; gr++ {
-		y := gr / e.shardRows
-		for x := 0; x < e.gridC; x++ {
-			sh := e.shards[mesh.ID(x, y)]
-			row := e.rowWords(sh, gr-sh.rowOff)
-			for w := range row {
-				row[w] = binary.LittleEndian.Uint64(snap.Spins[idx:])
-				idx += 8
-			}
+	spins := snap.Spins
+	e.EachRow(func(_, _ int, words []uint64) {
+		for w := range words {
+			words[w] = binary.LittleEndian.Uint64(spins)
+			spins = spins[8:]
 		}
-	}
+	})
 	e.SetTemperature(snap.Temperature)
-	e.step = snap.Step
-	e.hostOps = int64(snap.Step) / 2 * int64(e.N())
+	e.SetStep(snap.Step)
 	return nil
 }

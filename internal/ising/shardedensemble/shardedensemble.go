@@ -23,13 +23,11 @@ package shardedensemble
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 
-	"tpuising/internal/device/metrics"
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/ensemble"
-	"tpuising/internal/pod"
+	"tpuising/internal/ising/sharded"
 	"tpuising/internal/rng"
 )
 
@@ -72,33 +70,15 @@ type Config struct {
 	Hot bool
 }
 
-// shard is one core's block of the lane-packed lattice plus its halo buffers.
-type shard struct {
-	words  []uint64 // shardRows*shardCols lane-packed site words, row-major
-	rowOff int      // global row index of local row 0
-	colOff int      // global column index of local column 0
-	// north and south hold the neighbour boundary rows received for the
-	// current half-sweep (shardCols words); east and west the neighbour
-	// boundary site-word columns (shardRows words, one per local row).
-	north, south []uint64
-	east, west   []uint64
-	edge         []uint64         // scratch for building outgoing word columns
-	scratch      ensemble.Scratch // per-shard random scratch for the batched kernel
-}
-
-// Engine is the mesh-sharded lane-packed sampler. It satisfies
+// Engine is the mesh-sharded lane-packed sampler: the pod sharded.Driver
+// over lane-packed words, with the ensemble row kernel. It satisfies
 // ising.BatchBackend and ising.BatchTempered.
 type Engine struct {
-	rows, cols   int
-	lanes        int
-	gridR, gridC int
-	shardRows    int // rows per shard
-	shardCols    int // site words per shard row
-	pod          *pod.Pod
-	shards       []*shard // indexed by core ID (row-major over the mesh grid)
-	kern         *ensemble.Kernel
-	step         uint64
-	seed         uint64
+	*sharded.Driver
+	lanes   int
+	kern    *ensemble.Kernel
+	scratch []ensemble.Scratch // per-shard random scratch for the batched kernel
+	seed    uint64
 
 	// Observable caches, stamped like ensemble's (^0 = never).
 	magsStep, esStep uint64
@@ -107,31 +87,13 @@ type Engine struct {
 
 // New builds an engine from the config.
 func New(cfg Config) (*Engine, error) {
-	gridR, gridC := cfg.GridR, cfg.GridC
-	if gridR == 0 {
-		gridR = 1
-	}
-	if gridC == 0 {
-		gridC = 1
-	}
-	if gridR < 0 || gridC < 0 {
-		return nil, fmt.Errorf("shardedensemble: shard grid must be positive, got %dx%d", cfg.GridR, cfg.GridC)
-	}
-	if cfg.Rows < 2 || cfg.Rows%2 != 0 {
-		return nil, fmt.Errorf("shardedensemble: rows must be even and >= 2, got %d", cfg.Rows)
-	}
-	if cfg.Rows%gridR != 0 {
-		return nil, fmt.Errorf("shardedensemble: %d rows do not divide over %d shard rows (want rows %% gridR == 0)",
-			cfg.Rows, gridR)
-	}
-	if cfg.Cols <= 0 || cfg.Cols%ensemble.MaxLanes != 0 {
-		return nil, fmt.Errorf("shardedensemble: cols must be a positive multiple of %d, got %d",
-			ensemble.MaxLanes, cfg.Cols)
-	}
-	if cfg.Cols%(gridC*groupCols) != 0 {
-		return nil, fmt.Errorf(
-			"shardedensemble: %d cols do not divide over %d shard columns into whole %d-column random groups (want cols %% (gridC*%d) == 0)",
-			cfg.Cols, gridC, groupCols, groupCols)
+	e := &Engine{lanes: cfg.Lanes, seed: cfg.Seed, magsStep: ^uint64(0), esStep: ^uint64(0)}
+	d, err := sharded.NewDriver(sharded.Geometry{
+		Engine: "shardedensemble", Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
+		SiteBits: MaxLanes, ColGroup: groupCols, Lanes: cfg.Lanes,
+	}, e.updateRow)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Lanes < 1 || cfg.Lanes > MaxLanes {
 		return nil, fmt.Errorf("shardedensemble: lanes must be 1..%d, got %d", MaxLanes, cfg.Lanes)
@@ -150,37 +112,11 @@ func New(cfg Config) (*Engine, error) {
 	if len(temps) != cfg.Lanes {
 		return nil, fmt.Errorf("shardedensemble: %d temperatures for %d lanes", len(temps), cfg.Lanes)
 	}
-	kern, err := ensemble.NewKernel(cfg.Seed, temps, cfg.SharedRandom)
-	if err != nil {
+	if e.kern, err = ensemble.NewKernel(cfg.Seed, temps, cfg.SharedRandom); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		rows: cfg.Rows, cols: cfg.Cols, lanes: cfg.Lanes,
-		gridR: gridR, gridC: gridC,
-		shardRows: cfg.Rows / gridR,
-		shardCols: cfg.Cols / gridC,
-		kern:      kern,
-		seed:      cfg.Seed,
-		// Mesh X axis = shard columns, Y axis = shard rows, matching the
-		// sharded engine's mapping of the lattice onto the pod grid.
-		pod:      pod.New(gridC, gridR),
-		magsStep: ^uint64(0),
-		esStep:   ^uint64(0),
-	}
-	e.shards = make([]*shard, e.pod.NumCores())
-	for id := range e.shards {
-		x, y := e.pod.Mesh().Coord(id)
-		sh := &shard{
-			words:  make([]uint64, e.shardRows*e.shardCols),
-			rowOff: y * e.shardRows,
-			colOff: x * e.shardCols,
-			edge:   make([]uint64, e.shardRows),
-		}
-		for i := range sh.words {
-			sh.words[i] = ^uint64(0) // cold start: all lanes all spins +1
-		}
-		e.shards[id] = sh
-	}
+	e.Driver = d
+	e.scratch = make([]ensemble.Scratch, d.NumShards())
 	if cfg.Hot {
 		for l := 0; l < e.lanes; l++ {
 			lat := ising.NewRandomLattice(cfg.Rows, cfg.Cols, rng.New(ising.LaneSeed(cfg.Seed, l)))
@@ -192,6 +128,14 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// updateRow is the engine's RowKernel: the shared lane-packed kernel with
+// the global row and the shard's global random-group offset, so the randoms
+// match the standalone ensemble site for site.
+func (e *Engine) updateRow(shard int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64) {
+	e.kern.UpdateRow(row, north, south, westWrap, eastWrap,
+		globalRow, colOff/groupCols, parity, step, &e.scratch[shard])
+}
+
 // Name identifies the engine ("sharded-ensemble" or
 // "sharded-ensemble-shared").
 func (e *Engine) Name() string {
@@ -201,26 +145,8 @@ func (e *Engine) Name() string {
 	return "sharded-ensemble"
 }
 
-// Rows returns the per-lane row count.
-func (e *Engine) Rows() int { return e.rows }
-
-// Cols returns the per-lane column count.
-func (e *Engine) Cols() int { return e.cols }
-
 // Lanes returns the number of replicas.
 func (e *Engine) Lanes() int { return e.lanes }
-
-// N returns the spins of one lane's lattice.
-func (e *Engine) N() int { return e.rows * e.cols }
-
-// Grid returns the shard grid dimensions (rows, cols of shards).
-func (e *Engine) Grid() (gridR, gridC int) { return e.gridR, e.gridC }
-
-// NumShards returns the number of shards (= simulated mesh cores).
-func (e *Engine) NumShards() int { return len(e.shards) }
-
-// Step returns the number of colour updates performed so far per lane.
-func (e *Engine) Step() uint64 { return e.step }
 
 // Seed returns the run seed.
 func (e *Engine) Seed() uint64 { return e.seed }
@@ -238,116 +164,11 @@ func (e *Engine) SetLaneTemperature(lane int, t float64) {
 // Footprint returns the bytes of lane-packed lattice state across all shards
 // (one 64-lane word per site, whatever the active lane count).
 // perf.ShardedEnsembleTraffic models this number.
-func (e *Engine) Footprint() int64 { return int64(e.rows) * int64(e.cols) * 8 }
-
-// Counts reports the attempted spin updates across all lanes in Ops (host
-// work, like the other host engines) plus the pod-total interconnect traffic
-// of the halo exchanges, which perf.ShardedEnsembleTraffic mirrors
-// analytically (asserted equal by test).
-func (e *Engine) Counts() metrics.Counts {
-	total := e.pod.TotalCounts()
-	return metrics.Counts{
-		Ops:        int64(e.step) / 2 * int64(e.N()) * int64(e.lanes),
-		CommBytes:  total.CommBytes,
-		CommEvents: total.CommEvents,
-		CommHops:   total.CommHops,
-	}
-}
-
-// Pod exposes the underlying simulated pod (for profiling and tests).
-func (e *Engine) Pod() *pod.Pod { return e.pod }
-
-// rowWords returns the lane-packed words of one local row of a shard.
-func (e *Engine) rowWords(sh *shard, r int) []uint64 {
-	return sh.words[r*e.shardCols : (r+1)*e.shardCols]
-}
-
-// westColumn gathers the first word of every local row (the shard's
-// westernmost site column, all lanes) into sh.edge and returns it.
-func (e *Engine) westColumn(sh *shard) []uint64 {
-	for r := 0; r < e.shardRows; r++ {
-		sh.edge[r] = sh.words[r*e.shardCols]
-	}
-	return sh.edge
-}
-
-// eastColumn gathers the last word of every local row (the shard's
-// easternmost site column, all lanes) into sh.edge and returns it.
-func (e *Engine) eastColumn(sh *shard) []uint64 {
-	for r := 0; r < e.shardRows; r++ {
-		sh.edge[r] = sh.words[r*e.shardCols+e.shardCols-1]
-	}
-	return sh.edge
-}
-
-// exchangeHalos trades the four boundary halos with the mesh neighbours
-// through the interconnect fabric: full lane-packed boundary rows north and
-// south, lane-packed site-word columns east and west. Each call is four
-// lockstep collective permutes; the received buffers are pre-update
-// snapshots, which is exact because the colour update only consumes
-// opposite-colour words.
-func (e *Engine) exchangeHalos(r *pod.Replica, sh *shard) {
-	// Send my last row south; receive my north neighbour's last row.
-	sh.north = r.ShiftExchangeWords(e.rowWords(sh, e.shardRows-1), 0, 1)
-	// Send my first row north; receive my south neighbour's first row.
-	sh.south = r.ShiftExchangeWords(e.rowWords(sh, 0), 0, -1)
-	// Send my west column west; receive my east neighbour's west column.
-	sh.east = r.ShiftExchangeWords(e.westColumn(sh), -1, 0)
-	// Send my east column east; receive my west neighbour's east column.
-	sh.west = r.ShiftExchangeWords(e.eastColumn(sh), 1, 0)
-}
-
-// updateColor performs one Metropolis update of every active site of every
-// lane on one shard, handing the shared lane-packed kernel global row indices
-// and the shard's global random-group offset so the randoms match the
-// standalone ensemble site for site.
-func (e *Engine) updateColor(sh *shard, parity int, step uint64) {
-	groupOff := sh.colOff / groupCols
-	for lr := 0; lr < e.shardRows; lr++ {
-		row := e.rowWords(sh, lr)
-		north := sh.north
-		if lr > 0 {
-			north = e.rowWords(sh, lr-1)
-		}
-		south := sh.south
-		if lr < e.shardRows-1 {
-			south = e.rowWords(sh, lr+1)
-		}
-		e.kern.UpdateRow(row, north, south, sh.west[lr], sh.east[lr],
-			sh.rowOff+lr, groupOff, parity, step, &sh.scratch)
-	}
-}
-
-// Sweep performs one whole-lattice update of every lane: all shards exchange
-// halos and update their black sites in lockstep, then exchange again and
-// update the white sites, consuming two colour-step indices like every engine
-// in the repository.
-func (e *Engine) Sweep() {
-	step := e.step
-	err := e.pod.Replicate(func(r *pod.Replica) error {
-		sh := e.shards[r.ID]
-		e.exchangeHalos(r, sh)
-		e.updateColor(sh, 0, step)
-		e.exchangeHalos(r, sh)
-		e.updateColor(sh, 1, step+1)
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	e.step += 2
-}
-
-// Run performs n sweeps.
-func (e *Engine) Run(n int) {
-	for i := 0; i < n; i++ {
-		e.Sweep()
-	}
-}
+func (e *Engine) Footprint() int64 { return int64(e.N()) * 8 }
 
 // refreshMags recomputes the per-lane magnetisations at the current step.
 func (e *Engine) refreshMags() {
-	if e.mags != nil && e.magsStep == e.step {
+	if e.mags != nil && e.magsStep == e.Step() {
 		return
 	}
 	if e.mags == nil {
@@ -355,20 +176,20 @@ func (e *Engine) refreshMags() {
 	}
 	mask := e.kern.LaneMask()
 	up := make([]int64, e.lanes)
-	for _, sh := range e.shards {
-		for _, w := range sh.words {
+	e.EachRow(func(_, _ int, words []uint64) {
+		for _, w := range words {
 			w &= mask
 			for w != 0 {
 				up[bits.TrailingZeros64(w)]++
 				w &= w - 1
 			}
 		}
-	}
+	})
 	n := int64(e.N())
 	for l := range e.mags {
 		e.mags[l] = float64(2*up[l]-n) / float64(n)
 	}
-	e.magsStep = e.step
+	e.magsStep = e.Step()
 }
 
 // Magnetizations returns the magnetisation per spin of every lane.
@@ -379,11 +200,10 @@ func (e *Engine) Magnetizations() []float64 {
 
 // refreshEnergies recomputes the per-lane energies: each site's east and
 // south bonds are compared wordwise and the per-lane disagreement bits
-// accumulated, with the bonds that cross a shard boundary read directly from
-// the neighbour shard on the host — Replicate has returned, so the shards are
-// quiescent.
+// accumulated, with the bonds that cross a shard boundary read from the
+// neighbour shard.
 func (e *Engine) refreshEnergies() {
-	if e.es != nil && e.esStep == e.step {
+	if e.es != nil && e.esStep == e.Step() {
 		return
 	}
 	if e.es == nil {
@@ -391,40 +211,27 @@ func (e *Engine) refreshEnergies() {
 	}
 	mask := e.kern.LaneMask()
 	diff := make([]int64, e.lanes)
-	mesh := e.pod.Mesh()
-	for id, sh := range e.shards {
-		x, y := mesh.Coord(id)
-		eastSh := e.shards[mesh.ID(x+1, y)]
-		southSh := e.shards[mesh.ID(x, y+1)]
-		for r := 0; r < e.shardRows; r++ {
-			row := e.rowWords(sh, r)
-			south := e.rowWords(southSh, 0)
-			if r < e.shardRows-1 {
-				south = e.rowWords(sh, r+1)
+	e.EachBond(func(row, south []uint64, eastWord uint64) {
+		for c, v := range row {
+			east := eastWord
+			if c+1 < len(row) {
+				east = row[c+1]
 			}
-			for c := 0; c < e.shardCols; c++ {
-				var east uint64
-				if c+1 < e.shardCols {
-					east = row[c+1]
-				} else {
-					east = e.rowWords(eastSh, r)[0]
-				}
-				de := (row[c] ^ east) & mask
-				ds := (row[c] ^ south[c]) & mask
-				for w := de; w != 0; w &= w - 1 {
-					diff[bits.TrailingZeros64(w)]++
-				}
-				for w := ds; w != 0; w &= w - 1 {
-					diff[bits.TrailingZeros64(w)]++
-				}
+			de := (v ^ east) & mask
+			ds := (v ^ south[c]) & mask
+			for w := de; w != 0; w &= w - 1 {
+				diff[bits.TrailingZeros64(w)]++
+			}
+			for w := ds; w != 0; w &= w - 1 {
+				diff[bits.TrailingZeros64(w)]++
 			}
 		}
-	}
+	})
 	n := int64(e.N())
 	for l := range e.es {
 		e.es[l] = -ising.J * float64(2*n-2*diff[l]) / float64(n)
 	}
-	e.esStep = e.step
+	e.esStep = e.Step()
 }
 
 // Energies returns the energy per spin of every lane.
@@ -433,18 +240,10 @@ func (e *Engine) Energies() []float64 {
 	return append([]float64(nil), e.es...)
 }
 
-// shardAt returns the shard holding global site (row, col) and the site's
-// local word index.
-func (e *Engine) shardAt(row, col int) (*shard, int) {
-	y, x := row/e.shardRows, col/e.shardCols
-	sh := e.shards[e.pod.Mesh().ID(x, y)]
-	return sh, (row-sh.rowOff)*e.shardCols + (col - sh.colOff)
-}
-
 // LaneSpin returns lane L's spin at global (row, col) as +-1 (no wrapping).
 func (e *Engine) LaneSpin(lane, row, col int) int8 {
-	sh, i := e.shardAt(row, col)
-	if sh.words[i]>>uint(lane)&1 == 1 {
+	words, c := e.Segment(row, col)
+	if words[c]>>uint(lane)&1 == 1 {
 		return 1
 	}
 	return -1
@@ -452,43 +251,37 @@ func (e *Engine) LaneSpin(lane, row, col int) int8 {
 
 // LaneLattice gathers one lane's configuration as an ising.Lattice.
 func (e *Engine) LaneLattice(lane int) *ising.Lattice {
-	l := ising.NewLattice(e.rows, e.cols)
-	for _, sh := range e.shards {
-		for r := 0; r < e.shardRows; r++ {
-			row := e.rowWords(sh, r)
-			base := (sh.rowOff+r)*e.cols + sh.colOff
-			for c, w := range row {
-				if w>>uint(lane)&1 == 0 {
-					l.Spins[base+c] = -1
-				}
+	l := ising.NewLattice(e.Rows(), e.Cols())
+	e.EachRow(func(r, c0 int, words []uint64) {
+		base := r*e.Cols() + c0
+		for c, w := range words {
+			if w>>uint(lane)&1 == 0 {
+				l.Spins[base+c] = -1
 			}
 		}
-	}
+	})
 	return l
 }
 
 // SetLaneLattice scatters one lane's configuration over the shards.
 func (e *Engine) SetLaneLattice(lane int, l *ising.Lattice) error {
-	if l.Rows != e.rows || l.Cols != e.cols {
-		return fmt.Errorf("shardedensemble: lattice is %dx%d, engine is %dx%d", l.Rows, l.Cols, e.rows, e.cols)
+	if l.Rows != e.Rows() || l.Cols != e.Cols() {
+		return fmt.Errorf("shardedensemble: lattice is %dx%d, engine is %dx%d", l.Rows, l.Cols, e.Rows(), e.Cols())
 	}
 	if lane < 0 || lane >= e.lanes {
 		return fmt.Errorf("shardedensemble: lane %d out of range (engine has %d)", lane, e.lanes)
 	}
 	bit := uint64(1) << uint(lane)
-	for _, sh := range e.shards {
-		for r := 0; r < e.shardRows; r++ {
-			row := e.rowWords(sh, r)
-			base := (sh.rowOff+r)*e.cols + sh.colOff
-			for c := range row {
-				if l.Spins[base+c] == 1 {
-					row[c] |= bit
-				} else {
-					row[c] &^= bit
-				}
+	e.EachRow(func(r, c0 int, words []uint64) {
+		base := r*e.Cols() + c0
+		for c := range words {
+			if l.Spins[base+c] == 1 {
+				words[c] |= bit
+			} else {
+				words[c] &^= bit
 			}
 		}
-	}
+	})
 	// The state changed without a step advance: drop the observable caches.
 	e.mags, e.es = nil, nil
 	return nil
@@ -497,23 +290,4 @@ func (e *Engine) SetLaneLattice(lane int, l *ising.Lattice) error {
 // Hash returns an FNV-1a hash of the lane-packed configuration in global
 // row-major site order (active lanes masked) — directly comparable with the
 // hash of a standalone ensemble.Engine holding the same configuration.
-func (e *Engine) Hash() uint64 {
-	h := fnv.New64a()
-	mask := e.kern.LaneMask()
-	var buf [8]byte
-	mesh := e.pod.Mesh()
-	for gr := 0; gr < e.rows; gr++ {
-		y := gr / e.shardRows
-		for x := 0; x < e.gridC; x++ {
-			sh := e.shards[mesh.ID(x, y)]
-			for _, v := range e.rowWords(sh, gr-sh.rowOff) {
-				v &= mask
-				for i := 0; i < 8; i++ {
-					buf[i] = byte(v >> (8 * i))
-				}
-				h.Write(buf[:])
-			}
-		}
-	}
-	return h.Sum64()
-}
+func (e *Engine) Hash() uint64 { return e.HashWords(e.kern.LaneMask()) }

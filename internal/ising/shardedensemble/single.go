@@ -69,10 +69,10 @@ func (s *Single) Counts() metrics.Counts { return s.e.Counts() }
 func (s *Single) Snapshot() (*ising.Snapshot, error) {
 	return &ising.Snapshot{
 		Backend:     s.Name(),
-		Rows:        s.e.rows,
-		Cols:        s.e.cols,
+		Rows:        s.e.Rows(),
+		Cols:        s.e.Cols(),
 		Temperature: s.Temperature(),
-		Step:        s.e.step,
+		Step:        s.e.Step(),
 		RNG:         rng.MarshalKey(s.e.kern.LaneKey(0)),
 		Spins:       s.e.LaneLattice(0).PackSpins(),
 	}, nil
@@ -81,14 +81,14 @@ func (s *Single) Snapshot() (*ising.Snapshot, error) {
 // Restore replaces the chain state with a snapshot previously taken from a
 // sharded-ensemble engine at the same lattice size (any shard grid).
 func (s *Single) Restore(snap *ising.Snapshot) error {
-	if err := snap.Check(s.Name(), s.e.rows, s.e.cols); err != nil {
+	if err := snap.Check(s.Name(), s.e.Rows(), s.e.Cols()); err != nil {
 		return err
 	}
 	key, err := rng.UnmarshalKey(snap.RNG)
 	if err != nil {
 		return err
 	}
-	lat := ising.NewLattice(s.e.rows, s.e.cols)
+	lat := ising.NewLattice(s.e.Rows(), s.e.Cols())
 	if err := lat.UnpackSpins(snap.Spins); err != nil {
 		return err
 	}
@@ -97,6 +97,6 @@ func (s *Single) Restore(snap *ising.Snapshot) error {
 		return err
 	}
 	s.SetTemperature(snap.Temperature)
-	s.e.step = snap.Step
+	s.e.SetStep(snap.Step)
 	return nil
 }

@@ -58,30 +58,35 @@ func ShardTraffic(s ShardSpec, link interconnect.LinkParams) ShardTrafficReport 
 		panic(fmt.Sprintf("perf: %dx%d lattice does not decompose over a %dx%d shard grid",
 			s.Rows, s.Cols, s.GridR, s.GridC))
 	}
+	// Halos are bit-packed: a row halo is the shard's boundary row words, a
+	// column halo one bit per shard row, 64 rows per word.
 	shardRows := s.Rows / s.GridR
-	shardWords := s.Cols / 64 / s.GridC
-	colWords := (shardRows + 63) / 64
-	cores := int64(s.GridR * s.GridC)
+	return haloTraffic(s.GridR, s.GridC, int64(s.Cols/64/s.GridC)*8, int64((shardRows+63)/64)*8, link)
+}
 
+// haloTraffic is the one halo-exchange model behind ShardTraffic and
+// ShardedEnsembleTraffic: every core of a GridC x GridR torus sends one
+// row-halo message north and south and one column-halo message east and
+// west per half-sweep, two half-sweeps per sweep. The engines differ only
+// in the two message sizes.
+func haloTraffic(gridR, gridC int, rowHaloBytes, colHaloBytes int64, link interconnect.LinkParams) ShardTrafficReport {
+	cores := int64(gridR * gridC)
 	rep := ShardTrafficReport{
-		RowHaloBytes: int64(shardWords) * 8,
-		ColHaloBytes: int64(colWords) * 8,
+		RowHaloBytes: rowHaloBytes,
+		ColHaloBytes: colHaloBytes,
+		RowLinkBytes: 4 * rowHaloBytes,
+		ColLinkBytes: 4 * colHaloBytes,
+		TotalBytes:   cores * (4*rowHaloBytes + 4*colHaloBytes),
+		Events:       cores * 8,
 	}
-	// Per half-sweep each core sends one row halo each way (north, south) and
-	// one column halo each way (east, west); a sweep is two half-sweeps.
-	rep.RowLinkBytes = 4 * rep.RowHaloBytes
-	rep.ColLinkBytes = 4 * rep.ColHaloBytes
-	rep.TotalBytes = cores * (4*rep.RowHaloBytes + 4*rep.ColHaloBytes)
-	rep.Events = cores * 8
-
-	mesh := interconnect.NewMesh(s.GridC, s.GridR)
+	mesh := interconnect.NewMesh(gridC, gridR)
 	mesh.Link = link
 	for _, x := range []struct {
 		dx, dy int
 		bytes  int64
 	}{
-		{0, 1, rep.RowHaloBytes}, {0, -1, rep.RowHaloBytes},
-		{-1, 0, rep.ColHaloBytes}, {1, 0, rep.ColHaloBytes},
+		{0, 1, rowHaloBytes}, {0, -1, rowHaloBytes},
+		{-1, 0, colHaloBytes}, {1, 0, colHaloBytes},
 	} {
 		sec, _ := mesh.PermuteCost(mesh.ShiftPairs(x.dx, x.dy), x.bytes)
 		rep.PermuteSec += 2 * sec // two colour updates per sweep

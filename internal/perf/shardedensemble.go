@@ -68,35 +68,18 @@ func ShardedEnsembleTraffic(s ShardedEnsembleSpec, link interconnect.LinkParams)
 		panic(fmt.Sprintf("perf: %dx%d lattice does not decompose over a %dx%d shard grid",
 			s.Rows, s.Cols, s.GridR, s.GridC))
 	}
-	shardRows := s.Rows / s.GridR
-	shardCols := s.Cols / s.GridC
-	cores := int64(s.GridR * s.GridC)
-
-	rep := ShardedEnsembleTrafficReport{
-		RowHaloBytes: int64(shardCols) * 8,
-		ColHaloBytes: int64(shardRows) * 8,
-		PackedBytes:  int64(s.Rows) * int64(s.Cols) * 8,
+	// Every boundary site travels as one lane-packed word: a row halo is one
+	// word per shard column, a column halo one word per shard row.
+	h := haloTraffic(s.GridR, s.GridC, int64(s.Cols/s.GridC)*8, int64(s.Rows/s.GridR)*8, link)
+	return ShardedEnsembleTrafficReport{
+		RowHaloBytes:      h.RowHaloBytes,
+		ColHaloBytes:      h.ColHaloBytes,
+		RowLinkBytes:      h.RowLinkBytes,
+		ColLinkBytes:      h.ColLinkBytes,
+		TotalBytes:        h.TotalBytes,
+		Events:            h.Events,
+		BytesPerLaneSweep: float64(h.TotalBytes) / float64(s.Lanes),
+		PackedBytes:       int64(s.Rows) * int64(s.Cols) * 8,
+		PermuteSec:        h.PermuteSec,
 	}
-	// Per half-sweep each core sends one boundary row each way (north, south)
-	// and one boundary column each way (east, west); a sweep is two
-	// half-sweeps.
-	rep.RowLinkBytes = 4 * rep.RowHaloBytes
-	rep.ColLinkBytes = 4 * rep.ColHaloBytes
-	rep.TotalBytes = cores * (4*rep.RowHaloBytes + 4*rep.ColHaloBytes)
-	rep.Events = cores * 8
-	rep.BytesPerLaneSweep = float64(rep.TotalBytes) / float64(s.Lanes)
-
-	mesh := interconnect.NewMesh(s.GridC, s.GridR)
-	mesh.Link = link
-	for _, x := range []struct {
-		dx, dy int
-		bytes  int64
-	}{
-		{0, 1, rep.RowHaloBytes}, {0, -1, rep.RowHaloBytes},
-		{-1, 0, rep.ColHaloBytes}, {1, 0, rep.ColHaloBytes},
-	} {
-		sec, _ := mesh.PermuteCost(mesh.ShiftPairs(x.dx, x.dy), x.bytes)
-		rep.PermuteSec += 2 * sec // two colour updates per sweep
-	}
-	return rep
 }

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"tpuising/internal/service/encode"
@@ -23,6 +25,8 @@ import (
 //	GET    /metrics             counters, gauges and stage-latency histograms
 //	                            in Prometheus text format
 //
+// A submission body is one JSON object of at most 1 MiB: a larger body
+// answers 413, and anything but whitespace after the object answers 400.
 // Submissions may carry an X-Client-ID header: it fills JobSpec.Client when
 // the spec leaves it empty, keying the per-client quotas. A submission over
 // quota answers 429; a status poll for a job evicted by the history
@@ -62,11 +66,31 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
+// maxSubmitBytes bounds a submission body. A job spec is a few hundred
+// bytes, even with a long temperature ladder.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil {
+		// A submission is exactly one JSON object: only whitespace may follow.
+		var rest []byte
+		rest, err = io.ReadAll(io.MultiReader(dec.Buffered(), body))
+		if err == nil && len(bytes.TrimSpace(rest)) > 0 {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("service: job spec body exceeds %d bytes", tooLarge.Limit))
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad job spec: %w", err))
 		return
 	}

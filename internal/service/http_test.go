@@ -486,3 +486,37 @@ func TestRequestLog(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPSubmitBodyBounds: a submission is one JSON object of at most
+// 1 MiB — an oversize body answers 413, trailing garbage 400, and trailing
+// whitespace is still a valid submission.
+func TestHTTPSubmitBodyBounds(t *testing.T) {
+	srv, _ := New(Config{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Long enough that the accepted job is still queued or running when
+	// its status is answered (202, not a done 200); Close cancels it.
+	spec := `{"backend":"checkerboard","rows":64,"cols":64,"sweeps":500000,"temperature":2.3,"seed":5,"sample_interval":1000}`
+	oversize := `{"backend":"checkerboard","rows":8,"cols":8,"sweeps":1,"client":"` +
+		strings.Repeat("x", maxSubmitBytes) + `"}`
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"oversize", oversize, http.StatusRequestEntityTooLarge},
+		{"trailing garbage", spec + ` {"rows":16}`, http.StatusBadRequest},
+		{"trailing newline", spec + "\n", http.StatusAccepted},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d (body %s)", tc.name, resp.StatusCode, tc.want, msg)
+		}
+	}
+}
