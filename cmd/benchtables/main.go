@@ -7,7 +7,8 @@
 //	benchtables [-out results] [-stdout]
 //
 // The correctness figures (4 and 7), which run real Monte-Carlo chains, are
-// generated by the separate cmd/correctness binary.
+// generated by the separate cmd/correctness binary. Measured host throughput
+// is the isingbench module's job (see BENCHMARK.json).
 package main
 
 import (
@@ -24,32 +25,18 @@ import (
 func main() {
 	out := flag.String("out", "results", "directory for the generated .txt and .csv files")
 	stdout := flag.Bool("stdout", false, "also print every table to standard output")
-	host := flag.Bool("host", false,
-		"also measure the host_baselines, host_kernel_variants, host_shard_scaling, host_tempering_scaling, host_ensemble_scaling and host_sharded_ensemble_scaling tables (real CPU-engine throughput on this machine)")
-	hostSweeps := flag.Int("hostsweeps", 10, "timed sweeps per host table cell")
 	flag.Parse()
 
-	if err := run(*out, *stdout, *host, *hostSweeps); err != nil {
+	if err := run(*out, *stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(outDir string, stdout, host bool, hostSweeps int) error {
+func run(outDir string, stdout bool) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return fmt.Errorf("creating %s: %w", outDir, err)
 	}
-	model := perf.DefaultModel()
-	tables := harness.AllPerformanceTables(model)
-	if host {
-		tables = append(tables,
-			harness.HostBaselines([]int{256, 1024, 4096}, hostSweeps),
-			harness.HostKernelVariants(256, hostSweeps),
-			harness.HostShardScaling(4096, [][2]int{{1, 1}, {1, 2}, {2, 2}, {2, 4}, {4, 4}}, hostSweeps),
-			harness.HostTemperingScaling(1024, []int{2, 4, 8}, hostSweeps),
-			harness.HostEnsembleScaling(256, []int{8, 32, 64}, hostSweeps),
-			harness.HostShardedEnsembleScaling(256, 64, [][2]int{{1, 1}, {2, 2}, {2, 4}}, hostSweeps),
-		)
-	}
+	tables := harness.AllPerformanceTables(perf.DefaultModel())
 	for _, tab := range tables {
 		if stdout {
 			fmt.Println(tab.Text())

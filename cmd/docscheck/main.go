@@ -1,7 +1,8 @@
 // Command docscheck verifies that the repository's documentation does not
 // rot: every package or file path named in the given markdown documents
-// (README.md, ARCHITECTURE.md and docs/PHYSICS.md by default) must exist in
-// the tree. It is the docs step of the CI workflow, next to `go vet ./...`.
+// (README.md, ARCHITECTURE.md, docs/PHYSICS.md and the verify skill by
+// default) must exist in the tree. It is the docs step of the CI workflow,
+// next to `go vet ./...`.
 //
 // Usage:
 //
@@ -29,7 +30,7 @@ import (
 var refPattern = regexp.MustCompile(`(?:internal|cmd|examples|docs)/[A-Za-z0-9_./]*`)
 
 // defaultDocs are the documents checked when no arguments are given.
-var defaultDocs = []string{"README.md", "ARCHITECTURE.md", "docs/PHYSICS.md"}
+var defaultDocs = []string{"README.md", "ARCHITECTURE.md", "docs/PHYSICS.md", ".claude/skills/verify/SKILL.md"}
 
 func main() {
 	root := flag.String("root", ".", "repository root the references resolve against")

@@ -2,9 +2,8 @@
 // drives the REST API with concurrent job submitters and NDJSON stream
 // subscribers, reports p50/p95/p99 request latency, error/queue-full and
 // cache-hit rates plus server-side counter deltas (sweeps/s, stream wakeups
-// per sweep), checks them against declared thresholds, and writes the
-// machine-readable BENCH_*.json perf snapshot the repository's trajectory
-// is built from (internal/load).
+// per sweep), checks them against declared thresholds, and can write the
+// run as a machine-readable JSON snapshot (internal/load).
 //
 // Usage:
 //
@@ -12,7 +11,7 @@
 //	          [-submitters 16] [-subscribers 8] [-cancel-every 0] [-clients 0]
 //	          [-backend multispin] [-rows 64] [-sweeps 400] [-interval 50]
 //	          [-seeds 0] [-thresholds "submit_p95_ms<250,queue_wait_p95_ms<100"]
-//	          [-bench 6] [-out BENCH_6.json] [-host] [-hostsize 256] [-hostsweeps 5]
+//	          [-out snapshot.json]
 //	          [-profile cpu.pprof] [-profile-seconds 0] [-debug-addr localhost:6060]
 //
 // Thresholds may also gate the server-side stage quantiles (queue_wait_p95_ms,
@@ -24,10 +23,8 @@
 // With no -addr, isingload boots an in-process daemon on a loopback port
 // (flags -workers and -queue shape it) and load-tests that — the same
 // service code cmd/isingd serves, so a laptop run needs no separate daemon.
-// With -host, the snapshot also carries the measured `benchtables -host`
-// flips/ns of every CPU engine, the row-kernel reference/optimized delta
-// (with the binary's AVX2 status), the lane-packed ensemble aggregate and
-// the composed sharded-ensemble aggregate.
+// Engine throughput is not measured here: that is the isingbench module's
+// job (see BENCHMARK.json).
 //
 // The exit status is the threshold verdict: 0 when every declared check
 // passes, 1 otherwise — CI gates on it, k6 style.
@@ -47,9 +44,7 @@ import (
 	"strings"
 	"time"
 
-	"tpuising/internal/harness"
 	"tpuising/internal/load"
-	"tpuising/internal/rng"
 	"tpuising/internal/service"
 )
 
@@ -58,10 +53,6 @@ import (
 // job completes end to end, and no accepted job fails server-side (a bad
 // spec fails every job while every request around it still succeeds).
 const defaultThresholds = "submit_p95_ms<250,error_rate<0.01,jobs_done>=1,jobs_failed<=0"
-
-// hostBackends are the engines measured into the snapshot's host section —
-// the same set as the harness HostBaselines table.
-var hostBackends = []string{"checkerboard", "gpusim", "multispin", "multispin-shared"}
 
 func main() {
 	log.SetFlags(0)
@@ -96,11 +87,7 @@ func run(args []string, out *os.File) error {
 	interval := fs.Int("interval", 50, "sweeps between streamed samples")
 	seeds := fs.Int("seeds", 0, "distinct-seed window; repeats hit the result cache (0 = 2x submitters)")
 	thresholds := fs.String("thresholds", defaultThresholds, "comma-separated pass/fail gates over report metrics")
-	bench := fs.String("bench", "", "trajectory index: write the snapshot as BENCH_<bench>.json fields")
-	outPath := fs.String("out", "", "snapshot file to write (e.g. BENCH_6.json; empty = no snapshot)")
-	hostBench := fs.Bool("host", false, "also measure host engine flips/ns (benchtables -host style) into the snapshot")
-	hostSize := fs.Int("hostsize", 256, "host-measurement lattice side")
-	hostSweeps := fs.Int("hostsweeps", 5, "host-measurement timed sweeps per engine")
+	outPath := fs.String("out", "", "snapshot file to write (empty = no snapshot)")
 	workers := fs.Int("workers", runtime.NumCPU(), "in-process daemon worker pool (only without -addr)")
 	queue := fs.Int("queue", 256, "in-process daemon queue depth (only without -addr)")
 	profilePath := fs.String("profile", "", "capture a CPU profile of the daemon during the run into this file (pprof format)")
@@ -199,37 +186,17 @@ func run(args []string, out *os.File) error {
 		fmt.Fprintf(out, "threshold %-28s %s (%s)\n", c.Threshold.String(), verdict, detail)
 	}
 
-	snap := &load.Snapshot{
-		Bench:      *bench,
-		CreatedAt:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Service:    report,
-		Checks:     checks,
-		Passed:     passed,
-	}
-	if *hostBench {
-		log.Printf("measuring host engines (%dx%d, %d sweeps per cell)", *hostSize, *hostSize, *hostSweeps)
-		hb := &load.HostBench{
-			Lattice:    *hostSize,
-			Sweeps:     *hostSweeps,
-			FlipsPerNs: make(map[string]float64, len(hostBackends)),
-		}
-		for _, name := range hostBackends {
-			hb.FlipsPerNs[name] = harness.MeasureBackend(name, *hostSize, *hostSweeps)
-		}
-		hb.EnsembleLanes = 64
-		hb.EnsembleAggregate = harness.MeasureEnsembleAggregate(*hostSize, hb.EnsembleLanes, *hostSweeps, true)
-		hb.AVX2 = rng.HasAVX2()
-		hb.KernelRef, hb.KernelOpt = harness.MeasureKernelDelta(*hostSize, *hostSweeps)
-		hb.ShardedEnsembleGrid = "2x2"
-		hb.ShardedEnsembleAggregate = harness.MeasureShardedEnsembleAggregate(
-			*hostSize, hb.EnsembleLanes, 2, 2, *hostSweeps, false)
-		snap.Host = hb
-	}
 	if *outPath != "" {
+		snap := &load.Snapshot{
+			CreatedAt:  time.Now().UTC().Format(time.RFC3339),
+			GoVersion:  runtime.Version(),
+			GOOS:       runtime.GOOS,
+			GOARCH:     runtime.GOARCH,
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			Service:    report,
+			Checks:     checks,
+			Passed:     passed,
+		}
 		if err := snap.Write(*outPath); err != nil {
 			return err
 		}

@@ -7,32 +7,6 @@ import (
 	"testing"
 )
 
-// TestHostEnsembleScalingShape: the measured ensemble table builds without
-// error at smoke scale, carries one row per lane count with positive
-// throughputs, and its model columns match perf.EnsembleFootprint's
-// arithmetic (rng savings = lanes/2 in shared mode).
-func TestHostEnsembleScalingShape(t *testing.T) {
-	lanes := []int{2, 8}
-	tab := HostEnsembleScaling(64, lanes, 2)
-	if len(tab.Rows) != len(lanes) {
-		t.Fatalf("table has %d rows, want %d", len(tab.Rows), len(lanes))
-	}
-	for i, want := range lanes {
-		if got := tab.Cell(i, 0); got != strconv.Itoa(want) {
-			t.Fatalf("row %d lanes = %s, want %d", i, got, want)
-		}
-		for col := 1; col <= 3; col++ {
-			v, err := strconv.ParseFloat(tab.Cell(i, col), 64)
-			if err != nil || v <= 0 {
-				t.Fatalf("row %d col %d: %q is not a positive throughput (%v)", i, col, tab.Cell(i, col), err)
-			}
-		}
-		if got, want := tab.Cell(i, 7), strconv.Itoa(want/2)+"x"; got != want {
-			t.Fatalf("row %d rng savings = %s, want %s", i, got, want)
-		}
-	}
-}
-
 // TestEnsembleOnsagerAgreesWithExact: the ensemble physics table at smoke
 // scale must land near the exact Onsager values in the ordered phase — the
 // same tolerance band the cross-backend physics tests use.

@@ -116,7 +116,7 @@ func (h *Histogram) quantileLocked(q float64) time.Duration {
 }
 
 // LatencySummary is the JSON rendering of a histogram: the fields every
-// BENCH snapshot, /v1/stats stage summary and threshold check consumes, in
+// load snapshot, /v1/stats stage summary and threshold check consumes, in
 // milliseconds.
 type LatencySummary struct {
 	Count  int64   `json:"count"`

@@ -4,9 +4,10 @@ import "tpuising/internal/device/metrics"
 
 // Backend is the interface every Ising engine in this repository satisfies:
 // the serial checkerboard reference, the GPU-style parallel baseline, the
-// bit-packed multispin engine and the simulated-TPU simulator. The harness,
-// the temperature-sweep driver, the CLI and the benchmarks all select engines
-// through it (see internal/ising/backend for the name-based factory).
+// bit-packed multispin engine and the simulated-TPU simulator. The
+// temperature-sweep driver, the service, the CLI and the benchmarks all
+// select engines through it (see internal/ising/backend for the name-based
+// factory).
 type Backend interface {
 	// Name identifies the engine in tables, flags and benchmark output.
 	Name() string

@@ -1,9 +1,13 @@
 // Package backend constructs the repository's Ising engines by name behind
 // the ising.Backend interface: the serial checkerboard reference, the
 // GPU-style parallel CPU baseline, the bit-packed multispin engine, its
-// mesh-sharded pod decomposition and the simulated-TPU simulator. The CLI's -backend flag, the harness's host
-// baseline table and the repository benchmarks all go through New, so adding
-// an engine here makes it available everywhere at once.
+// mesh-sharded pod decomposition (sharded), the lane-packed ensemble
+// composed with that decomposition (sharded-ensemble) and the simulated-TPU
+// simulator. NewBatch serves the batch axis, handing per-site multispin
+// lanes to the lane-packed ensemble engine. The CLI's -backend flag, the
+// service, the tempering ladder and the repository benchmarks all go
+// through this package, so adding an engine here makes it available
+// everywhere at once.
 package backend
 
 import (

@@ -10,8 +10,8 @@
 //     and site-keyed random numbers are bit-identical to the TPU tensor
 //     kernels in internal/ising/tpu, so the tensor implementations can be
 //     validated spin-for-spin against it.
-//   - ParallelSweep: a multi-goroutine version used as the "CPU baseline" in
-//     the benchmark harness.
+//   - ParallelSweep: a multi-goroutine version, the row-band sweep behind
+//     the gpusim "CPU baseline" engine.
 package checkerboard
 
 import (

@@ -130,7 +130,7 @@ func BenchmarkThresholdsUncached(b *testing.B) {
 }
 
 // BenchmarkEnsembleSweep measures the optimized 64-lane hot loop (per-lane
-// randoms), the headline aggregate path of BENCH snapshots.
+// randoms), the path the ensemble and sharded-ensemble engines run.
 func BenchmarkEnsembleSweep(b *testing.B) {
 	benchSweep(b, false)
 }

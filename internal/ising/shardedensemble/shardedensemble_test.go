@@ -200,8 +200,8 @@ func TestSingleSnapshotRoundTrip(t *testing.T) {
 
 // TestCommCountsMatchShardedEnsembleTraffic: the engine's measured
 // interconnect counters must reproduce the perf model's analytic per-sweep
-// traffic exactly — the property that lets the harness print modelled traffic
-// next to measured aggregate throughput.
+// traffic exactly — the property that lets the perf model's byte counts
+// stand in for the engine's halo traffic.
 func TestCommCountsMatchShardedEnsembleTraffic(t *testing.T) {
 	for _, grid := range [][2]int{{1, 1}, {2, 2}, {3, 4}, {4, 1}} {
 		e, err := New(Config{

@@ -8,7 +8,7 @@ import (
 
 // Single adapts a one-lane sharded ensemble into a plain single-chain
 // ising.Backend — the form the registry serves under the name
-// "sharded-ensemble", so the CLI, the service and the harness can run the
+// "sharded-ensemble", so the CLI, the service and the benchmarks can run the
 // composed engine like any other backend. It satisfies ising.Backend,
 // ising.Tempered and ising.Snapshotter. The chain is bit-identical to a
 // standalone multispin chain with the same seed (lane 0's contract),

@@ -3,8 +3,7 @@
 // subscribers, records per-request latency histograms (p50/p95/p99),
 // error/queue-full/cache-hit rates and server-side counter deltas
 // (sweeps/s, stream wakeups per sweep), checks them against declared
-// thresholds, and snapshots everything into a machine-readable BENCH_*.json
-// so every PR's performance delta is visible in the repository history.
+// thresholds, and can snapshot a run into a machine-readable JSON file.
 //
 // The pieces compose the way k6's metrics/thresholds pipeline does:
 //
@@ -16,8 +15,8 @@
 //     results (a configurable fraction canceling instead, which is what
 //     surfaced the queue-slot-pinning bug), and subscribers that follow
 //     /stream NDJSON (which is what surfaced the wake-storm).
-//   - Snapshot: the BENCH_*.json schema: the scenario Report, its threshold
-//     Checks, and the host flips/ns tables measured by internal/harness.
+//   - Snapshot: the JSON record of one run: the scenario Report, its
+//     threshold Checks, and the runtime that produced them.
 //
 // cmd/isingload is the CLI over this package; internal/service is the
 // system under test.

@@ -78,7 +78,7 @@ func (sc Scenario) withDefaults() Scenario {
 
 // Report is the measured outcome of a scenario run: client-side request
 // metrics plus the server-side counter delta over the run. It is the
-// "service" section of a BENCH snapshot and the source of the flat metric
+// "service" section of a load Snapshot and the source of the flat metric
 // map thresholds gate on.
 type Report struct {
 	// Echo of the scenario shape.
@@ -392,7 +392,7 @@ func (rs *runState) report(elapsed time.Duration, before, after map[string]float
 			cols = rs.sc.Spec.Rows
 		}
 		// Spin flips the service executed for this spec shape, per
-		// wall-clock nanosecond — comparable to the harness host tables.
+		// wall-clock nanosecond — the service-level view of engine flips/ns.
 		d.FlipsPerNs = float64(d.SweepsRun) * float64(rs.sc.Spec.Rows) * float64(cols) / (s * 1e9)
 	}
 	if d.SweepsRun > 0 {

@@ -278,3 +278,56 @@ func BenchmarkFill(b *testing.B) {
 		p.Fill(buf)
 	}
 }
+
+// philoxKATs are the Philox4x32-10 known-answer vectors of the Random123
+// distribution (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+// 3", SC'11): zero counter and key, all-ones counter and key, and the
+// digits of pi.
+var philoxKATs = []struct {
+	ctr  Counter
+	key  Key
+	want [4]uint32
+}{
+	{Counter{0, 0, 0, 0}, Key{0, 0},
+		[4]uint32{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}},
+	{Counter{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff}, Key{0xffffffff, 0xffffffff},
+		[4]uint32{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}},
+	{Counter{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344}, Key{0xa4093822, 0x299f31d0},
+		[4]uint32{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}},
+}
+
+// TestPhiloxKnownAnswers pins the generator to the published vectors on
+// every dispatch path: Block, and BlockRow/BlockLanes at 8 blocks, the
+// width of one AVX2 iteration, so an avx2 build checks the vector kernels.
+// The known answer sits at each of the 8 positions in turn (BlockRow starts
+// its counter run p blocks early; BlockLanes gives lane p the known key), so
+// every vector lane is pinned, lane 0 included.
+func TestPhiloxKnownAnswers(t *testing.T) {
+	const n = 8
+	for _, v := range philoxKATs {
+		if got := Block(v.ctr, v.key); got != v.want {
+			t.Errorf("Block(%08x, %08x) = %08x, want %08x", v.ctr, v.key, got, v.want)
+		}
+		for p := 0; p < n; p++ {
+			row := make([]uint32, 4*n)
+			start := v.ctr
+			start[3] -= uint32(p)
+			BlockRow(row, start, v.key)
+			if got := [4]uint32(row[4*p : 4*p+4]); got != v.want {
+				t.Errorf("BlockRow(%08x, %08x) block %d = %08x, want %08x", start, v.key, p, got, v.want)
+			}
+
+			k0s := make([]uint32, n)
+			k1s := make([]uint32, n)
+			for l := range k0s {
+				k0s[l], k1s[l] = uint32(l)*0x9E3779B9+1, uint32(l)*0xBB67AE85+2
+			}
+			k0s[p], k1s[p] = v.key[0], v.key[1]
+			lanes := make([]uint32, 4*n)
+			BlockLanes(lanes, v.ctr, k0s, k1s)
+			if got := [4]uint32(lanes[4*p : 4*p+4]); got != v.want {
+				t.Errorf("BlockLanes(%08x) lane %d = %08x, want %08x", v.ctr, p, got, v.want)
+			}
+		}
+	}
+}

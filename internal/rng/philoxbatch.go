@@ -140,6 +140,6 @@ func blockLanesGeneric(dst []uint32, ctr Counter, k0s, k1s []uint32, i, n int) {
 
 // HasAVX2 reports whether this binary runs the AVX2 batch kernels: built with
 // the `avx2` tag on amd64 AND running on a CPU with OS-enabled AVX2. The
-// benchmarks and BENCH snapshots record it so a perf row always names the
-// kernel variant it measured.
+// isingbench report records it so a perf row always names the kernel variant
+// it measured.
 func HasAVX2() bool { return useAVX2 }

@@ -96,8 +96,8 @@ func TestRunTemperingPanicsOnBadConfig(t *testing.T) {
 		})
 }
 
-// TestReplicaSeedDistinct guards the per-slot seed derivation the CLI and
-// harness share.
+// TestReplicaSeedDistinct guards the per-slot seed derivation of tempering
+// ladders.
 func TestReplicaSeedDistinct(t *testing.T) {
 	seen := map[uint64]bool{}
 	for slot := 0; slot < 64; slot++ {
