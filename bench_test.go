@@ -257,15 +257,15 @@ func BenchmarkSharded2x2_4096(b *testing.B) {
 }
 
 // BenchmarkShardedEnsemble64_2x2_256 times the composed batched×sharded
-// engine: 64 lane-packed chains advance on every shard of a 2x2 pod grid,
-// halo words carrying all lanes at once. host_flips/ns is the aggregate over
-// all lanes — the paper's per-core workload (a full replica batch between
-// halo exchanges).
+// engine, a 64-lane batch of the sharded backend: 64 lane-packed chains
+// advance on every shard of a 2x2 pod grid, halo words carrying all lanes at
+// once. host_flips/ns is the aggregate over all lanes — the paper's per-core
+// workload (a full replica batch between halo exchanges).
 func BenchmarkShardedEnsemble64_2x2_256(b *testing.B) {
 	const size, lanes = 256, 64
 	cfg := hostConfig(size)
 	cfg.GridR, cfg.GridC = 2, 2
-	batch, err := backend.NewBatch("sharded-ensemble", cfg, lanes)
+	batch, err := backend.NewBatch("sharded", cfg, lanes)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func BenchmarkShardedEnsemble64_2x2_256(b *testing.B) {
 }
 
 // BenchmarkEnsemble64_256 times whole-ensemble sweeps of the lane-packed
-// engine (internal/ising/ensemble) in exact mode: 64 independent chains, each
+// engine (internal/ising/ensemble): 64 independent chains, each
 // bit-identical to a standalone multispin chain, advance per Sweep, so
 // host_flips/ns is the aggregate over all lanes.
 func BenchmarkEnsemble64_256(b *testing.B) {

@@ -48,15 +48,15 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	engine := flag.String("backend", "tpu",
 		"engine from the internal/ising/backend registry: "+backend.List()+
-			" (aliases: serial/cpu = checkerboard, parallel/gpu = gpusim); see the backend-choice table in README.md")
+			" (aliases: serial/cpu = checkerboard, parallel/gpu = gpusim, sharded-ensemble = sharded); see the backend-choice table in README.md")
 	workers := flag.Int("workers", 0, "worker goroutines of the host backends (0 = GOMAXPROCS)")
 	shards := flag.String("shards", "",
-		"shard grid of the sharded and sharded-ensemble backends as RxC (R shards along rows x C along columns); the other registry backends ("+
+		"shard grid of the sharded backend as RxC (R shards along rows x C along columns); the other registry backends ("+
 			backend.List()+") reject it — see the backend-choice table in README.md")
 	temper := flag.String("temper", "",
 		"replica exchange: N temperature replicas of the selected -backend, as N or N:Tmin,Tmax (default window sized for healthy swap acceptance)")
 	replicas := flag.Int("replicas", 1,
-		"batched ensemble: B independent chains of the selected -backend at -temp, lane-packed for multispin (64 chains per machine word), lane-parallel otherwise; per-lane results are reported")
+		"batched ensemble: B independent chains of the selected -backend at -temp, lane-packed for multispin and sharded (64 chains per machine word), lane-parallel otherwise; per-lane results are reported")
 	swapint := flag.Int("swapint", 10, "sweeps between replica-exchange swap attempts (with -temper)")
 	profile := flag.Bool("profile", false, "print the work counters and the modelled step breakdown")
 	estimate := flag.Bool("estimate", false, "do not run: report the modelled performance for this configuration")
@@ -98,8 +98,8 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	if set["shards"] && name != "sharded" && name != "sharded-ensemble" {
-		log.Fatalf("-shards selects the shard grid of the sharded backends; it does not apply to the %s backend (valid backends: %s)",
+	if set["shards"] && name != "sharded" {
+		log.Fatalf("-shards selects the shard grid of the sharded backend; it does not apply to the %s backend (valid backends: %s)",
 			name, backend.List())
 	}
 	// The TPU kernel options only make sense when the engine is the tpu
@@ -144,8 +144,8 @@ func main() {
 	if set["swapint"] {
 		log.Fatal("-swapint sets the replica-exchange swap interval; it only applies with -temper")
 	}
-	if set["workers"] && (name == "sharded" || name == "sharded-ensemble") {
-		log.Fatal("-workers controls the band parallelism of the other host backends; the sharded backends' parallelism is their shard grid (use -shards RxC)")
+	if set["workers"] && name == "sharded" {
+		log.Fatal("-workers controls the band parallelism of the other host backends; the sharded backend's parallelism is its shard grid (use -shards RxC)")
 	}
 	if *replicas > 1 {
 		if *estimate || podX*podY > 1 {
@@ -228,16 +228,9 @@ func runBackend(name string, rows, cols, gridR, gridC int, temp float64, seed ui
 	}
 	if profile {
 		fmt.Printf("work counters: %v\n", eng.Counts())
-		switch name {
-		case "sharded":
+		if name == "sharded" {
 			rep := perf.ShardTraffic(perf.ShardSpec{Rows: rows, Cols: cols, GridR: gridR, GridC: gridC},
 				interconnect.DefaultLinkParams())
-			fmt.Printf("modelled interconnect: %d B/link/sweep (rows), %d B/link/sweep (cols), permute %.2f us/sweep\n",
-				rep.RowLinkBytes, rep.ColLinkBytes, rep.PermuteSec*1e6)
-		case "sharded-ensemble":
-			rep := perf.ShardedEnsembleTraffic(perf.ShardedEnsembleSpec{
-				Rows: rows, Cols: cols, GridR: gridR, GridC: gridC, Lanes: 1,
-			}, interconnect.DefaultLinkParams())
 			fmt.Printf("modelled interconnect: %d B/link/sweep (rows), %d B/link/sweep (cols), permute %.2f us/sweep\n",
 				rep.RowLinkBytes, rep.ColLinkBytes, rep.PermuteSec*1e6)
 		}
@@ -246,8 +239,9 @@ func runBackend(name string, rows, cols, gridR, gridC int, temp float64, seed ui
 
 // runReplicas runs the batched-ensemble mode: B independent chains of the
 // selected backend at one temperature behind ising.BatchBackend — one
-// lane-packed internal/ising/ensemble engine for multispin, the generic
-// lane-parallel adapter for every other backend (backend.NewBatch picks).
+// lane-packed internal/ising/ensemble engine for multispin, one lane-packed
+// internal/ising/shardedensemble pod for sharded, the generic lane-parallel
+// adapter for every other backend (backend.NewBatch picks).
 // Lane L is seeded ising.LaneSeed(seed, L), so its chain is exactly the
 // single-chain run `-backend <name> -seed <laneseed>` would produce; the
 // report fans out one row per lane plus the across-lane means.
@@ -263,8 +257,8 @@ func runReplicas(name string, rows, cols, gridR, gridC, tile int, dt tensor.DTyp
 	if !jsonOut {
 		// Named by the selected registry backend (like isingd's batch jobs);
 		// the executing batch engine — the lane-packed "ensemble" for
-		// multispin, the lane-parallel adapter otherwise — is reported as an
-		// execution detail.
+		// multispin, "sharded-ensemble" for sharded, the lane-parallel adapter
+		// otherwise — is reported as an execution detail.
 		fmt.Printf("batched ensemble: %d lanes of backend %s (engine %s), %dx%d lattice, T=%.4f (T/Tc=%.3f)\n",
 			b.Lanes(), name, b.Name(), rows, cols, temp, temp/ising.CriticalTemperature())
 	}

@@ -1,12 +1,13 @@
 // Package backend constructs the repository's Ising engines by name behind
 // the ising.Backend interface: the serial checkerboard reference, the
 // GPU-style parallel CPU baseline, the bit-packed multispin engine, its
-// mesh-sharded pod decomposition (sharded), the lane-packed ensemble
-// composed with that decomposition (sharded-ensemble) and the simulated-TPU
-// simulator. NewBatch serves the batch axis, handing per-site multispin
-// lanes to the lane-packed ensemble engine. The CLI's -backend flag, the
-// service, the tempering ladder and the repository benchmarks all go
-// through this package, so adding an engine here makes it available
+// mesh-sharded pod decomposition (sharded) and the simulated-TPU simulator.
+// NewBatch serves the batch axis: a multispin batch runs on the lane-packed
+// ensemble engine and a sharded batch on the lane-packed pod engine
+// (internal/ising/shardedensemble; the name "sharded-ensemble" is an alias
+// of sharded), every other batch on the generic adapter. The CLI's -backend
+// flag, the service, the tempering ladder and the repository benchmarks all
+// go through this package, so adding an engine here makes it available
 // everywhere at once.
 package backend
 
@@ -64,7 +65,6 @@ var builders = map[string]func(Config) (ising.Backend, error){
 	"multispin":        newMultispin(false),
 	"multispin-shared": newMultispin(true),
 	"sharded":          newSharded,
-	"sharded-ensemble": newShardedEnsemble,
 	"tpu":              newTPU,
 }
 
@@ -74,6 +74,9 @@ var aliases = map[string]string{
 	"cpu":      "checkerboard",
 	"parallel": "gpusim",
 	"gpu":      "gpusim",
+	// The lane-packed pod engine is sharded's batch form, the way the
+	// ensemble engine is multispin's: NewBatch picks it for sharded batches.
+	"sharded-ensemble": "sharded",
 }
 
 // Names returns the canonical backend names, sorted.
@@ -105,7 +108,8 @@ func Canonical(name string) (string, error) {
 }
 
 // New builds the named engine. Name matching is case-insensitive and accepts
-// the aliases serial/cpu (checkerboard) and parallel/gpu (gpusim).
+// the aliases serial/cpu (checkerboard), parallel/gpu (gpusim) and
+// sharded-ensemble (sharded).
 func New(name string, cfg Config) (ising.Backend, error) {
 	n, err := Canonical(name)
 	if err != nil {
@@ -122,10 +126,11 @@ func New(name string, cfg Config) (ising.Backend, error) {
 // ising.LaneSeed(cfg.Seed, L). When the engine is the per-site multispin
 // kernel (and the config fits its constraints), the lanes come back as one
 // lane-packed internal/ising/ensemble engine — bit-identical chains, one
-// word pass per site for all of them; every other registered engine is
-// lifted through the generic adapter, so the batch axis works for the whole
-// registry. Batching is an execution strategy, never a physics change: lane
-// L's chain is the same chain either way.
+// word pass per site for all of them; a sharded batch likewise comes back as
+// one lane-packed internal/ising/shardedensemble pod. Every other registered
+// engine is lifted through the generic adapter, so the batch axis works for
+// the whole registry. Batching is an execution strategy, never a physics
+// change: lane L's chain is the same chain either way.
 func NewBatch(name string, cfg Config, lanes int) (ising.BatchBackend, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("backend: batch needs at least 1 lane, got %d", lanes)
@@ -186,11 +191,12 @@ func packedBatchEligible(name string, cfg Config, lanes int) bool {
 		cfg.GridR <= 1 && cfg.GridC <= 1
 }
 
-// shardedBatchEligible reports whether a batch of the sharded-ensemble
-// backend can run as one composed engine — all lanes lane-packed across the
-// whole pod grid at once instead of one grid per lane. The constraints are
-// the engine's own (divisible grid, whole random groups per shard); a batch
-// that violates them falls back to the generic adapter, one pod per lane.
+// shardedBatchEligible reports whether a batch of the sharded backend can run
+// as one composed engine — all lanes lane-packed across the whole pod grid at
+// once instead of one grid per lane (lane L is bit-identical to a standalone
+// sharded chain seeded ising.LaneSeed). The constraints are the engine's own
+// (divisible grid, whole random groups per shard); a batch that violates
+// them falls back to the generic adapter, one pod per lane.
 func shardedBatchEligible(name string, cfg Config, lanes int) bool {
 	gridR, gridC := cfg.GridR, cfg.GridC
 	if gridR <= 0 {
@@ -199,7 +205,7 @@ func shardedBatchEligible(name string, cfg Config, lanes int) bool {
 	if gridC <= 0 {
 		gridC = 1
 	}
-	return name == "sharded-ensemble" &&
+	return name == "sharded" &&
 		lanes <= shardedensemble.MaxLanes &&
 		cfg.Rows >= 2 && cfg.Rows%2 == 0 && cfg.Rows%gridR == 0 &&
 		cfg.Cols > 0 && cfg.Cols%multispin.WordBits == 0 && cfg.Cols%(8*gridC) == 0
@@ -250,13 +256,6 @@ func newSharded(cfg Config) (ising.Backend, error) {
 		sc.Initial = hostLattice(cfg)
 	}
 	return sharded.New(sc)
-}
-
-func newShardedEnsemble(cfg Config) (ising.Backend, error) {
-	return shardedensemble.NewSingle(shardedensemble.Config{
-		Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
-		Temperature: cfg.Temperature, Seed: cfg.Seed, Hot: cfg.Hot,
-	})
 }
 
 func newTPU(cfg Config) (ising.Backend, error) {

@@ -45,6 +45,7 @@ func TestAliasesAndErrors(t *testing.T) {
 		"serial": "checkerboard", "cpu": "checkerboard",
 		"parallel": "gpusim", "GPU": "gpusim",
 		" MultiSpin ": "multispin", "tpu": "tpu",
+		"sharded-ensemble": "sharded",
 	} {
 		got, err := backend.Canonical(alias)
 		if err != nil || got != want {

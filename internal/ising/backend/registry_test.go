@@ -19,7 +19,6 @@ var registryClaims = map[string]struct{ snapshotter bool }{
 	"multispin":        {snapshotter: true},
 	"multispin-shared": {snapshotter: true},
 	"sharded":          {snapshotter: true},
-	"sharded-ensemble": {snapshotter: true},
 	"tpu":              {snapshotter: false},
 }
 
@@ -56,8 +55,8 @@ func TestRegistryContracts(t *testing.T) {
 		if snaps != claim.snapshotter {
 			t.Errorf("backend %q: implements ising.Snapshotter = %v, claims table says %v", name, snaps, claim.snapshotter)
 		}
-		// Every registered engine must batch through the generic adapter (the
-		// multispin fast path is exercised by its own tests).
+		// Every registered engine must batch (the packed multispin and sharded
+		// fast paths are exercised by their own tests).
 		if _, err := backend.NewBatch(name, backend.Config{Rows: 16, Cols: 64, Temperature: 2.5, Seed: 1}, 2); err != nil {
 			t.Errorf("NewBatch(%q, 2): %v", name, err)
 		}
@@ -70,8 +69,9 @@ func TestRegistryContracts(t *testing.T) {
 }
 
 // TestNewBatchSelectsPackedEngine: a multispin batch within the packed
-// constraints comes back as the lane-packed ensemble engine; everything else
-// comes back as the generic adapter under the backend's own name.
+// constraints comes back as the lane-packed ensemble engine and a sharded
+// batch as the lane-packed pod engine; everything else comes back as the
+// generic adapter under the backend's own name.
 func TestNewBatchSelectsPackedEngine(t *testing.T) {
 	cfg := backend.Config{Rows: 8, Cols: 64, Temperature: 2.4, Seed: 1}
 	packed, err := backend.NewBatch("multispin", cfg, 4)
@@ -80,6 +80,15 @@ func TestNewBatchSelectsPackedEngine(t *testing.T) {
 	}
 	if packed.Name() != "ensemble" {
 		t.Fatalf("multispin batch engine is %q, want the packed ensemble", packed.Name())
+	}
+	pod := cfg
+	pod.GridR, pod.GridC = 2, 2
+	podBatch, err := backend.NewBatch("sharded", pod, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if podBatch.Name() != "sharded-ensemble" {
+		t.Fatalf("2x2 sharded batch engine is %q, want the packed pod engine sharded-ensemble", podBatch.Name())
 	}
 	adapter, err := backend.NewBatch("checkerboard", cfg, 4)
 	if err != nil {
@@ -105,36 +114,48 @@ func TestNewBatchSelectsPackedEngine(t *testing.T) {
 	}
 }
 
-// TestNewBatchPackedMatchesAdapter: the packed fast path and the generic
-// adapter over multispin backends are the same simulation — backend.NewBatch
-// choosing one is invisible in every observable.
+// TestNewBatchPackedMatchesAdapter: the packed fast paths and the generic
+// adapter over standalone chains of the same backend are the same simulation
+// — backend.NewBatch choosing one is invisible in every observable. It runs
+// for multispin (the lane-packed ensemble) and for a 2x2 sharded grid (the
+// lane-packed pod engine).
 func TestNewBatchPackedMatchesAdapter(t *testing.T) {
-	cfg := backend.Config{Rows: 8, Cols: 64, Temperature: 2.3, Seed: 9, Hot: true}
-	packed, err := backend.NewBatch("multispin", cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lanes := make([]ising.Backend, 3)
-	for i := range lanes {
-		c := cfg
-		c.Seed = ising.LaneSeed(cfg.Seed, i)
-		if lanes[i], err = backend.New("multispin", c); err != nil {
+	for _, tc := range []struct {
+		name, want string
+		cfg        backend.Config
+	}{
+		{"multispin", "ensemble", backend.Config{Rows: 8, Cols: 64, Temperature: 2.3, Seed: 9, Hot: true}},
+		{"sharded", "sharded-ensemble", backend.Config{Rows: 8, Cols: 128, GridR: 2, GridC: 2, Temperature: 2.3, Seed: 9, Hot: true}},
+	} {
+		packed, err := backend.NewBatch(tc.name, tc.cfg, 3)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	adapter, err := ising.NewBatchOf(lanes, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		packed.Sweep()
-		adapter.Sweep()
-	}
-	pm, am := packed.Magnetizations(), adapter.Magnetizations()
-	pe, ae := packed.Energies(), adapter.Energies()
-	for i := range pm {
-		if pm[i] != am[i] || pe[i] != ae[i] {
-			t.Fatalf("lane %d: packed (m=%v, e=%v) differs from adapter (m=%v, e=%v)", i, pm[i], pe[i], am[i], ae[i])
+		if packed.Name() != tc.want {
+			t.Fatalf("%s batch engine is %q, want %q", tc.name, packed.Name(), tc.want)
+		}
+		lanes := make([]ising.Backend, 3)
+		for i := range lanes {
+			c := tc.cfg
+			c.Seed = ising.LaneSeed(tc.cfg.Seed, i)
+			if lanes[i], err = backend.New(tc.name, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		adapter, err := ising.NewBatchOf(lanes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			packed.Sweep()
+			adapter.Sweep()
+		}
+		pm, am := packed.Magnetizations(), adapter.Magnetizations()
+		pe, ae := packed.Energies(), adapter.Energies()
+		for i := range pm {
+			if pm[i] != am[i] || pe[i] != ae[i] {
+				t.Fatalf("%s lane %d: packed (m=%v, e=%v) differs from adapter (m=%v, e=%v)", tc.name, i, pm[i], pe[i], am[i], ae[i])
+			}
 		}
 	}
 }

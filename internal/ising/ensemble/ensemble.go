@@ -9,29 +9,17 @@
 // the shared bit-sliced classifier (multispin.DisagreeClasses) updates the
 // whole ensemble with no cross-column shifting at all.
 //
-// Randomness comes in two modes, mirroring multispin's:
-//
-//   - Per-lane (the default): lane L draws through its own Philox key derived
-//     from ising.LaneSeed(seed, L), consuming exactly the site randoms a
-//     standalone multispin chain with that seed would. Lane L of the packed
-//     engine is therefore bit-identical to that standalone chain — the
-//     determinism contract the lane-equivalence tests assert — and each lane
-//     can run at its own temperature, which is what lets a whole tempering
-//     ladder or temperature scan run as one ensemble.
-//
-//   - Shared (Config.SharedRandom): one site-keyed draw per ΔE class per
-//     site, shared by all 64 lanes — the trick of Block et al., who use the
-//     same random number for all systems. The per-lane Metropolis accept
-//     masks are synthesised from the two class draws (u < T4 for one
-//     disagreeing neighbour, u < T8 for none), cutting the Philox work per
-//     site from one draw per lane to two draws total (a 32x reduction at 64
-//     lanes) at the cost of weak cross-lane correlations: two lanes in the
-//     same ΔE class at the same site share an accept bit. Each lane is still
-//     a valid Markov chain; only cross-lane covariances are affected.
-//
-// Both modes are site-keyed pure functions of (seed, step, site), so the
-// chains are deterministic and independent of the worker count, exactly like
-// the rest of the repository.
+// Lane L draws through its own Philox key derived from
+// ising.LaneSeed(seed, L), consuming exactly the site randoms a standalone
+// multispin chain with that seed would. Lane L of the packed engine is
+// therefore bit-identical to that standalone chain — the determinism
+// contract the lane-equivalence tests assert — and each lane can run at its
+// own temperature, which is what lets a whole tempering ladder or
+// temperature scan run as one ensemble. The randoms are site-keyed pure
+// functions of (seed, step, site), so the chains are deterministic and
+// independent of the worker count, exactly like the rest of the repository.
+// The engine is the multispin backend's batch form: backend.NewBatch builds
+// it for a batch or ladder of multispin chains.
 package ensemble
 
 import (
@@ -67,9 +55,6 @@ type Config struct {
 	Temperatures []float64
 	// Seed is the run seed; lane L's chain is seeded ising.LaneSeed(Seed, L).
 	Seed uint64
-	// SharedRandom selects the cheap mode that draws one random per ΔE class
-	// per site, shared across all lanes, instead of one per lane.
-	SharedRandom bool
 	// Workers is the number of row-band goroutines per colour update
 	// (0 = GOMAXPROCS). It never changes any result.
 	Workers int
@@ -127,7 +112,7 @@ func New(cfg Config) (*Engine, error) {
 	if len(temps) != cfg.Lanes {
 		return nil, fmt.Errorf("ensemble: %d temperatures for %d lanes", len(temps), cfg.Lanes)
 	}
-	kern, err := NewKernel(cfg.Seed, temps, cfg.SharedRandom)
+	kern, err := NewKernel(cfg.Seed, temps, false)
 	if err != nil {
 		return nil, err
 	}
@@ -163,13 +148,8 @@ func laneMask(lanes int) uint64 {
 	return (uint64(1) << uint(lanes)) - 1
 }
 
-// Name identifies the engine ("ensemble" or "ensemble-shared").
-func (e *Engine) Name() string {
-	if e.kern.shared {
-		return "ensemble-shared"
-	}
-	return "ensemble"
-}
+// Name identifies the engine ("ensemble").
+func (e *Engine) Name() string { return "ensemble" }
 
 // Rows returns the per-lane row count.
 func (e *Engine) Rows() int { return e.rows }
@@ -199,11 +179,6 @@ func (e *Engine) LaneTemperature(lane int) float64 { return e.kern.LaneTemperatu
 func (e *Engine) SetLaneTemperature(lane int, t float64) {
 	e.kern.SetLaneTemperature(lane, t)
 }
-
-// Footprint returns the bytes of packed lattice state (one 64-lane word per
-// site, whatever the active lane count). perf.EnsembleFootprint models this
-// number; the equality is asserted by test.
-func (e *Engine) Footprint() int64 { return int64(len(e.words)) * 8 }
 
 // Counts reports the attempted spin updates across all lanes in Ops; the
 // engine runs on the host, so no device work is modelled.

@@ -126,63 +126,34 @@ func TestSetLaneTemperatureContinuesChain(t *testing.T) {
 }
 
 // TestWorkerDeterminism: the ensemble state must be bit-identical for every
-// worker count, in both random modes (the row-band halo snapshots make the
-// chain independent of the banding, exactly like multispin).
+// worker count (the row-band halo snapshots make the chain independent of
+// the banding, exactly like multispin).
 func TestWorkerDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, shared := range []bool{false, true} {
-		var want uint64
-		for i, workers := range []int{1, 2, 5, 5} {
-			runtime.GOMAXPROCS(4)
-			e, err := New(Config{
-				Rows: 16, Cols: 64, Lanes: 64, Temperature: 2.3, Seed: 5,
-				SharedRandom: shared, Workers: workers, Hot: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Run(8)
-			h := e.Hash()
-			if i == 0 {
-				want = h
-			} else if h != want {
-				t.Fatalf("shared=%v workers=%d: hash %x, want %x", shared, workers, h, want)
-			}
+	var want uint64
+	for i, workers := range []int{1, 2, 5, 5} {
+		runtime.GOMAXPROCS(4)
+		e, err := New(Config{
+			Rows: 16, Cols: 64, Lanes: 64, Temperature: 2.3, Seed: 5,
+			Workers: workers, Hot: true,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestSharedModeQuenchOrders: the shared-random mode is not lane-equivalent
-// to multispin, so pin its physics the way the backend tests pin
-// multispin-shared: a hot ensemble quenched far below Tc must order locally
-// in every lane.
-func TestSharedModeQuenchOrders(t *testing.T) {
-	e, err := New(Config{
-		Rows: 32, Cols: 64, Lanes: 64, Temperature: 0.5, Seed: 9,
-		SharedRandom: true, Hot: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, en := range e.Energies() {
-		if math.Abs(en) > 0.25 {
-			t.Fatalf("hot start E/spin = %.3f, want ~0", en)
-		}
-	}
-	e.Run(300)
-	for lane, en := range e.Energies() {
-		if en > -1.7 {
-			t.Errorf("lane %d: E/spin = %.3f after quench to T=0.5, want near -2", lane, en)
+		e.Run(8)
+		h := e.Hash()
+		if i == 0 {
+			want = h
+		} else if h != want {
+			t.Fatalf("workers=%d: hash %x, want %x", workers, h, want)
 		}
 	}
 }
 
 // TestCrossLaneIndependence is the physics check documented in
-// docs/PHYSICS.md: in per-lane mode the lanes draw through independent keyed
-// streams, so the covariance of their magnetisation series must vanish
-// within statistical error. (In shared mode the lanes share class draws and
-// weak cross-lane correlations are expected; that mode is excluded here by
-// design.)
+// docs/PHYSICS.md: the lanes draw through independent keyed streams, so the
+// covariance of their magnetisation series must vanish within statistical
+// error.
 func TestCrossLaneIndependence(t *testing.T) {
 	const lanes, burnIn, samples = 6, 100, 400
 	e, err := New(Config{Rows: 16, Cols: 64, Lanes: lanes, Temperature: 3.5, Seed: 13, Hot: true})
@@ -236,6 +207,9 @@ func TestConfigErrors(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+	if _, err := NewKernel(1, []float64{2.0}, true); err == nil {
+		t.Error("NewKernel accepted the removed class-shared random mode")
 	}
 }
 

@@ -36,13 +36,10 @@ func (s *Scratch) buf(n int) []uint32 {
 // makes every lane of a sharded ensemble bit-identical to the same lane of a
 // standalone ensemble (and hence to a standalone multispin chain).
 type Kernel struct {
-	lanes     int
-	laneMask  uint64 // bits 0..lanes-1
-	shared    bool
-	uniform   bool // all lanes share one threshold pair (fast shared path)
-	sharedKey rng.Key
-	kerns     []multispin.Kernel // per-lane key + thresholds
-	temps     []float64
+	lanes    int
+	laneMask uint64             // bits 0..lanes-1
+	kerns    []multispin.Kernel // per-lane key + thresholds
+	temps    []float64
 
 	// Structure-of-arrays mirrors of the per-lane kernels, kept in sync by
 	// NewKernel and SetLaneTemperature: the hot loop reads thresholds from
@@ -54,23 +51,26 @@ type Kernel struct {
 
 // NewKernel builds a kernel for len(temps) lanes: lane L runs at temps[L]
 // with its Philox key derived from ising.LaneSeed(seed, L), exactly like a
-// standalone multispin chain with that seed.
+// standalone multispin chain with that seed. The kernel has no class-shared
+// random mode; shared must be false and is kept only so the benchmark
+// module's kernel timing (isingbench/layers.go) builds unchanged.
 func NewKernel(seed uint64, temps []float64, shared bool) (*Kernel, error) {
+	if shared {
+		return nil, fmt.Errorf("ensemble: the class-shared random mode was removed; lanes draw per-lane randoms only")
+	}
 	lanes := len(temps)
 	if lanes < 1 || lanes > MaxLanes {
 		return nil, fmt.Errorf("ensemble: lanes must be 1..%d, got %d", MaxLanes, lanes)
 	}
 	k := &Kernel{
-		lanes:     lanes,
-		laneMask:  laneMask(lanes),
-		shared:    shared,
-		sharedKey: multispin.NewKernel(ising.CriticalTemperature(), seed, true).Key,
-		kerns:     make([]multispin.Kernel, lanes),
-		temps:     append([]float64(nil), temps...),
-		t4s:       make([]uint64, lanes),
-		t8s:       make([]uint64, lanes),
-		k0s:       make([]uint32, lanes),
-		k1s:       make([]uint32, lanes),
+		lanes:    lanes,
+		laneMask: laneMask(lanes),
+		kerns:    make([]multispin.Kernel, lanes),
+		temps:    append([]float64(nil), temps...),
+		t4s:      make([]uint64, lanes),
+		t8s:      make([]uint64, lanes),
+		k0s:      make([]uint32, lanes),
+		k1s:      make([]uint32, lanes),
 	}
 	for l := range k.kerns {
 		if temps[l] <= 0 {
@@ -80,19 +80,7 @@ func NewKernel(seed uint64, temps []float64, shared bool) (*Kernel, error) {
 		k.t4s[l], k.t8s[l] = k.kerns[l].T4, k.kerns[l].T8
 		k.k0s[l], k.k1s[l] = k.kerns[l].Key[0], k.kerns[l].Key[1]
 	}
-	k.refreshUniform()
 	return k, nil
-}
-
-// refreshUniform recomputes whether every lane shares one threshold pair.
-func (k *Kernel) refreshUniform() {
-	k.uniform = true
-	for l := 1; l < k.lanes; l++ {
-		if k.kerns[l].T4 != k.kerns[0].T4 || k.kerns[l].T8 != k.kerns[0].T8 {
-			k.uniform = false
-			return
-		}
-	}
 }
 
 // Lanes returns the number of packed replicas.
@@ -100,9 +88,6 @@ func (k *Kernel) Lanes() int { return k.lanes }
 
 // LaneMask returns the word mask selecting the active lane bits.
 func (k *Kernel) LaneMask() uint64 { return k.laneMask }
-
-// SharedMode reports whether the kernel draws class-shared randoms.
-func (k *Kernel) SharedMode() bool { return k.shared }
 
 // LaneTemperature returns one lane's current temperature.
 func (k *Kernel) LaneTemperature(lane int) float64 { return k.temps[lane] }
@@ -119,7 +104,6 @@ func (k *Kernel) SetLaneTemperature(lane int, t float64) {
 	k.kerns[lane].SetThresholds(k.thresholds.For(t))
 	k.t4s[lane], k.t8s[lane] = k.kerns[lane].T4, k.kerns[lane].T8
 	k.temps[lane] = t
-	k.refreshUniform()
 }
 
 // LaneKey returns one lane's Philox key (for snapshots).
@@ -147,68 +131,37 @@ func (k *Kernel) SetLaneKey(lane int, key rng.Key) {
 // four-site random groups never straddle the slice; groupOff is the global
 // group index of the slice's first group (global first column / 8).
 //
-// This is the optimized ΔE-class loop: per-lane mode draws all lanes of a
-// four-site group with one rng.BlockLanes call over the SoA key arrays (the
-// AVX2 kernel does 8 lanes per vector iteration), shared mode batches the
-// whole row's class draws with one rng.BlockRow call. Both consume exactly
-// the blocks the retained reference loop (UpdateRowRef) draws inline, and
-// the golden-equivalence test pins the two bit-for-bit.
+// This is the optimized ΔE-class loop: it draws all lanes of a four-site
+// group with one rng.BlockLanes call over the SoA key arrays (the AVX2
+// kernel does 8 lanes per vector iteration). It consumes exactly the blocks
+// the retained reference loop (UpdateRowRef) draws inline, and the
+// golden-equivalence test pins the two bit-for-bit.
 func (k *Kernel) UpdateRow(row, north, south []uint64, westWord, eastWord uint64, globalRow, groupOff, parity int, step uint64, sc *Scratch) {
 	p := (parity + globalRow) & 1
 	s0, s1 := uint32(step), uint32(step>>32)
 	rr := uint32(int64(globalRow))
 	groups := len(row) / 8
 	var a4, a8 [4]uint64
-	if k.shared {
-		// One block per ΔE class pair per group, batched for the whole row:
-		// rnd[8g+j] is the d=1 class draw of the group's j-th site (counter
-		// 2*(groupOff+g), component j), rnd[8g+4+j] the d=0 draw.
-		rnd := sc.buf(8 * groups)
-		rng.BlockRow(rnd, rng.Counter{s0, s1, rr, uint32(2 * groupOff)}, k.sharedKey)
-		t4, t8 := k.t4s[0], k.t8s[0]
-		for g := 0; g < groups; g++ {
-			o := rnd[8*g : 8*g+8 : 8*g+8]
-			if k.uniform {
-				for j := 0; j < 4; j++ {
-					a4[j] = ^uint64(0) * ((uint64(o[j]) - t4) >> 63)
-					a8[j] = ^uint64(0) * ((uint64(o[4+j]) - t8) >> 63)
-				}
-			} else {
-				for j := 0; j < 4; j++ {
-					a4[j], a8[j] = 0, 0
-				}
-				for l := 0; l < k.lanes; l++ {
-					lt4, lt8 := k.t4s[l], k.t8s[l]
-					for j := 0; j < 4; j++ {
-						a4[j] |= ((uint64(o[j]) - lt4) >> 63) << uint(l)
-						a8[j] |= ((uint64(o[4+j]) - lt8) >> 63) << uint(l)
-					}
-				}
-			}
-			k.applyGroup(row, north, south, westWord, eastWord, g, p, &a4, &a8)
+	// One draw per lane per site: all lanes of a group in one batched call
+	// under the SoA key arrays.
+	rnd := sc.buf(4 * k.lanes)
+	for g := 0; g < groups; g++ {
+		rng.BlockLanes(rnd, rng.Counter{s0, s1, rr, uint32(groupOff + g)}, k.k0s, k.k1s)
+		a4[0], a4[1], a4[2], a4[3] = 0, 0, 0, 0
+		a8[0], a8[1], a8[2], a8[3] = 0, 0, 0, 0
+		for l := 0; l < k.lanes; l++ {
+			t4, t8 := k.t4s[l], k.t8s[l]
+			o := rnd[4*l : 4*l+4 : 4*l+4]
+			a4[0] |= ((uint64(o[0]) - t4) >> 63) << uint(l)
+			a8[0] |= ((uint64(o[0]) - t8) >> 63) << uint(l)
+			a4[1] |= ((uint64(o[1]) - t4) >> 63) << uint(l)
+			a8[1] |= ((uint64(o[1]) - t8) >> 63) << uint(l)
+			a4[2] |= ((uint64(o[2]) - t4) >> 63) << uint(l)
+			a8[2] |= ((uint64(o[2]) - t8) >> 63) << uint(l)
+			a4[3] |= ((uint64(o[3]) - t4) >> 63) << uint(l)
+			a8[3] |= ((uint64(o[3]) - t8) >> 63) << uint(l)
 		}
-	} else {
-		// One draw per lane per site: all lanes of a group in one batched
-		// call under the SoA key arrays.
-		rnd := sc.buf(4 * k.lanes)
-		for g := 0; g < groups; g++ {
-			rng.BlockLanes(rnd, rng.Counter{s0, s1, rr, uint32(groupOff + g)}, k.k0s, k.k1s)
-			a4[0], a4[1], a4[2], a4[3] = 0, 0, 0, 0
-			a8[0], a8[1], a8[2], a8[3] = 0, 0, 0, 0
-			for l := 0; l < k.lanes; l++ {
-				t4, t8 := k.t4s[l], k.t8s[l]
-				o := rnd[4*l : 4*l+4 : 4*l+4]
-				a4[0] |= ((uint64(o[0]) - t4) >> 63) << uint(l)
-				a8[0] |= ((uint64(o[0]) - t8) >> 63) << uint(l)
-				a4[1] |= ((uint64(o[1]) - t4) >> 63) << uint(l)
-				a8[1] |= ((uint64(o[1]) - t8) >> 63) << uint(l)
-				a4[2] |= ((uint64(o[2]) - t4) >> 63) << uint(l)
-				a8[2] |= ((uint64(o[2]) - t8) >> 63) << uint(l)
-				a4[3] |= ((uint64(o[3]) - t4) >> 63) << uint(l)
-				a8[3] |= ((uint64(o[3]) - t8) >> 63) << uint(l)
-			}
-			k.applyGroup(row, north, south, westWord, eastWord, g, p, &a4, &a8)
-		}
+		k.applyGroup(row, north, south, westWord, eastWord, g, p, &a4, &a8)
 	}
 }
 
@@ -246,57 +199,30 @@ func (k *Kernel) UpdateRowRef(row, north, south []uint64, westWord, eastWord uin
 	for g := 0; g < groups; g++ {
 		// Accept masks of the group's four active sites: bit L of a4[j] (a8[j])
 		// decides lane L's flip at the j-th site when it has one (zero)
-		// disagreeing neighbours.
-		if k.shared {
-			// One draw per ΔE class per site, shared by every lane.
-			ba, bb := rng.BlockPair(
-				rng.Counter{s0, s1, rr, uint32(2 * (groupOff + g))},
-				rng.Counter{s0, s1, rr, uint32(2*(groupOff+g) + 1)},
-				k.sharedKey)
-			if k.uniform {
-				t4, t8 := k.kerns[0].T4, k.kerns[0].T8
-				for j := 0; j < 4; j++ {
-					a4[j] = ^uint64(0) * ((uint64(ba[j]) - t4) >> 63)
-					a8[j] = ^uint64(0) * ((uint64(bb[j]) - t8) >> 63)
-				}
-			} else {
-				for j := 0; j < 4; j++ {
-					a4[j], a8[j] = 0, 0
-				}
-				for l := 0; l < k.lanes; l++ {
-					t4, t8 := k.kerns[l].T4, k.kerns[l].T8
-					for j := 0; j < 4; j++ {
-						a4[j] |= ((uint64(ba[j]) - t4) >> 63) << uint(l)
-						a8[j] |= ((uint64(bb[j]) - t8) >> 63) << uint(l)
-					}
-				}
-			}
-		} else {
-			// One draw per lane per site, through the lane's own key; two lanes
-			// share each interleaved Philox evaluation.
-			ctr := rng.Counter{s0, s1, rr, uint32(groupOff + g)}
+		// disagreeing neighbours. One draw per lane per site, through the
+		// lane's own key; two lanes share each interleaved Philox evaluation.
+		ctr := rng.Counter{s0, s1, rr, uint32(groupOff + g)}
+		for j := 0; j < 4; j++ {
+			a4[j], a8[j] = 0, 0
+		}
+		l := 0
+		for ; l+1 < k.lanes; l += 2 {
+			ba, bb := rng.BlockPairKeys(ctr, k.kerns[l].Key, k.kerns[l+1].Key)
+			t4a, t8a := k.kerns[l].T4, k.kerns[l].T8
+			t4b, t8b := k.kerns[l+1].T4, k.kerns[l+1].T8
 			for j := 0; j < 4; j++ {
-				a4[j], a8[j] = 0, 0
+				a4[j] |= ((uint64(ba[j]) - t4a) >> 63) << uint(l)
+				a8[j] |= ((uint64(ba[j]) - t8a) >> 63) << uint(l)
+				a4[j] |= ((uint64(bb[j]) - t4b) >> 63) << uint(l+1)
+				a8[j] |= ((uint64(bb[j]) - t8b) >> 63) << uint(l+1)
 			}
-			l := 0
-			for ; l+1 < k.lanes; l += 2 {
-				ba, bb := rng.BlockPairKeys(ctr, k.kerns[l].Key, k.kerns[l+1].Key)
-				t4a, t8a := k.kerns[l].T4, k.kerns[l].T8
-				t4b, t8b := k.kerns[l+1].T4, k.kerns[l+1].T8
-				for j := 0; j < 4; j++ {
-					a4[j] |= ((uint64(ba[j]) - t4a) >> 63) << uint(l)
-					a8[j] |= ((uint64(ba[j]) - t8a) >> 63) << uint(l)
-					a4[j] |= ((uint64(bb[j]) - t4b) >> 63) << uint(l+1)
-					a8[j] |= ((uint64(bb[j]) - t8b) >> 63) << uint(l+1)
-				}
-			}
-			if l < k.lanes {
-				blk := rng.Block(ctr, k.kerns[l].Key)
-				t4, t8 := k.kerns[l].T4, k.kerns[l].T8
-				for j := 0; j < 4; j++ {
-					a4[j] |= ((uint64(blk[j]) - t4) >> 63) << uint(l)
-					a8[j] |= ((uint64(blk[j]) - t8) >> 63) << uint(l)
-				}
+		}
+		if l < k.lanes {
+			blk := rng.Block(ctr, k.kerns[l].Key)
+			t4, t8 := k.kerns[l].T4, k.kerns[l].T8
+			for j := 0; j < 4; j++ {
+				a4[j] |= ((uint64(blk[j]) - t4) >> 63) << uint(l)
+				a8[j] |= ((uint64(blk[j]) - t8) >> 63) << uint(l)
 			}
 		}
 		k.applyGroup(row, north, south, westWord, eastWord, g, p, &a4, &a8)

@@ -10,7 +10,7 @@ import (
 
 // TestUpdateRowGoldenEquivalence pins the optimized batched ΔE-class loop to
 // the retained naive reference (updateRowRef) bit-for-bit, across random
-// lane counts, modes, ladders and steps — the ensemble half of the PR-10
+// lane counts, ladders and steps — the ensemble half of the PR-10
 // golden-equivalence contract (the multispin half lives in
 // multispin/kernel_equiv_test.go). CI runs it under -race with and without
 // the avx2 tag.
@@ -18,11 +18,10 @@ func TestUpdateRowGoldenEquivalence(t *testing.T) {
 	prng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		lanes := 1 + prng.Intn(MaxLanes)
-		shared := prng.Intn(2) == 1
 		rows := 2 + 2*prng.Intn(3)
 		cols := 64 * (1 + prng.Intn(3))
 		var temps []float64
-		if prng.Intn(2) == 1 { // non-uniform ladder exercises the slow shared path
+		if prng.Intn(2) == 1 { // non-uniform ladder
 			temps = make([]float64, lanes)
 			for i := range temps {
 				temps[i] = 1.5 + 2*prng.Float64()
@@ -31,7 +30,7 @@ func TestUpdateRowGoldenEquivalence(t *testing.T) {
 		cfg := Config{
 			Rows: rows, Cols: cols, Lanes: lanes,
 			Temperature: 2.3, Temperatures: temps,
-			Seed: prng.Uint64(), SharedRandom: shared, Hot: true,
+			Seed: prng.Uint64(), Hot: true,
 		}
 		opt, err := New(cfg)
 		if err != nil {
@@ -60,8 +59,8 @@ func TestUpdateRowGoldenEquivalence(t *testing.T) {
 			ref.step += 2
 		}
 		if opt.Hash() != ref.Hash() {
-			t.Fatalf("trial %d (lanes=%d shared=%v %dx%d ladder=%v): optimized loop diverged from reference",
-				trial, lanes, shared, rows, cols, temps != nil)
+			t.Fatalf("trial %d (lanes=%d %dx%d ladder=%v): optimized loop diverged from reference",
+				trial, lanes, rows, cols, temps != nil)
 		}
 	}
 }
@@ -129,19 +128,10 @@ func BenchmarkThresholdsUncached(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkEnsembleSweep measures the optimized 64-lane hot loop (per-lane
-// randoms), the path the ensemble and sharded-ensemble engines run.
+// BenchmarkEnsembleSweep measures the optimized 64-lane hot loop, the path
+// the ensemble and sharded-ensemble engines run.
 func BenchmarkEnsembleSweep(b *testing.B) {
-	benchSweep(b, false)
-}
-
-// BenchmarkEnsembleSweepShared measures the shared-random mode.
-func BenchmarkEnsembleSweepShared(b *testing.B) {
-	benchSweep(b, true)
-}
-
-func benchSweep(b *testing.B, shared bool) {
-	e, err := New(Config{Rows: 64, Cols: 64, Lanes: 64, Temperature: 2.4, Seed: 1, SharedRandom: shared, Workers: 1})
+	e, err := New(Config{Rows: 64, Cols: 64, Lanes: 64, Temperature: 2.4, Seed: 1, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

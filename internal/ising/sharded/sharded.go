@@ -25,8 +25,6 @@ type Config struct {
 	Temperature float64
 	// Seed seeds the site-keyed Philox stream shared by all shards.
 	Seed uint64
-	// SharedRandom selects the cheap one-random-per-word multispin variant.
-	SharedRandom bool
 	// Initial is an optional starting configuration; cold (all +1) when nil.
 	Initial *ising.Lattice
 }
@@ -61,7 +59,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.Driver = d
 	e.temperature = temp
-	e.kern = multispin.NewKernel(temp, cfg.Seed, cfg.SharedRandom)
+	e.kern = multispin.NewKernel(temp, cfg.Seed, false)
 	e.scratch = make([]multispin.Scratch, d.NumShards())
 	if cfg.Initial != nil {
 		if err := e.SetLattice(cfg.Initial); err != nil {
@@ -78,13 +76,8 @@ func (e *Engine) updateRow(shard int, row, north, south []uint64, westWrap, east
 		globalRow, colOff/WordBits, parity, step, &e.scratch[shard])
 }
 
-// Name identifies the engine ("sharded" or "sharded-shared").
-func (e *Engine) Name() string {
-	if e.kern.Shared {
-		return "sharded-shared"
-	}
-	return "sharded"
-}
+// Name identifies the engine ("sharded").
+func (e *Engine) Name() string { return "sharded" }
 
 // Temperature returns the current temperature.
 func (e *Engine) Temperature() float64 { return e.temperature }

@@ -13,7 +13,7 @@ import (
 
 // newPair builds a sharded engine and the whole-lattice multispin reference
 // with identical physics configuration.
-func newPair(t *testing.T, rows, cols, gridR, gridC int, temp float64, seed uint64, shared, hot bool) (*Engine, *multispin.Engine) {
+func newPair(t *testing.T, rows, cols, gridR, gridC int, temp float64, seed uint64, hot bool) (*Engine, *multispin.Engine) {
 	t.Helper()
 	var initial *ising.Lattice
 	if hot {
@@ -21,14 +21,14 @@ func newPair(t *testing.T, rows, cols, gridR, gridC int, temp float64, seed uint
 	}
 	sh, err := New(Config{
 		Rows: rows, Cols: cols, GridR: gridR, GridC: gridC,
-		Temperature: temp, Seed: seed, SharedRandom: shared, Initial: initial,
+		Temperature: temp, Seed: seed, Initial: initial,
 	})
 	if err != nil {
 		t.Fatalf("sharded.New(%dx%d grid %dx%d): %v", rows, cols, gridR, gridC, err)
 	}
 	ref, err := multispin.New(multispin.Config{
 		Rows: rows, Cols: cols, Temperature: temp, Seed: seed,
-		SharedRandom: shared, Workers: 1, Initial: initial,
+		Workers: 1, Initial: initial,
 	})
 	if err != nil {
 		t.Fatalf("multispin.New(%dx%d): %v", rows, cols, err)
@@ -57,14 +57,13 @@ func TestBitIdenticalToMultispin(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, mode := range []struct {
-			name        string
-			shared, hot bool
+			name string
+			hot  bool
 		}{
-			{"persite-cold", false, false},
-			{"persite-hot", false, true},
-			{"shared-hot", true, true},
+			{"persite-cold", false},
+			{"persite-hot", true},
 		} {
-			sh, ref := newPair(t, tc.rows, tc.cols, tc.gridR, tc.gridC, 2.4, 7, mode.shared, mode.hot)
+			sh, ref := newPair(t, tc.rows, tc.cols, tc.gridR, tc.gridC, 2.4, 7, mode.hot)
 			for sweep := 1; sweep <= 6; sweep++ {
 				sh.Sweep()
 				ref.Sweep()

@@ -18,7 +18,10 @@
 // bit-identical to lane L of a standalone ensemble with the same seed (and
 // hence to a standalone multispin chain seeded ising.LaneSeed(seed, L)),
 // whatever the shard grid. The lane-equivalence tests assert this per lane
-// for multiple grids.
+// for multiple grids. The engine is the sharded backend's batch form:
+// backend.NewBatch builds it for a batch or ladder of sharded chains, and a
+// single sharded chain runs on internal/ising/sharded's one-bit-per-site
+// words.
 package shardedensemble
 
 import (
@@ -62,9 +65,6 @@ type Config struct {
 	Temperatures []float64
 	// Seed is the run seed; lane L's chain is seeded ising.LaneSeed(Seed, L).
 	Seed uint64
-	// SharedRandom selects the class-shared random mode (one draw per ΔE
-	// class per site, shared across lanes).
-	SharedRandom bool
 	// Hot starts every lane from its own random (infinite-temperature)
 	// lattice, exactly like ensemble.Config.Hot.
 	Hot bool
@@ -112,7 +112,7 @@ func New(cfg Config) (*Engine, error) {
 	if len(temps) != cfg.Lanes {
 		return nil, fmt.Errorf("shardedensemble: %d temperatures for %d lanes", len(temps), cfg.Lanes)
 	}
-	if e.kern, err = ensemble.NewKernel(cfg.Seed, temps, cfg.SharedRandom); err != nil {
+	if e.kern, err = ensemble.NewKernel(cfg.Seed, temps, false); err != nil {
 		return nil, err
 	}
 	e.Driver = d
@@ -136,14 +136,9 @@ func (e *Engine) updateRow(shard int, row, north, south []uint64, westWrap, east
 		globalRow, colOff/groupCols, parity, step, &e.scratch[shard])
 }
 
-// Name identifies the engine ("sharded-ensemble" or
-// "sharded-ensemble-shared").
-func (e *Engine) Name() string {
-	if e.kern.SharedMode() {
-		return "sharded-ensemble-shared"
-	}
-	return "sharded-ensemble"
-}
+// Name identifies the engine ("sharded-ensemble"), the batch engine a
+// sharded batch reports.
+func (e *Engine) Name() string { return "sharded-ensemble" }
 
 // Lanes returns the number of replicas.
 func (e *Engine) Lanes() int { return e.lanes }
@@ -160,11 +155,6 @@ func (e *Engine) LaneTemperature(lane int) float64 { return e.kern.LaneTemperatu
 func (e *Engine) SetLaneTemperature(lane int, t float64) {
 	e.kern.SetLaneTemperature(lane, t)
 }
-
-// Footprint returns the bytes of lane-packed lattice state across all shards
-// (one 64-lane word per site, whatever the active lane count).
-// perf.ShardedEnsembleTraffic models this number.
-func (e *Engine) Footprint() int64 { return int64(e.N()) * 8 }
 
 // refreshMags recomputes the per-lane magnetisations at the current step.
 func (e *Engine) refreshMags() {

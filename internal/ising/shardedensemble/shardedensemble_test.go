@@ -3,7 +3,6 @@ package shardedensemble
 import (
 	"testing"
 
-	"tpuising/internal/ising"
 	"tpuising/internal/ising/ensemble"
 	"tpuising/internal/perf"
 )
@@ -11,7 +10,7 @@ import (
 // TestLaneBitIdenticalToStandaloneEnsemble is the composition's central
 // contract: every lane of a sharded ensemble is bit-identical to the same
 // lane of a standalone ensemble with the same seed, for non-trivial grids
-// including non-square ones and both random modes. The comparison is on the
+// including non-square ones and temperature ladders. The comparison is on the
 // full packed configuration (Hash covers every lane bit of every site), plus
 // the per-lane observables.
 func TestLaneBitIdenticalToStandaloneEnsemble(t *testing.T) {
@@ -19,14 +18,13 @@ func TestLaneBitIdenticalToStandaloneEnsemble(t *testing.T) {
 		rows, cols   int
 		gridR, gridC int
 		lanes        int
-		shared       bool
 		ladder       bool
 	}{
-		{rows: 8, cols: 64, gridR: 2, gridC: 2, lanes: 5, shared: false, ladder: false},
-		{rows: 12, cols: 128, gridR: 3, gridC: 4, lanes: 64, shared: false, ladder: true},
-		{rows: 6, cols: 192, gridR: 2, gridC: 8, lanes: 17, shared: true, ladder: false},
-		{rows: 16, cols: 64, gridR: 4, gridC: 1, lanes: 3, shared: true, ladder: true},
-		{rows: 4, cols: 128, gridR: 1, gridC: 16, lanes: 33, shared: false, ladder: false},
+		{rows: 8, cols: 64, gridR: 2, gridC: 2, lanes: 5, ladder: false},
+		{rows: 12, cols: 128, gridR: 3, gridC: 4, lanes: 64, ladder: true},
+		{rows: 6, cols: 192, gridR: 2, gridC: 8, lanes: 17, ladder: false},
+		{rows: 16, cols: 64, gridR: 4, gridC: 1, lanes: 3, ladder: true},
+		{rows: 4, cols: 128, gridR: 1, gridC: 16, lanes: 33, ladder: false},
 	}
 	for _, tc := range cases {
 		var temps []float64
@@ -39,7 +37,7 @@ func TestLaneBitIdenticalToStandaloneEnsemble(t *testing.T) {
 		sharded, err := New(Config{
 			Rows: tc.rows, Cols: tc.cols, GridR: tc.gridR, GridC: tc.gridC,
 			Lanes: tc.lanes, Temperature: 2.3, Temperatures: temps,
-			Seed: 77, SharedRandom: tc.shared, Hot: true,
+			Seed: 77, Hot: true,
 		})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
@@ -47,7 +45,7 @@ func TestLaneBitIdenticalToStandaloneEnsemble(t *testing.T) {
 		plain, err := ensemble.New(ensemble.Config{
 			Rows: tc.rows, Cols: tc.cols, Lanes: tc.lanes,
 			Temperature: 2.3, Temperatures: temps,
-			Seed: 77, SharedRandom: tc.shared, Hot: true, Workers: 1,
+			Seed: 77, Hot: true, Workers: 1,
 		})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
@@ -128,76 +126,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestSingleMatchesMultispin: the registry-facing single-chain wrapper is
-// bit-identical to a standalone multispin chain with the same seed (lane 0's
-// contract riding through the whole composition).
-func TestSingleMatchesMultispin(t *testing.T) {
-	s, err := NewSingle(Config{Rows: 8, Cols: 128, GridR: 2, GridC: 4, Temperature: 2.4, Seed: 11, Hot: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "sharded-ensemble" {
-		t.Fatalf("single wrapper name %q", s.Name())
-	}
-	plain, err := ensemble.New(ensemble.Config{Rows: 8, Cols: 128, Lanes: 1, Temperature: 2.4, Seed: 11, Hot: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		s.Sweep()
-		plain.Sweep()
-	}
-	if s.Magnetization() != plain.Magnetizations()[0] || s.Energy() != plain.Energies()[0] {
-		t.Fatalf("single wrapper (m=%v e=%v) differs from standalone lane (m=%v e=%v)",
-			s.Magnetization(), s.Energy(), plain.Magnetizations()[0], plain.Energies()[0])
-	}
-}
-
-// TestSingleSnapshotRoundTrip: snapshot, restore into a *different* shard
-// grid, and the resumed chain matches the uninterrupted one sweep for sweep.
-func TestSingleSnapshotRoundTrip(t *testing.T) {
-	cfg := Config{Rows: 8, Cols: 128, GridR: 2, GridC: 4, Temperature: 2.1, Seed: 23, Hot: true}
-	orig, err := NewSingle(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		orig.Sweep()
-	}
-	snap, err := orig.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := ising.EncodeSnapshot(snap)
-	decoded, err := ising.DecodeSnapshot(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := NewSingle(Config{Rows: 8, Cols: 128, GridR: 4, GridC: 2, Temperature: 2.1, Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Restore(decoded); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Step() != orig.Step() {
-		t.Fatalf("restored step %d, want %d", resumed.Step(), orig.Step())
-	}
-	for i := 0; i < 4; i++ {
-		orig.Sweep()
-		resumed.Sweep()
-		if orig.Engine().Hash() != resumed.Engine().Hash() {
-			t.Fatalf("resumed chain diverged %d sweeps after restore", i+1)
-		}
-	}
-	// Restores must be validated.
-	wrong := *decoded
-	wrong.Backend = "multispin"
-	if err := resumed.Restore(&wrong); err == nil {
-		t.Fatal("snapshot from another backend accepted")
-	}
-}
-
 // TestCommCountsMatchShardedEnsembleTraffic: the engine's measured
 // interconnect counters must reproduce the perf model's analytic per-sweep
 // traffic exactly — the property that lets the perf model's byte counts
@@ -233,26 +161,21 @@ func TestCommCountsMatchShardedEnsembleTraffic(t *testing.T) {
 }
 
 // BenchmarkShardedEnsembleSweep measures the composed engine: a 2x2 pod grid,
-// each shard advancing 64 lane-packed lattices (per-lane randoms).
+// each shard advancing 64 lane-packed lattices.
 func BenchmarkShardedEnsembleSweep(b *testing.B) {
-	benchSweep(b, 2, 2, false)
-}
-
-// BenchmarkShardedEnsembleSweepShared is the class-shared random mode.
-func BenchmarkShardedEnsembleSweepShared(b *testing.B) {
-	benchSweep(b, 2, 2, true)
+	benchSweep(b, 2, 2)
 }
 
 // BenchmarkShardedEnsembleSweep1x1 is the no-decomposition baseline: the same
 // ensemble through one shard, isolating the halo-exchange overhead.
 func BenchmarkShardedEnsembleSweep1x1(b *testing.B) {
-	benchSweep(b, 1, 1, false)
+	benchSweep(b, 1, 1)
 }
 
-func benchSweep(b *testing.B, gridR, gridC int, shared bool) {
+func benchSweep(b *testing.B, gridR, gridC int) {
 	e, err := New(Config{
 		Rows: 64, Cols: 64, GridR: gridR, GridC: gridC,
-		Lanes: 64, Temperature: 2.4, Seed: 1, SharedRandom: shared,
+		Lanes: 64, Temperature: 2.4, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)

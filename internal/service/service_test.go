@@ -249,7 +249,7 @@ func TestCacheEviction(t *testing.T) {
 }
 
 // TestCheckpointResumeByteIdentical is the checkpoint/resume acceptance
-// test, run for checkerboard, multispin and both mesh-sharded engines: a job
+// test, run for checkerboard, multispin and the mesh-sharded engine: a job
 // interrupted by a daemon shutdown and resumed by a fresh server over the
 // same checkpoint directory produces a result and a sample stream
 // byte-identical to an uninterrupted run of the same spec.
@@ -261,8 +261,6 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			BurnIn: 500, Temperature: 2.3, Seed: 42, SampleInterval: 500, Workers: 1},
 		"sharded": {Backend: "sharded", Rows: 64, Cols: 128, GridR: 2, GridC: 2, Sweeps: 8000,
 			BurnIn: 200, Temperature: 2.3, Seed: 42, SampleInterval: 200},
-		"sharded-ensemble": {Backend: "sharded-ensemble", Rows: 64, Cols: 128, GridR: 2, GridC: 2,
-			Sweeps: 8000, BurnIn: 200, Temperature: 2.3, Seed: 42, SampleInterval: 200},
 	}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
@@ -588,6 +586,64 @@ func TestResumeBurstBeyondQueueDepth(t *testing.T) {
 		if st := waitDone(t, j); st.State != StateDone || st.SweepsDone != 40 {
 			t.Fatalf("resumed job %d: %+v", i, st)
 		}
+	}
+}
+
+// TestRemovedBackendCheckpointFailsLoudly: "sharded-ensemble" is now an
+// alias of sharded, but earlier daemons ran single chains of it on their own
+// engine and wrote snapshots under that name. Such a checkpoint must not be
+// resumed silently: the job ends failed with an error naming both the
+// snapshot's backend and the engine that refused it.
+func TestRemovedBackendCheckpointFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := (JobSpec{Backend: "sharded", Rows: 8, Cols: 128, GridR: 2, GridC: 2,
+		Sweeps: 40, Temperature: 2.3, Seed: 5}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := backend.New(spec.Backend, backendConfig(spec, spec.Temperature, spec.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var absAcc, eAcc stats.Accumulator
+	done := sweep.Stream(eng.(sweep.EnergyChain), 0, 10, spec.SampleInterval, func(sm sweep.Sample) {
+		absAcc.Add(math.Abs(sm.Magnetization))
+		eAcc.Add(sm.Energy)
+	})
+	snap, err := eng.(ising.Snapshotter).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The old engine's snapshot carried the same spins, key and step under
+	// its own name, and its daemon stored the spec under that name too.
+	snap.Backend, spec.Backend = "sharded-ensemble", "sharded-ensemble"
+	blob, err := encodeCheckpoint(&checkpointState{
+		Job: "job-000001", Spec: spec, DoneSweeps: done,
+		AbsM: absAcc.State(), Energy: eAcc.State(),
+		Snapshot: ising.EncodeSnapshot(snap),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-000001"+checkpointExt), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, skipped := New(Config{Workers: 1, CheckpointDir: dir})
+	defer srv.Close()
+	if len(skipped) != 0 {
+		t.Fatalf("skipped: %v", skipped)
+	}
+	j, err := srv.Get("job-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitDone(t, j)
+	if st.State != StateFailed {
+		t.Fatalf("old sharded-ensemble checkpoint resumed as %s, want failed: %+v", st.State, st)
+	}
+	if !strings.Contains(st.Error, `"sharded-ensemble"`) || !strings.Contains(st.Error, `"sharded"`) {
+		t.Fatalf("error %q does not name both the snapshot's and the engine's backend", st.Error)
 	}
 }
 

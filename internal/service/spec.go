@@ -40,8 +40,7 @@ type JobSpec struct {
 	// registered engine is bit-deterministic in it, so it is NOT part of the
 	// cache identity.
 	Workers int `json:"workers,omitempty"`
-	// GridR and GridC select the shard grid of the sharded and
-	// sharded-ensemble backends.
+	// GridR and GridC select the shard grid of the sharded backend.
 	GridR int `json:"grid_r,omitempty"`
 	GridC int `json:"grid_c,omitempty"`
 	// CheckpointInterval is the number of sweeps between checkpoints
@@ -57,10 +56,9 @@ type JobSpec struct {
 	// Replicas, when > 1, makes the job a batched ensemble: B independent
 	// chains of the backend at the job's single temperature, lane L seeded
 	// ising.LaneSeed(seed, L), advanced together in one worker slot
-	// (lane-packed for the multispin and sharded-ensemble backends,
-	// lane-parallel otherwise). The
-	// result carries one row per lane and the stream one sample per lane per
-	// interval. At most MaxReplicas; 0 and 1 both mean a single chain.
+	// (lane-packed for the multispin and sharded backends, lane-parallel
+	// otherwise). The result carries one row per lane and the stream one
+	// sample per lane per interval. At most MaxReplicas; 0 and 1 both mean a single chain.
 	// Mutually exclusive with Temperatures (a ladder already defines its
 	// replica count) and with checkpointing (no batch snapshot support).
 	Replicas int `json:"replicas,omitempty"`
