@@ -272,6 +272,24 @@ func BenchmarkShardedEnsemble64_2x2_256(b *testing.B) {
 	timeSweeps(b, size*size*lanes, batch.Sweep)
 }
 
+// BenchmarkShardedBatch8_2x2_256 times the other side of NewBatch's sharded
+// route: an 8-lane batch, which runs on the lane-parallel adapter (one
+// bit-packed sharded pod per lane) because the lane-packed pod would keep a
+// whole 64-lane word per site for 8 lanes.
+func BenchmarkShardedBatch8_2x2_256(b *testing.B) {
+	const size, lanes = 256, 8
+	cfg := hostConfig(size)
+	cfg.GridR, cfg.GridC = 2, 2
+	batch, err := backend.NewBatch("sharded", cfg, lanes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if batch.Name() != "sharded" {
+		b.Fatalf("8-lane sharded batch runs on %q, want the adapter", batch.Name())
+	}
+	timeSweeps(b, size*size*lanes, batch.Sweep)
+}
+
 // BenchmarkEnsemble64_256 times whole-ensemble sweeps of the lane-packed
 // engine (internal/ising/ensemble): 64 independent chains, each
 // bit-identical to a standalone multispin chain, advance per Sweep, so

@@ -56,7 +56,7 @@ func main() {
 	temper := flag.String("temper", "",
 		"replica exchange: N temperature replicas of the selected -backend, as N or N:Tmin,Tmax (default window sized for healthy swap acceptance)")
 	replicas := flag.Int("replicas", 1,
-		"batched ensemble: B independent chains of the selected -backend at -temp, lane-packed for multispin and sharded (64 chains per machine word), lane-parallel otherwise; per-lane results are reported")
+		"batched ensemble: B independent chains of the selected -backend at -temp, lane-packed for multispin (64 chains per machine word) and for sharded at B=64, lane-parallel otherwise; per-lane results are reported")
 	swapint := flag.Int("swapint", 10, "sweeps between replica-exchange swap attempts (with -temper)")
 	profile := flag.Bool("profile", false, "print the work counters and the modelled step breakdown")
 	estimate := flag.Bool("estimate", false, "do not run: report the modelled performance for this configuration")
@@ -240,8 +240,8 @@ func runBackend(name string, rows, cols, gridR, gridC int, temp float64, seed ui
 // runReplicas runs the batched-ensemble mode: B independent chains of the
 // selected backend at one temperature behind ising.BatchBackend — one
 // lane-packed internal/ising/ensemble engine for multispin, one lane-packed
-// internal/ising/shardedensemble pod for sharded, the generic lane-parallel
-// adapter for every other backend (backend.NewBatch picks).
+// internal/ising/shardedensemble pod for 64 sharded lanes, the generic
+// lane-parallel adapter for every other batch (backend.NewBatch picks).
 // Lane L is seeded ising.LaneSeed(seed, L), so its chain is exactly the
 // single-chain run `-backend <name> -seed <laneseed>` would produce; the
 // report fans out one row per lane plus the across-lane means.
@@ -257,8 +257,8 @@ func runReplicas(name string, rows, cols, gridR, gridC, tile int, dt tensor.DTyp
 	if !jsonOut {
 		// Named by the selected registry backend (like isingd's batch jobs);
 		// the executing batch engine — the lane-packed "ensemble" for
-		// multispin, "sharded-ensemble" for sharded, the lane-parallel adapter
-		// otherwise — is reported as an execution detail.
+		// multispin, "sharded-ensemble" for 64 sharded lanes, the
+		// lane-parallel adapter otherwise — is reported as an execution detail.
 		fmt.Printf("batched ensemble: %d lanes of backend %s (engine %s), %dx%d lattice, T=%.4f (T/Tc=%.3f)\n",
 			b.Lanes(), name, b.Name(), rows, cols, temp, temp/ising.CriticalTemperature())
 	}
@@ -335,7 +335,8 @@ func parseTemper(s string) (replicas int, tmin, tmax float64, err error) {
 // runTemper runs the replica-exchange mode: a ladder of `replicas` evenly
 // spaced temperatures in [tmin, tmax], one rung per lane of a batched
 // backend (backend.NewBatchLadder — the lane-packed ensemble engine for
-// multispin, the lane-parallel adapter otherwise), coupled by Metropolis
+// multispin, the lane-packed pod for a 64-rung sharded ladder, the
+// lane-parallel adapter otherwise), coupled by Metropolis
 // swaps every swapInterval sweeps (internal/tempering). Batched execution is
 // bit-identical to per-replica execution, and every printed number is a pure
 // function of the configuration and seed — no wall-clock measurements — so

@@ -3,7 +3,7 @@
 // GPU-style parallel CPU baseline, the bit-packed multispin engine, its
 // mesh-sharded pod decomposition (sharded) and the simulated-TPU simulator.
 // NewBatch serves the batch axis: a multispin batch runs on the lane-packed
-// ensemble engine and a sharded batch on the lane-packed pod engine
+// ensemble engine, a full 64-lane sharded batch on the lane-packed pod engine
 // (internal/ising/shardedensemble; the name "sharded-ensemble" is an alias
 // of sharded), every other batch on the generic adapter. The CLI's -backend
 // flag, the service, the tempering ladder and the repository benchmarks all
@@ -126,8 +126,9 @@ func New(name string, cfg Config) (ising.Backend, error) {
 // ising.LaneSeed(cfg.Seed, L). When the engine is the per-site multispin
 // kernel (and the config fits its constraints), the lanes come back as one
 // lane-packed internal/ising/ensemble engine — bit-identical chains, one
-// word pass per site for all of them; a sharded batch likewise comes back as
-// one lane-packed internal/ising/shardedensemble pod. Every other registered
+// word pass per site for all of them; a full 64-lane sharded batch likewise
+// comes back as one lane-packed internal/ising/shardedensemble pod. Every
+// other registered
 // engine is lifted through the generic adapter, so the batch axis works for
 // the whole registry. Batching is an execution strategy, never a physics
 // change: lane L's chain is the same chain either way.
@@ -191,24 +192,23 @@ func packedBatchEligible(name string, cfg Config, lanes int) bool {
 		cfg.GridR <= 1 && cfg.GridC <= 1
 }
 
-// shardedBatchEligible reports whether a batch of the sharded backend can run
-// as one composed engine — all lanes lane-packed across the whole pod grid at
-// once instead of one grid per lane (lane L is bit-identical to a standalone
-// sharded chain seeded ising.LaneSeed). The constraints are the engine's own
-// (divisible grid, whole random groups per shard); a batch that violates
-// them falls back to the generic adapter, one pod per lane.
+// shardedBatchEligible reports whether a batch of the sharded backend runs
+// on the lane-packed pod engine — one word per site carrying every lane, one
+// halo exchange per boundary for all of them — instead of the adapter's one
+// bit-packed sharded pod per lane. Only a full 64-lane word goes packed: the
+// packed engine stores and exchanges a whole word per site whatever the lane
+// count, so a narrower batch pays 64/lanes times its lanes' state and halo
+// bytes, and on a 2-vCPU Xeon it swept 1.2-3x slower than the adapter at 1 to 8
+// lanes. The grid rule is sharded's own (whole 64-column words per shard), so
+// a batch accepts exactly the grids a single sharded chain does and lane L
+// is bit-identical to that chain seeded ising.LaneSeed; a config that breaks
+// it falls back to the adapter, which reports sharded's error.
 func shardedBatchEligible(name string, cfg Config, lanes int) bool {
-	gridR, gridC := cfg.GridR, cfg.GridC
-	if gridR <= 0 {
-		gridR = 1
-	}
-	if gridC <= 0 {
-		gridC = 1
-	}
+	gridR, gridC := max(cfg.GridR, 1), max(cfg.GridC, 1)
 	return name == "sharded" &&
-		lanes <= shardedensemble.MaxLanes &&
+		lanes == shardedensemble.MaxLanes &&
 		cfg.Rows >= 2 && cfg.Rows%2 == 0 && cfg.Rows%gridR == 0 &&
-		cfg.Cols > 0 && cfg.Cols%multispin.WordBits == 0 && cfg.Cols%(8*gridC) == 0
+		cfg.Cols > 0 && cfg.Cols%(sharded.WordBits*gridC) == 0
 }
 
 // hostLattice builds the starting configuration of the host engines.

@@ -69,9 +69,10 @@ func TestRegistryContracts(t *testing.T) {
 }
 
 // TestNewBatchSelectsPackedEngine: a multispin batch within the packed
-// constraints comes back as the lane-packed ensemble engine and a sharded
-// batch as the lane-packed pod engine; everything else comes back as the
-// generic adapter under the backend's own name.
+// constraints comes back as the lane-packed ensemble engine and a full
+// 64-lane sharded batch as the lane-packed pod engine; everything else comes
+// back as the generic adapter under the backend's own name, and a sharded
+// batch takes exactly the grids a single sharded chain takes.
 func TestNewBatchSelectsPackedEngine(t *testing.T) {
 	cfg := backend.Config{Rows: 8, Cols: 64, Temperature: 2.4, Seed: 1}
 	packed, err := backend.NewBatch("multispin", cfg, 4)
@@ -81,14 +82,30 @@ func TestNewBatchSelectsPackedEngine(t *testing.T) {
 	if packed.Name() != "ensemble" {
 		t.Fatalf("multispin batch engine is %q, want the packed ensemble", packed.Name())
 	}
-	pod := cfg
-	pod.GridR, pod.GridC = 2, 2
-	podBatch, err := backend.NewBatch("sharded", pod, 4)
-	if err != nil {
-		t.Fatal(err)
+	pod := backend.Config{Rows: 8, Cols: 128, GridR: 2, GridC: 2, Temperature: 2.4, Seed: 1}
+	for _, tc := range []struct {
+		lanes int
+		want  string
+	}{{64, "sharded-ensemble"}, {4, "sharded"}, {65, "sharded"}} {
+		podBatch, err := backend.NewBatch("sharded", pod, tc.lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if podBatch.Name() != tc.want {
+			t.Fatalf("%d-lane 2x2 sharded batch engine is %q, want %q", tc.lanes, podBatch.Name(), tc.want)
+		}
 	}
-	if podBatch.Name() != "sharded-ensemble" {
-		t.Fatalf("2x2 sharded batch engine is %q, want the packed pod engine sharded-ensemble", podBatch.Name())
+	// 32-column shards are finer than a sharded chain's whole words: the
+	// batch is refused at every lane count, like the chain.
+	narrow := pod
+	narrow.Cols = 64
+	if _, err := backend.New("sharded", narrow); err == nil {
+		t.Fatal("sharded chain accepted 32-column shards")
+	}
+	for _, lanes := range []int{4, 64} {
+		if _, err := backend.NewBatch("sharded", narrow, lanes); err == nil {
+			t.Fatalf("%d-lane sharded batch accepted 32-column shards", lanes)
+		}
 	}
 	adapter, err := backend.NewBatch("checkerboard", cfg, 4)
 	if err != nil {
@@ -117,24 +134,25 @@ func TestNewBatchSelectsPackedEngine(t *testing.T) {
 // TestNewBatchPackedMatchesAdapter: the packed fast paths and the generic
 // adapter over standalone chains of the same backend are the same simulation
 // — backend.NewBatch choosing one is invisible in every observable. It runs
-// for multispin (the lane-packed ensemble) and for a 2x2 sharded grid (the
-// lane-packed pod engine).
+// for multispin (the lane-packed ensemble) and for a full 64-lane batch on a
+// 2x2 sharded grid (the lane-packed pod engine).
 func TestNewBatchPackedMatchesAdapter(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
 		cfg        backend.Config
+		lanes      int
 	}{
-		{"multispin", "ensemble", backend.Config{Rows: 8, Cols: 64, Temperature: 2.3, Seed: 9, Hot: true}},
-		{"sharded", "sharded-ensemble", backend.Config{Rows: 8, Cols: 128, GridR: 2, GridC: 2, Temperature: 2.3, Seed: 9, Hot: true}},
+		{"multispin", "ensemble", backend.Config{Rows: 8, Cols: 64, Temperature: 2.3, Seed: 9, Hot: true}, 3},
+		{"sharded", "sharded-ensemble", backend.Config{Rows: 8, Cols: 128, GridR: 2, GridC: 2, Temperature: 2.3, Seed: 9, Hot: true}, 64},
 	} {
-		packed, err := backend.NewBatch(tc.name, tc.cfg, 3)
+		packed, err := backend.NewBatch(tc.name, tc.cfg, tc.lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if packed.Name() != tc.want {
 			t.Fatalf("%s batch engine is %q, want %q", tc.name, packed.Name(), tc.want)
 		}
-		lanes := make([]ising.Backend, 3)
+		lanes := make([]ising.Backend, tc.lanes)
 		for i := range lanes {
 			c := tc.cfg
 			c.Seed = ising.LaneSeed(tc.cfg.Seed, i)

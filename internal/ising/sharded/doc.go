@@ -29,7 +29,7 @@
 // half-sweep, the lockstep sweep loop and the global row walk behind the
 // gather, scatter, hash and snapshot — is the Driver, which the engine
 // plugs its word layout and row kernel into. The lane-packed composed engine
-// (internal/ising/shardedensemble), this backend's batch form, runs on the
-// same Driver with 64-lane site words, one word per boundary site in its
-// column halos.
+// (internal/ising/shardedensemble), this backend's 64-lane batch form, runs
+// on the same Driver with 64-lane site words, one word per boundary site in
+// its column halos.
 package sharded

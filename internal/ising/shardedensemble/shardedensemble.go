@@ -19,9 +19,9 @@
 // hence to a standalone multispin chain seeded ising.LaneSeed(seed, L)),
 // whatever the shard grid. The lane-equivalence tests assert this per lane
 // for multiple grids. The engine is the sharded backend's batch form:
-// backend.NewBatch builds it for a batch or ladder of sharded chains, and a
-// single sharded chain runs on internal/ising/sharded's one-bit-per-site
-// words.
+// backend.NewBatch builds it for a full 64-lane batch or ladder of sharded
+// chains; a single sharded chain, and a batch of any other lane count, runs
+// on internal/ising/sharded's one-bit-per-site words.
 package shardedensemble
 
 import (

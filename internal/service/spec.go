@@ -56,8 +56,8 @@ type JobSpec struct {
 	// Replicas, when > 1, makes the job a batched ensemble: B independent
 	// chains of the backend at the job's single temperature, lane L seeded
 	// ising.LaneSeed(seed, L), advanced together in one worker slot
-	// (lane-packed for the multispin and sharded backends, lane-parallel
-	// otherwise). The result carries one row per lane and the stream one
+	// (lane-packed for multispin, and for sharded at 64 replicas;
+	// lane-parallel otherwise). The result carries one row per lane and the stream one
 	// sample per lane per interval. At most MaxReplicas; 0 and 1 both mean a single chain.
 	// Mutually exclusive with Temperatures (a ladder already defines its
 	// replica count) and with checkpointing (no batch snapshot support).
