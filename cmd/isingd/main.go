@@ -58,6 +58,7 @@ import (
 	"syscall"
 	"time"
 
+	"tpuising/internal/rng"
 	"tpuising/internal/service"
 )
 
@@ -143,7 +144,7 @@ func main() {
 		logger.Info("pprof listening", "addr", *debugAddr)
 	}
 
-	logger.Info("serving", "addr", *addr, "workers", srv.Workers(), "queue", *queue, "version", buildVersion())
+	logger.Info("serving", "addr", *addr, "workers", srv.Workers(), "queue", *queue, "version", buildVersion(), "rng_avx2", rng.HasAVX2())
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)

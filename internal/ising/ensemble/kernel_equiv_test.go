@@ -10,10 +10,11 @@ import (
 
 // TestUpdateRowGoldenEquivalence pins the optimized batched ΔE-class loop to
 // the retained naive reference (updateRowRef) bit-for-bit, across random
-// lane counts, ladders and steps — the ensemble half of the PR-10
+// lane counts, ladders and steps — the ensemble half of the
 // golden-equivalence contract (the multispin half lives in
-// multispin/kernel_equiv_test.go). CI runs it under -race with and without
-// the avx2 tag.
+// multispin/kernel_equiv_test.go). It runs on the host's dispatch (the AVX2
+// lane kernel on an AVX2 machine); CI also runs it under -race and under
+// GOARCH=386, where the portable loop runs.
 func TestUpdateRowGoldenEquivalence(t *testing.T) {
 	prng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {

@@ -172,7 +172,7 @@ func (k Kernel) UpdateRow(row, north, south []uint64, westWrap, eastWrap uint64,
 // UpdateRowScratch is UpdateRow with a caller-owned scratch buffer, the form
 // the engines' hot loops use. The randoms of a whole tile of words are
 // generated into the scratch with one batched Philox call (rng.BlockRow — the
-// AVX2 kernel when built with the avx2 tag, the 4-way portable loop
+// AVX2 kernel on an amd64 CPU that has AVX2, the 4-way portable loop
 // otherwise), then the word loop consumes them with the wrap/select branches
 // hoisted into explicit first/middle/last-word handling.
 //
@@ -290,7 +290,7 @@ func sharedUpdateWord(cur, north, south, eastSrc, westSrc, u uint64, t4, t8, cma
 // word-at-a-time, branching wrap selection, randoms drawn two blocks at a
 // time inline. It is never called by the engines — it exists so the golden
 // equivalence property test can pin every optimized variant (portable tiled,
-// AVX2 when built) to the exact spins this loop produces at any
+// AVX2 where the CPU has it) to the exact spins this loop produces at any
 // (seed, step, geometry).
 func (k Kernel) UpdateRowRef(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64) {
 	W := len(row)

@@ -10,11 +10,10 @@ import (
 // TestUpdateRowGoldenEquivalence is the golden bit-equivalence property test
 // of the kernel variants: for random (rows, cols, seed, parity, shared,
 // temperature, step, wordOff) tuples, the optimized UpdateRow /
-// UpdateRowScratch paths (tiled + batched Philox; the AVX2 kernel when the
-// binary is built with -tags avx2 on an AVX2 machine) must produce exactly
-// the spins of UpdateRowRef, the retained naive reference. CI runs it under
-// -race and under both build-tag combinations; rng.HasAVX2 names the variant
-// actually exercised.
+// UpdateRowScratch paths (tiled + batched Philox; the AVX2 kernel on an AVX2
+// machine) must produce exactly the spins of UpdateRowRef, the retained naive
+// reference. It runs on the host's dispatch, which rng.HasAVX2 names; CI also
+// runs it under -race and under GOARCH=386, where the portable loop runs.
 func TestUpdateRowGoldenEquivalence(t *testing.T) {
 	t.Logf("avx2 kernels active: %v", rng.HasAVX2())
 	prng := rand.New(rand.NewSource(20260808))

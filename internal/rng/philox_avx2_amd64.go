@@ -1,12 +1,10 @@
-//go:build avx2 && amd64
-
 package rng
 
-// AVX2 build: the batch entry points dispatch to the vector kernels in
-// philox_avx2_amd64.s when the CPU supports them. The build tag keeps the
-// portable loop the mandatory default — opting in is `go build -tags avx2` —
-// and the runtime check below keeps even an avx2-tagged binary correct on a
-// pre-Haswell machine or one whose OS does not save the ymm state.
+// On amd64 the batch entry points dispatch to the vector kernels in
+// philox_avx2_amd64.s when the CPU supports them. The runtime check below is
+// the only gate: it keeps every amd64 binary correct on a pre-Haswell
+// machine or one whose OS does not save the ymm state, where the portable
+// loop runs instead.
 
 // useAVX2 gates the vector dispatch. It is computed once at init from CPUID
 // (the toolchain has no dependency on golang.org/x/sys/cpu, so the feature

@@ -1,5 +1,3 @@
-//go:build avx2 && amd64
-
 // AVX2 Philox4x32-10 batch kernels. Eight independent blocks are advanced
 // per iteration in structure-of-arrays form: Y0..Y3 hold component c0..c3 of
 // all eight blocks. VPMULUDQ multiplies only the even 32-bit lanes, so each
@@ -17,6 +15,13 @@
 //   c0' = hi1^c1^k0, c1' = lo1, c2' = hi0^c3^k1, c3' = lo0.
 // PHILOX_STORE transposes Y0..Y3 into eight consecutive 16-byte blocks at
 // (DI) and advances DI, clobbering Y4..Y7.
+//
+// Scalar arguments reach the vectors through general registers (VMOVD, then
+// VPBROADCASTD from the xmm register), so every FP reference names one
+// 4-byte element and go vet's asmdecl check can verify it. The move must be
+// the VEX-encoded VMOVD: a legacy-SSE MOVD while the upper ymm halves are
+// dirty pays an SSE/AVX state transition on every loop iteration, which made
+// the kernels about 20x slower on a Xeon host.
 
 #include "textflag.h"
 
@@ -131,6 +136,11 @@ label:                           \
 TEXT ·blockRowAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ n+8(FP), SI
+	MOVL ctr_0+16(FP), R10
+	MOVL ctr_1+20(FP), R11
+	MOVL ctr_2+24(FP), R12
+	MOVL key_0+32(FP), R13
+	MOVL key_1+36(FP), BX
 	VMOVDQU ·philoxM0v(SB), Y8
 	VMOVDQU ·philoxM1v(SB), Y9
 	VMOVDQU ·philoxW0v(SB), Y10
@@ -138,16 +148,23 @@ TEXT ·blockRowAVX2(SB), NOSPLIT, $0-40
 
 	// Y14 = running c3 vector: broadcast ctr[3] + {0..7}, advanced by 8
 	// per iteration (wrapping mod 2^32 like the scalar counter walk).
-	VPBROADCASTD ctr+28(FP), Y14
+	MOVL ctr_3+28(FP), AX
+	VMOVD AX, X14
+	VPBROADCASTD X14, Y14
 	VPADDD ·philoxLaneIota(SB), Y14, Y14
 
 rowloop:
-	VPBROADCASTD ctr+16(FP), Y0
-	VPBROADCASTD ctr+20(FP), Y1
-	VPBROADCASTD ctr+24(FP), Y2
+	VMOVD R10, X0
+	VPBROADCASTD X0, Y0
+	VMOVD R11, X1
+	VPBROADCASTD X1, Y1
+	VMOVD R12, X2
+	VPBROADCASTD X2, Y2
 	VMOVDQA Y14, Y3
-	VPBROADCASTD key+32(FP), Y12
-	VPBROADCASTD key+36(FP), Y13
+	VMOVD R13, X12
+	VPBROADCASTD X12, Y12
+	VMOVD BX, X13
+	VPBROADCASTD X13, Y13
 	PHILOX_ROUNDS(rowround)
 	PHILOX_STORE
 	VPADDD ·philoxEight(SB), Y14, Y14
@@ -160,6 +177,10 @@ rowloop:
 TEXT ·blockLanesAVX2(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ n+8(FP), SI
+	MOVL ctr_0+16(FP), R10
+	MOVL ctr_1+20(FP), R11
+	MOVL ctr_2+24(FP), R12
+	MOVL ctr_3+28(FP), R13
 	MOVQ k0s+32(FP), R8
 	MOVQ k1s+40(FP), R9
 	VMOVDQU ·philoxM0v(SB), Y8
@@ -168,10 +189,14 @@ TEXT ·blockLanesAVX2(SB), NOSPLIT, $0-48
 	VMOVDQU ·philoxW1v(SB), Y11
 
 laneloop:
-	VPBROADCASTD ctr+16(FP), Y0
-	VPBROADCASTD ctr+20(FP), Y1
-	VPBROADCASTD ctr+24(FP), Y2
-	VPBROADCASTD ctr+28(FP), Y3
+	VMOVD R10, X0
+	VPBROADCASTD X0, Y0
+	VMOVD R11, X1
+	VPBROADCASTD X1, Y1
+	VMOVD R12, X2
+	VPBROADCASTD X2, Y2
+	VMOVD R13, X3
+	VPBROADCASTD X3, Y3
 	VMOVDQU (R8), Y12
 	VMOVDQU (R9), Y13
 	PHILOX_ROUNDS(laneround)
@@ -198,6 +223,7 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	XORL CX, CX
 	XGETBV
-	MOVL AX, ret+0(FP)
-	MOVL DX, ret+4(FP)
+	SHLQ $32, DX
+	ORQ DX, AX
+	MOVQ AX, ret+0(FP)
 	RET

@@ -1,18 +1,18 @@
-//go:build !avx2 || !amd64
+//go:build !amd64
 
 package rng
 
-// Portable build: the batch entry points never dispatch to vector code. The
-// stubs exist so philoxbatch.go compiles identically under every tag
-// combination; they are unreachable (useAVX2 is constant false, and the
-// compiler deletes the guarded calls).
+// Portable platforms: the batch entry points never dispatch to vector code.
+// The stubs exist so philoxbatch.go compiles identically on every
+// architecture; they are unreachable because useAVX2 stays false. It is a
+// variable, as on amd64, so the tests' dispatch hook compiles everywhere.
 
-const useAVX2 = false
+var useAVX2 = false
 
 func blockRowAVX2(dst *uint32, n uint64, ctr Counter, key Key) {
-	panic("rng: AVX2 kernel called in a portable build")
+	panic("rng: AVX2 kernel called on a non-amd64 build")
 }
 
 func blockLanesAVX2(dst *uint32, n uint64, ctr Counter, k0s, k1s *uint32) {
-	panic("rng: AVX2 kernel called in a portable build")
+	panic("rng: AVX2 kernel called on a non-amd64 build")
 }

@@ -298,11 +298,16 @@ var philoxKATs = []struct {
 
 // TestPhiloxKnownAnswers pins the generator to the published vectors on
 // every dispatch path: Block, and BlockRow/BlockLanes at 8 blocks, the
-// width of one AVX2 iteration, so an avx2 build checks the vector kernels.
+// width of one AVX2 iteration, run once on the portable loop and once on the
+// host's dispatch, which is the vector kernels on an AVX2 machine.
 // The known answer sits at each of the 8 positions in turn (BlockRow starts
 // its counter run p blocks early; BlockLanes gives lane p the known key), so
 // every vector lane is pinned, lane 0 included.
 func TestPhiloxKnownAnswers(t *testing.T) {
+	forEachDispatch(t, testPhiloxKnownAnswers)
+}
+
+func testPhiloxKnownAnswers(t *testing.T) {
 	const n = 8
 	for _, v := range philoxKATs {
 		if got := Block(v.ctr, v.key); got != v.want {

@@ -5,11 +5,12 @@ package rng
 // keys (ensemble: one site across all lanes) are known up front. Generating
 // the whole run into a caller-owned scratch buffer amortises the per-block
 // setup, lets four independent round chains overlap in the multiplier
-// pipeline in portable Go, and gives the AVX2 build (see philox_avx2_amd64.s,
-// behind the `avx2` build tag) eight blocks per vector iteration. Every path
-// writes exactly the words Block would: the batch layer is an execution
-// strategy, never a stream change, which is what keeps every engine variant
-// bit-identical to the scalar reference.
+// pipeline in portable Go, and on amd64 CPUs with AVX2 (see
+// philox_avx2_amd64.s; a CPUID check at start-up picks the path) computes
+// eight blocks per vector iteration. Every path writes exactly the words
+// Block would: the batch layer is an execution strategy, never a stream
+// change, which is what keeps every engine variant bit-identical to the
+// scalar reference.
 
 // BlockRow fills dst with n = len(dst)/4 consecutive Philox blocks under one
 // key: dst[4i:4i+4] = Block({ctr[0], ctr[1], ctr[2], ctr[3]+i}, key) for
@@ -138,8 +139,8 @@ func blockLanesGeneric(dst []uint32, ctr Counter, k0s, k1s []uint32, i, n int) {
 	}
 }
 
-// HasAVX2 reports whether this binary runs the AVX2 batch kernels: built with
-// the `avx2` tag on amd64 AND running on a CPU with OS-enabled AVX2. The
-// isingbench report records it so a perf row always names the kernel variant
-// it measured.
+// HasAVX2 reports whether this binary runs the AVX2 batch kernels: built for
+// amd64 AND running on a CPU with OS-enabled AVX2. The isingbench report and
+// isingd's build-info metric record it, so a perf row always names the
+// kernel variant it measured.
 func HasAVX2() bool { return useAVX2 }

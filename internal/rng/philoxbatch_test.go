@@ -4,10 +4,37 @@ import (
 	"testing"
 )
 
+// disableAVX2 routes the batch entry points to the portable loop for the rest
+// of t and restores the CPUID-derived dispatch on cleanup. Tests that use it
+// must not run in parallel with other tests of this package.
+func disableAVX2(t testing.TB) {
+	saved := useAVX2
+	useAVX2 = false
+	t.Cleanup(func() { useAVX2 = saved })
+}
+
+// forEachDispatch runs body once on the portable loop (vector dispatch turned
+// off) and once on the host's dispatch (the AVX2 kernels where HasAVX2 is
+// true), so one test run checks both paths against the scalar reference.
+func forEachDispatch(t *testing.T, body func(t *testing.T)) {
+	t.Run("portable", func(t *testing.T) {
+		disableAVX2(t)
+		body(t)
+	})
+	t.Run("host", func(t *testing.T) {
+		t.Logf("avx2 kernels active: %v", HasAVX2())
+		body(t)
+	})
+}
+
 // TestBlockRowMatchesBlock: BlockRow is Block evaluated at consecutive
 // counters — exactly, for every length that exercises the vector body, the
 // 4-way portable body and the scalar tail, including counter wraparound.
 func TestBlockRowMatchesBlock(t *testing.T) {
+	forEachDispatch(t, testBlockRowMatchesBlock)
+}
+
+func testBlockRowMatchesBlock(t *testing.T) {
 	key := Key{0xDEADBEEF, 0x1BD11BDA}
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 32, 100, 256} {
 		for _, ctr := range []Counter{
@@ -30,8 +57,8 @@ func TestBlockRowMatchesBlock(t *testing.T) {
 	}
 }
 
-// TestBlockRowGenericMatchesBlock pins the portable body on its own, so the
-// avx2-tagged test run still covers the fallback the vector path tails into.
+// TestBlockRowGenericMatchesBlock pins the portable body on its own, with no
+// dispatch in front of it.
 func TestBlockRowGenericMatchesBlock(t *testing.T) {
 	key := Key{11, 22}
 	ctr := Counter{7, 8, 9, 0xFFFFFFFE}
@@ -51,6 +78,10 @@ func TestBlockRowGenericMatchesBlock(t *testing.T) {
 // TestBlockLanesMatchesBlock: BlockLanes is Block evaluated under per-lane
 // keys — exactly, across vector/portable/tail lane counts.
 func TestBlockLanesMatchesBlock(t *testing.T) {
+	forEachDispatch(t, testBlockLanesMatchesBlock)
+}
+
+func testBlockLanesMatchesBlock(t *testing.T) {
 	ctr := Counter{101, 102, 103, 104}
 	for _, lanes := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 64} {
 		k0s := make([]uint32, lanes)
@@ -96,8 +127,8 @@ func TestBlockLanesGenericMatchesBlock(t *testing.T) {
 }
 
 // BenchmarkBlockRow measures bulk generation throughput (bytes/s of random
-// output). With -tags avx2 on an AVX2 machine this is the vector kernel;
-// otherwise the 4-way portable loop.
+// output). On an AVX2 machine this is the vector kernel; otherwise the 4-way
+// portable loop.
 func BenchmarkBlockRow(b *testing.B) {
 	dst := make([]uint32, 1024) // 256 blocks
 	b.SetBytes(int64(len(dst) * 4))

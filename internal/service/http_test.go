@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tpuising/internal/rng"
 	"tpuising/internal/service/encode"
 )
 
@@ -383,6 +384,7 @@ func TestHTTPMetricsHistograms(t *testing.T) {
 		"isingd_queue_wait_seconds_count 1",
 		"isingd_run_seconds_count 1",
 		`isingd_build_info{version="v9-test",goversion="`,
+		fmt.Sprintf(`,rng_avx2="%t"} 1`, rng.HasAVX2()),
 		"# TYPE isingd_uptime_seconds gauge",
 	} {
 		if !strings.Contains(text, want) {

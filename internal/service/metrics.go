@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"tpuising/internal/hist"
+	"tpuising/internal/rng"
 )
 
 // promMetric is one exposed scalar metric: its Prometheus name, type and help
@@ -84,9 +85,9 @@ func (s *Server) renderMetrics() string {
 		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, m.kind)
 		fmt.Fprintf(&b, "%s %d\n", m.name, m.value(st))
 	}
-	fmt.Fprintf(&b, "# HELP isingd_build_info Build metadata; the value is always 1.\n")
+	fmt.Fprintf(&b, "# HELP isingd_build_info Build metadata and the Philox kernel variant (rng_avx2); the value is always 1.\n")
 	fmt.Fprintf(&b, "# TYPE isingd_build_info gauge\n")
-	fmt.Fprintf(&b, "isingd_build_info{version=%q,goversion=%q} 1\n", s.cfg.Version, runtime.Version())
+	fmt.Fprintf(&b, "isingd_build_info{version=%q,goversion=%q,rng_avx2=\"%t\"} 1\n", s.cfg.Version, runtime.Version(), rng.HasAVX2())
 	fmt.Fprintf(&b, "# HELP isingd_uptime_seconds Server age on its own clock.\n")
 	fmt.Fprintf(&b, "# TYPE isingd_uptime_seconds gauge\n")
 	fmt.Fprintf(&b, "isingd_uptime_seconds %s\n", formatFloat(st.UptimeSeconds))
