@@ -18,6 +18,9 @@
 // temperature scan run as one ensemble. The randoms are site-keyed pure
 // functions of (seed, step, site), so the chains are deterministic and
 // independent of the worker count, exactly like the rest of the repository.
+// The hot loop draws each four-site group for all lanes with one
+// rng.AcceptLanes call, which compares every lane's randoms with that lane's
+// thresholds in vector registers and returns the group's lane accept masks.
 // The engine is the multispin backend's batch form: backend.NewBatch builds
 // it for a batch or ladder of multispin chains.
 package ensemble
@@ -77,7 +80,6 @@ type Engine struct {
 	workers    int
 	seed       uint64
 	halo       []uint64
-	scratches  []Scratch // per-band random scratch buffers
 
 	// Observable cache: Magnetizations/Energies are O(lanes * N) passes, so
 	// consumers that read several observables per step (tempering, the
@@ -222,10 +224,7 @@ func (e *Engine) updateColor(parity int, step uint64) {
 		workers = e.rows
 	}
 	if workers <= 1 {
-		if len(e.scratches) == 0 {
-			e.scratches = make([]Scratch, 1)
-		}
-		e.updateRows(parity, step, 0, e.rows, nil, nil, &e.scratches[0])
+		e.updateRows(parity, step, 0, e.rows, nil, nil)
 		return
 	}
 	W := e.cols
@@ -251,16 +250,13 @@ func (e *Engine) updateColor(parity int, step uint64) {
 		copy(south, e.rowWords(r1%e.rows))
 		plan = append(plan, band{r0: r0, r1: r1, north: north, south: south})
 	}
-	if len(e.scratches) < len(plan) {
-		e.scratches = make([]Scratch, len(plan))
-	}
 	var wg sync.WaitGroup
-	for i, b := range plan {
+	for _, b := range plan {
 		wg.Add(1)
-		go func(b band, sc *Scratch) {
+		go func(b band) {
 			defer wg.Done()
-			e.updateRows(parity, step, b.r0, b.r1, b.north, b.south, sc)
-		}(b, &e.scratches[i])
+			e.updateRows(parity, step, b.r0, b.r1, b.north, b.south)
+		}(b)
 	}
 	wg.Wait()
 }
@@ -271,7 +267,7 @@ func (e *Engine) updateColor(parity int, step uint64) {
 // agree). The wrap words row[cols-1] and row[0] are snapshotted per row for
 // the same reason: whichever of the two the active colour consumes is
 // inactive and never written within the call.
-func (e *Engine) updateRows(parity int, step uint64, r0, r1 int, northHalo, southHalo []uint64, sc *Scratch) {
+func (e *Engine) updateRows(parity int, step uint64, r0, r1 int, northHalo, southHalo []uint64) {
 	for r := r0; r < r1; r++ {
 		row := e.rowWords(r)
 		north := e.rowWords((r - 1 + e.rows) % e.rows)
@@ -282,7 +278,7 @@ func (e *Engine) updateRows(parity int, step uint64, r0, r1 int, northHalo, sout
 		if r == r1-1 && southHalo != nil {
 			south = southHalo
 		}
-		e.kern.UpdateRow(row, north, south, row[e.cols-1], row[0], r, 0, parity, step, sc)
+		e.kern.UpdateRow(row, north, south, row[e.cols-1], row[0], r, 0, parity, step, nil)
 	}
 }
 

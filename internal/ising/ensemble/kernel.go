@@ -8,20 +8,12 @@ import (
 	"tpuising/internal/rng"
 )
 
-// Scratch is a reusable per-worker random buffer for Kernel.UpdateRow, the
-// lane-packed analogue of multispin.Scratch: each row-band goroutine (or each
-// shard) owns one, so the batched Philox draws allocate only on first use and
-// on growth.
-type Scratch struct {
-	rand []uint32
-}
-
-func (s *Scratch) buf(n int) []uint32 {
-	if cap(s.rand) < n {
-		s.rand = make([]uint32, n)
-	}
-	return s.rand[:n]
-}
+// Scratch is the per-worker argument of Kernel.UpdateRow. The fused accept
+// kernel (rng.AcceptLanes) returns each group's lane masks in registers, so
+// the row update needs no buffer and a Scratch holds nothing; the engines
+// pass nil. The type stays only so the benchmark module's kernel timing
+// (isingbench/layers.go) builds unchanged.
+type Scratch struct{}
 
 // Kernel is the lane-packed row-update kernel shared by the ensemble engine
 // and the sharded-ensemble composition, playing the role multispin.Kernel
@@ -42,8 +34,8 @@ type Kernel struct {
 	temps    []float64
 
 	// Structure-of-arrays mirrors of the per-lane kernels, kept in sync by
-	// NewKernel and SetLaneTemperature: the hot loop reads thresholds from
-	// flat slices and hands the key arrays straight to rng.BlockLanes.
+	// NewKernel and SetLaneTemperature: the hot loop hands the key and
+	// threshold arrays straight to rng.AcceptLanes.
 	t4s, t8s   []uint64
 	k0s, k1s   []uint32
 	thresholds multispin.ThresholdCache // memoized acceptance pairs per rung
@@ -101,9 +93,15 @@ func (k *Kernel) SetLaneTemperature(lane int, t float64) {
 	if t <= 0 {
 		panic("ensemble: temperature must be positive")
 	}
-	k.kerns[lane].SetThresholds(k.thresholds.For(t))
-	k.t4s[lane], k.t8s[lane] = k.kerns[lane].T4, k.kerns[lane].T8
+	k.setLaneThresholds(lane, k.thresholds.For(t))
 	k.temps[lane] = t
+}
+
+// setLaneThresholds installs one lane's acceptance pair in its kernel and in
+// the SoA mirrors.
+func (k *Kernel) setLaneThresholds(lane int, th multispin.Thresholds) {
+	k.kerns[lane].SetThresholds(th)
+	k.t4s[lane], k.t8s[lane] = th.T4, th.T8
 }
 
 // LaneKey returns one lane's Philox key (for snapshots).
@@ -131,36 +129,21 @@ func (k *Kernel) SetLaneKey(lane int, key rng.Key) {
 // four-site random groups never straddle the slice; groupOff is the global
 // group index of the slice's first group (global first column / 8).
 //
-// This is the optimized ΔE-class loop: it draws all lanes of a four-site
-// group with one rng.BlockLanes call over the SoA key arrays (the AVX2
-// kernel does 8 lanes per vector iteration). It consumes exactly the blocks
-// the retained reference loop (UpdateRowRef) draws inline, and the
-// golden-equivalence test pins the two bit-for-bit.
+// This is the optimized ΔE-class loop: one rng.AcceptLanes call per
+// four-site group draws every lane's block under the SoA key arrays and
+// compares it with the lane's thresholds in registers (the AVX2 kernel does 8
+// lanes per vector iteration), returning the group's lane masks directly. It
+// consumes exactly the blocks the retained reference loop (UpdateRowRef)
+// draws inline, and the golden-equivalence test pins the two bit-for-bit. sc
+// is unused (see Scratch) and may be nil.
 func (k *Kernel) UpdateRow(row, north, south []uint64, westWord, eastWord uint64, globalRow, groupOff, parity int, step uint64, sc *Scratch) {
 	p := (parity + globalRow) & 1
 	s0, s1 := uint32(step), uint32(step>>32)
 	rr := uint32(int64(globalRow))
 	groups := len(row) / 8
 	var a4, a8 [4]uint64
-	// One draw per lane per site: all lanes of a group in one batched call
-	// under the SoA key arrays.
-	rnd := sc.buf(4 * k.lanes)
 	for g := 0; g < groups; g++ {
-		rng.BlockLanes(rnd, rng.Counter{s0, s1, rr, uint32(groupOff + g)}, k.k0s, k.k1s)
-		a4[0], a4[1], a4[2], a4[3] = 0, 0, 0, 0
-		a8[0], a8[1], a8[2], a8[3] = 0, 0, 0, 0
-		for l := 0; l < k.lanes; l++ {
-			t4, t8 := k.t4s[l], k.t8s[l]
-			o := rnd[4*l : 4*l+4 : 4*l+4]
-			a4[0] |= ((uint64(o[0]) - t4) >> 63) << uint(l)
-			a8[0] |= ((uint64(o[0]) - t8) >> 63) << uint(l)
-			a4[1] |= ((uint64(o[1]) - t4) >> 63) << uint(l)
-			a8[1] |= ((uint64(o[1]) - t8) >> 63) << uint(l)
-			a4[2] |= ((uint64(o[2]) - t4) >> 63) << uint(l)
-			a8[2] |= ((uint64(o[2]) - t8) >> 63) << uint(l)
-			a4[3] |= ((uint64(o[3]) - t4) >> 63) << uint(l)
-			a8[3] |= ((uint64(o[3]) - t8) >> 63) << uint(l)
-		}
+		rng.AcceptLanes(&a4, &a8, rng.Counter{s0, s1, rr, uint32(groupOff + g)}, k.k0s, k.k1s, k.t4s, k.t8s)
 		k.applyGroup(row, north, south, westWord, eastWord, g, p, &a4, &a8)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tpuising/internal/ising"
+	"tpuising/internal/ising/multispin"
 )
 
 // TestUpdateRowGoldenEquivalence pins the optimized batched ΔE-class loop to
@@ -62,6 +63,49 @@ func TestUpdateRowGoldenEquivalence(t *testing.T) {
 		if opt.Hash() != ref.Hash() {
 			t.Fatalf("trial %d (lanes=%d %dx%d ladder=%v): optimized loop diverged from reference",
 				trial, lanes, rows, cols, temps != nil)
+		}
+	}
+
+	// Threshold edges: T8 = 0 below T≈0.36 and T4 = 1<<32 at very large T
+	// are both reachable from a job spec. Every lane gets its own pair of
+	// edge values, so one call mixes edges across the vector body and the
+	// portable tail.
+	edges := []uint64{0, 1, 1 << 31, 1<<32 - 1, 1 << 32}
+	for i := range edges {
+		for j := range edges {
+			lanes := 1 + prng.Intn(MaxLanes)
+			cfg := Config{Rows: 4, Cols: 64, Lanes: lanes, Temperature: 2.3, Seed: prng.Uint64(), Hot: true}
+			opt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := 0; l < lanes; l++ {
+				th := multispin.Thresholds{T4: edges[(i+l)%len(edges)], T8: edges[(j+2*l)%len(edges)]}
+				opt.kern.setLaneThresholds(l, th)
+				ref.kern.setLaneThresholds(l, th)
+			}
+			opt.Sweep()
+			for _, pc := range []struct {
+				parity int
+				step   uint64
+			}{{0, ref.step}, {1, ref.step + 1}} {
+				for r := 0; r < ref.rows; r++ {
+					row := ref.rowWords(r)
+					ref.kern.UpdateRowRef(row,
+						ref.rowWords((r-1+ref.rows)%ref.rows),
+						ref.rowWords((r+1)%ref.rows),
+						row[ref.cols-1], row[0],
+						r, 0, pc.parity, pc.step)
+				}
+			}
+			ref.step += 2
+			if opt.Hash() != ref.Hash() {
+				t.Fatalf("edge case %d,%d (lanes=%d): optimized loop diverged from reference", i, j, lanes)
+			}
 		}
 	}
 }

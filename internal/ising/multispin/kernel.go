@@ -121,27 +121,25 @@ func DisagreeClasses(d1, d2, d3, d4 uint64) (ge2, one, zero uint64) {
 	return ge2, one, zero
 }
 
-// tileWords is the column-blocking width of the optimized row kernel: randoms
-// are generated tileWords words at a time, so the per-site scratch is
-// tileWords*32 uint32s (8 KiB) — small enough that the tile's randoms, the
-// row band and the neighbour rows stay cache-resident while the word loop
-// consumes them.
+// tileWords is the column-blocking width of the optimized row kernel: accept
+// masks (per-site mode) or randoms (shared mode) are drawn tileWords words at
+// a time, so the scratch holds at most tileWords*4 uint32s (1 KiB).
 const tileWords = 64
 
-// Scratch is the reusable random buffer of the optimized row kernel. Engines
+// Scratch is the reusable draw buffer of the optimized row kernel. Engines
 // keep one per worker goroutine and pass it to every UpdateRowScratch call;
 // the zero value is ready to use and grows on first use. It carries no
 // kernel state — only scratch memory — so any kernel may use any scratch.
 type Scratch struct {
-	rand []uint32
+	buf32 []uint32
 }
 
 // buf returns an n-word view of the scratch, growing it if needed.
 func (s *Scratch) buf(n int) []uint32 {
-	if cap(s.rand) < n {
-		s.rand = make([]uint32, n)
+	if cap(s.buf32) < n {
+		s.buf32 = make([]uint32, n)
 	}
-	return s.rand[:n]
+	return s.buf32[:n]
 }
 
 // UpdateRow performs the colour update of the active sites of one packed
@@ -160,8 +158,8 @@ func (s *Scratch) buf(n int) []uint32 {
 //
 // UpdateRow is the convenience form that brings its own scratch; the engines'
 // hot loops call UpdateRowScratch with a persistent per-worker Scratch
-// instead. Both run the optimized kernel — batched Philox rows, tiled column
-// blocking, hoisted word-boundary handling — and are bit-identical to
+// instead. Both run the optimized kernel — fused Philox accept draws, tiled
+// column blocking, hoisted word-boundary handling — and are bit-identical to
 // UpdateRowRef, the retained naive reference (pinned by the golden
 // equivalence tests in kernel_equiv_test.go).
 func (k Kernel) UpdateRow(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64) {
@@ -170,11 +168,13 @@ func (k Kernel) UpdateRow(row, north, south []uint64, westWrap, eastWrap uint64,
 }
 
 // UpdateRowScratch is UpdateRow with a caller-owned scratch buffer, the form
-// the engines' hot loops use. The randoms of a whole tile of words are
-// generated into the scratch with one batched Philox call (rng.BlockRow — the
-// AVX2 kernel on an amd64 CPU that has AVX2, the 4-way portable loop
-// otherwise), then the word loop consumes them with the wrap/select branches
-// hoisted into explicit first/middle/last-word handling.
+// the engines' hot loops use. In per-site mode one fused Philox call per tile
+// (rng.AcceptRow — the AVX2 kernel on an amd64 CPU that has AVX2, the 4-way
+// portable loop otherwise) returns each word's 32 accept decisions as two
+// compact masks, compared where the randoms are generated; shared mode draws
+// its one random per word with rng.BlockRow. The word loop then consumes the
+// masks with the wrap/select branches hoisted into explicit first/middle/last
+// word handling.
 //
 // Within one colour update the kernel writes only active-colour bits and
 // consumes only inactive-colour neighbour bits, so the word loop may read
@@ -198,22 +198,21 @@ func (k Kernel) UpdateRowScratch(row, north, south []uint64, westWrap, eastWrap 
 	}
 	t4, t8 := k.T4, k.T8
 	for w0 := 0; w0 < W; w0 += tileWords {
-		w1 := w0 + tileWords
-		if w1 > W {
-			w1 = W
-		}
-		// Batch the tile's randoms: per-site mode consumes 8 blocks (32
-		// uint32s) per word at consecutive counters starting at (wordOff+w0)*8;
-		// shared mode one block per word starting at wordOff+w0. Both match
-		// the reference's per-word counters exactly (mod-2^32 arithmetic
-		// included), so the words drawn are Block-for-Block the same.
-		var rnd []uint32
+		w1 := min(w0+tileWords, W)
+		n := w1 - w0
+		// Draw the tile: per-site mode consumes 8 blocks per word at
+		// consecutive counters starting at (wordOff+w0)*8, shared mode one
+		// block per word starting at wordOff+w0. Both match the reference's
+		// per-word counters exactly (mod-2^32 arithmetic included), so every
+		// accept decision is the reference's.
+		var rnd, a4s, a8s []uint32
 		if k.Shared {
-			rnd = sc.buf(tileWords * 4)[:(w1-w0)*4]
+			rnd = sc.buf(tileWords * 4)[:n*4]
 			rng.BlockRow(rnd, rng.Counter{s0, s1, rr, uint32(wordOff + w0)}, k.Key)
 		} else {
-			rnd = sc.buf(tileWords * 32)[:(w1-w0)*32]
-			rng.BlockRow(rnd, rng.Counter{s0, s1, rr, uint32((wordOff + w0) * 8)}, k.Key)
+			acc := sc.buf(2 * tileWords)
+			a4s, a8s = acc[:n], acc[tileWords:tileWords+n]
+			rng.AcceptRow(a4s, a8s, rng.Counter{s0, s1, rr, uint32((wordOff + w0) * 8)}, k.Key, t4, t8)
 		}
 		// Hoisted boundary handling: the west neighbour rolls through a
 		// local (see above), the east select happens once, for the tile's
@@ -223,67 +222,57 @@ func (k Kernel) UpdateRowScratch(row, north, south []uint64, westWrap, eastWrap 
 			westSrc = row[w0-1]
 		}
 		last := w1 - 1
+		eastSrc := eastWrap
+		if w1 < W {
+			eastSrc = row[w1]
+		}
 		if k.Shared {
 			for w := w0; w < last; w++ {
-				row[w] = sharedUpdateWord(row[w], north[w], south[w], row[w+1], westSrc,
-					uint64(rnd[(w-w0)*4]), t4, t8, cmask)
+				a4, a8 := sharedAccept(rnd[(w-w0)*4], t4, t8)
+				row[w] = updateWord(row[w], north[w], south[w], row[w+1], westSrc, a4, a8, cmask)
 				westSrc = row[w]
 			}
-			eastSrc := eastWrap
-			if w1 < W {
-				eastSrc = row[w1]
-			}
-			row[last] = sharedUpdateWord(row[last], north[last], south[last], eastSrc, westSrc,
-				uint64(rnd[(last-w0)*4]), t4, t8, cmask)
+			a4, a8 := sharedAccept(rnd[(last-w0)*4], t4, t8)
+			row[last] = updateWord(row[last], north[last], south[last], eastSrc, westSrc, a4, a8, cmask)
 		} else {
 			for w := w0; w < last; w++ {
-				row[w] = siteUpdateWord(row[w], north[w], south[w], row[w+1], westSrc,
-					rnd[(w-w0)*32:(w-w0)*32+32], t4, t8, p, cmask)
+				row[w] = updateWord(row[w], north[w], south[w], row[w+1], westSrc,
+					spreadEven(a4s[w-w0])<<p, spreadEven(a8s[w-w0])<<p, cmask)
 				westSrc = row[w]
 			}
-			eastSrc := eastWrap
-			if w1 < W {
-				eastSrc = row[w1]
-			}
-			row[last] = siteUpdateWord(row[last], north[last], south[last], eastSrc, westSrc,
-				rnd[(last-w0)*32:(last-w0)*32+32], t4, t8, p, cmask)
+			row[last] = updateWord(row[last], north[last], south[last], eastSrc, westSrc,
+				spreadEven(a4s[last-w0])<<p, spreadEven(a8s[last-w0])<<p, cmask)
 		}
 	}
 }
 
-// siteUpdateWord updates one 64-column word in per-site mode: the 32 active
-// sites consume rnd[0..31] (site with in-word same-colour ordinal j reads
-// rnd[j], which the batched row generation laid out as component j&3 of block
-// j>>2 — exactly the reference's draw).
-func siteUpdateWord(cur, north, south, eastSrc, westSrc uint64, rnd []uint32, t4, t8 uint64, p uint, cmask uint64) uint64 {
+// updateWord applies one colour update to a 64-column word: a site of the
+// active colour (cmask) flips when it has >= 2 disagreeing neighbours, or
+// one and its a4 bit is set, or none and its a8 bit is set.
+func updateWord(cur, north, south, eastSrc, westSrc, a4, a8, cmask uint64) uint64 {
 	east := (cur >> 1) | (eastSrc << 63)
 	west := (cur << 1) | (westSrc >> 63)
 	ge2, one, zero := DisagreeClasses(cur^north, cur^south, cur^east, cur^west)
-	var a4, a8 uint64
-	rnd = rnd[:32]
-	for j := 0; j < 32; j += 4 {
-		pos := uint(2*j) + p
-		a4 |= ((uint64(rnd[j]) - t4) >> 63) << pos
-		a8 |= ((uint64(rnd[j]) - t8) >> 63) << pos
-		a4 |= ((uint64(rnd[j+1]) - t4) >> 63) << (pos + 2)
-		a8 |= ((uint64(rnd[j+1]) - t8) >> 63) << (pos + 2)
-		a4 |= ((uint64(rnd[j+2]) - t4) >> 63) << (pos + 4)
-		a8 |= ((uint64(rnd[j+2]) - t8) >> 63) << (pos + 4)
-		a4 |= ((uint64(rnd[j+3]) - t4) >> 63) << (pos + 6)
-		a8 |= ((uint64(rnd[j+3]) - t8) >> 63) << (pos + 6)
-	}
 	return cur ^ ((ge2 | one&a4 | zero&a8) & cmask)
 }
 
-// sharedUpdateWord updates one 64-column word in shared mode: one random u
-// decides the whole word's class acceptances.
-func sharedUpdateWord(cur, north, south, eastSrc, westSrc, u uint64, t4, t8, cmask uint64) uint64 {
-	east := (cur >> 1) | (eastSrc << 63)
-	west := (cur << 1) | (westSrc >> 63)
-	ge2, one, zero := DisagreeClasses(cur^north, cur^south, cur^east, cur^west)
-	a4 := ^uint64(0) * ((u - t4) >> 63)
-	a8 := ^uint64(0) * ((u - t8) >> 63)
-	return cur ^ ((ge2 | one&a4 | zero&a8) & cmask)
+// spreadEven moves bit j of m to bit 2j (a 5-step Morton spread): the
+// per-site accept mask of rng.AcceptRow, indexed by same-colour ordinal j,
+// onto the word's even columns; the caller shifts it onto the active colour.
+func spreadEven(m uint32) uint64 {
+	x := uint64(m)
+	x = (x | x<<16) & 0x0000FFFF0000FFFF
+	x = (x | x<<8) & 0x00FF00FF00FF00FF
+	x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
+	x = (x | x<<2) & 0x3333333333333333
+	x = (x | x<<1) & 0x5555555555555555
+	return x
+}
+
+// sharedAccept turns shared mode's one random per word into whole-word
+// accept masks.
+func sharedAccept(u uint32, t4, t8 uint64) (a4, a8 uint64) {
+	return ^uint64(0) * ((uint64(u) - t4) >> 63), ^uint64(0) * ((uint64(u) - t8) >> 63)
 }
 
 // UpdateRowRef is the retained naive reference implementation of UpdateRow:

@@ -1,6 +1,7 @@
 package multispin
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -27,34 +28,57 @@ func TestUpdateRowGoldenEquivalence(t *testing.T) {
 		seed := prng.Uint64()
 		temp := 0.5 + 4*prng.Float64()
 		k := NewKernel(temp, seed, shared)
+		checkRowMatchesRef(t, prng, k, fmt.Sprintf("trial %d", trial), W, parity, globalRow, wordOff, step)
+	}
 
-		rowRef := make([]uint64, W)
-		north := make([]uint64, W)
-		south := make([]uint64, W)
-		for i := 0; i < W; i++ {
-			rowRef[i] = prng.Uint64()
-			north[i] = prng.Uint64()
-			south[i] = prng.Uint64()
+	// Threshold edges: T8 = 0 below T≈0.36 and T4 = 1<<32 at very large T
+	// are both reachable from a job spec, and the fused accept compare must
+	// handle every pair of edge values exactly as the reference does.
+	edges := []uint64{0, 1, 1 << 31, 1<<32 - 1, 1 << 32}
+	for _, t4 := range edges {
+		for _, t8 := range edges {
+			for _, shared := range []bool{false, true} {
+				W := 1 + prng.Intn(tileWords*2+3)
+				k := NewKernel(2.0, prng.Uint64(), shared)
+				k.SetThresholds(Thresholds{T4: t4, T8: t8})
+				checkRowMatchesRef(t, prng, k, fmt.Sprintf("edge T4=%#x T8=%#x", t4, t8),
+					W, prng.Intn(2), prng.Intn(1<<20), prng.Intn(1<<20), prng.Uint64())
+			}
 		}
-		westWrap, eastWrap := prng.Uint64(), prng.Uint64()
+	}
+}
 
-		rowOpt := append([]uint64(nil), rowRef...)
-		rowSc := append([]uint64(nil), rowRef...)
+// checkRowMatchesRef updates one random W-word row with k through
+// UpdateRowRef, UpdateRow and UpdateRowScratch and fails unless all three
+// agree word for word.
+func checkRowMatchesRef(t *testing.T, prng *rand.Rand, k Kernel, label string, W, parity, globalRow, wordOff int, step uint64) {
+	t.Helper()
+	rowRef := make([]uint64, W)
+	north := make([]uint64, W)
+	south := make([]uint64, W)
+	for i := 0; i < W; i++ {
+		rowRef[i] = prng.Uint64()
+		north[i] = prng.Uint64()
+		south[i] = prng.Uint64()
+	}
+	westWrap, eastWrap := prng.Uint64(), prng.Uint64()
 
-		k.UpdateRowRef(rowRef, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step)
-		k.UpdateRow(rowOpt, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step)
-		var sc Scratch
-		k.UpdateRowScratch(rowSc, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step, &sc)
+	rowOpt := append([]uint64(nil), rowRef...)
+	rowSc := append([]uint64(nil), rowRef...)
 
-		for i := 0; i < W; i++ {
-			if rowOpt[i] != rowRef[i] {
-				t.Fatalf("trial %d (W=%d shared=%v parity=%d row=%d wordOff=%d step=%d): UpdateRow word %d = %#x, reference %#x",
-					trial, W, shared, parity, globalRow, wordOff, step, i, rowOpt[i], rowRef[i])
-			}
-			if rowSc[i] != rowRef[i] {
-				t.Fatalf("trial %d (W=%d shared=%v parity=%d row=%d wordOff=%d step=%d): UpdateRowScratch word %d = %#x, reference %#x",
-					trial, W, shared, parity, globalRow, wordOff, step, i, rowSc[i], rowRef[i])
-			}
+	k.UpdateRowRef(rowRef, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step)
+	k.UpdateRow(rowOpt, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step)
+	var sc Scratch
+	k.UpdateRowScratch(rowSc, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step, &sc)
+
+	for i := 0; i < W; i++ {
+		if rowOpt[i] != rowRef[i] {
+			t.Fatalf("%s (W=%d shared=%v parity=%d row=%d wordOff=%d step=%d): UpdateRow word %d = %#x, reference %#x",
+				label, W, k.Shared, parity, globalRow, wordOff, step, i, rowOpt[i], rowRef[i])
+		}
+		if rowSc[i] != rowRef[i] {
+			t.Fatalf("%s (W=%d shared=%v parity=%d row=%d wordOff=%d step=%d): UpdateRowScratch word %d = %#x, reference %#x",
+				label, W, k.Shared, parity, globalRow, wordOff, step, i, rowSc[i], rowRef[i])
 		}
 	}
 }

@@ -12,7 +12,10 @@
 // s*nn = 4 - 2d is 1 for d >= 2 and exp(-4*beta), exp(-8*beta) for d = 1, 0.
 // The two non-trivial probabilities are precomputed as 32-bit integer
 // thresholds, so the accept/reject of a site is a single unsigned compare of
-// a Philox random word -- no floating point in the hot loop.
+// a Philox random word -- no floating point in the hot loop. The optimized
+// row kernel does not even see the random words: rng.AcceptRow runs that
+// compare in the registers where each Philox block is generated (AVX2 on
+// amd64 CPUs that have it) and hands back one accept bit per site.
 //
 // Randomness is site-keyed like the rest of the repository: the random for
 // lattice site (r, c) at colour-step t is a pure function of (seed, t, r, c),
@@ -71,7 +74,7 @@ type Engine struct {
 	step              uint64
 	workers           int
 	halo              []uint64       // scratch for the per-band boundary-row snapshots
-	scratches         []Scratch      // per-band random scratch buffers for the batched kernel
+	scratches         []Scratch      // per-band draw scratch buffers for the batched kernel
 	thresholds        ThresholdCache // memoized acceptance pairs for SetTemperature
 }
 
@@ -227,7 +230,7 @@ func (e *Engine) updateColor(parity int, step uint64) {
 		copy(south, e.rowWords(r1%e.rows))
 		plan = append(plan, band{r0: r0, r1: r1, north: north, south: south})
 	}
-	// One persistent random scratch per band: the batched kernel reuses its
+	// One persistent draw scratch per band: the batched kernel reuses its
 	// buffer across rows and sweeps, and bands never share one (they run
 	// concurrently).
 	if len(e.scratches) < len(plan) {

@@ -35,7 +35,7 @@ type Config struct {
 type Engine struct {
 	*Driver
 	kern        multispin.Kernel
-	scratch     []multispin.Scratch // per-shard random scratch for the batched kernel
+	scratch     []multispin.Scratch // per-shard draw scratch for the batched kernel
 	temperature float64
 	thresholds  multispin.ThresholdCache // memoized acceptance pairs for SetTemperature
 }
@@ -70,7 +70,7 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // updateRow is the engine's RowKernel: the shared multispin kernel, keyed by
-// global row and word, with the shard's own random scratch.
+// global row and word, with the shard's own draw scratch.
 func (e *Engine) updateRow(shard int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64) {
 	e.kern.UpdateRowScratch(row, north, south, westWrap, eastWrap,
 		globalRow, colOff/WordBits, parity, step, &e.scratch[shard])

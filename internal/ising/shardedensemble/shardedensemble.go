@@ -75,10 +75,9 @@ type Config struct {
 // ising.BatchBackend and ising.BatchTempered.
 type Engine struct {
 	*sharded.Driver
-	lanes   int
-	kern    *ensemble.Kernel
-	scratch []ensemble.Scratch // per-shard random scratch for the batched kernel
-	seed    uint64
+	lanes int
+	kern  *ensemble.Kernel
+	seed  uint64
 
 	// Observable caches, stamped like ensemble's (^0 = never).
 	magsStep, esStep uint64
@@ -116,7 +115,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.Driver = d
-	e.scratch = make([]ensemble.Scratch, d.NumShards())
 	if cfg.Hot {
 		for l := 0; l < e.lanes; l++ {
 			lat := ising.NewRandomLattice(cfg.Rows, cfg.Cols, rng.New(ising.LaneSeed(cfg.Seed, l)))
@@ -133,7 +131,7 @@ func New(cfg Config) (*Engine, error) {
 // match the standalone ensemble site for site.
 func (e *Engine) updateRow(shard int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64) {
 	e.kern.UpdateRow(row, north, south, westWrap, eastWrap,
-		globalRow, colOff/groupCols, parity, step, &e.scratch[shard])
+		globalRow, colOff/groupCols, parity, step, nil)
 }
 
 // Name identifies the engine ("sharded-ensemble"), the batch engine a

@@ -16,3 +16,11 @@ func blockRowAVX2(dst *uint32, n uint64, ctr Counter, key Key) {
 func blockLanesAVX2(dst *uint32, n uint64, ctr Counter, k0s, k1s *uint32) {
 	panic("rng: AVX2 kernel called on a non-amd64 build")
 }
+
+func acceptRowAVX2(a4, a8 *uint32, n uint64, ctr Counter, key Key, t4, t8 uint64) {
+	panic("rng: AVX2 kernel called on a non-amd64 build")
+}
+
+func acceptLanesAVX2(a4, a8 *[4]uint64, n uint64, ctr Counter, k0s, k1s *uint32, t4s, t8s *uint64) {
+	panic("rng: AVX2 kernel called on a non-amd64 build")
+}

@@ -3,14 +3,20 @@ package rng
 // Batched Philox4x32-10 evaluation. The hot loops of the bit-packed engines
 // consume long runs of blocks whose counters (multispin: one row of sites) or
 // keys (ensemble: one site across all lanes) are known up front. Generating
-// the whole run into a caller-owned scratch buffer amortises the per-block
-// setup, lets four independent round chains overlap in the multiplier
-// pipeline in portable Go, and on amd64 CPUs with AVX2 (see
-// philox_avx2_amd64.s; a CPUID check at start-up picks the path) computes
-// eight blocks per vector iteration. Every path writes exactly the words
-// Block would: the batch layer is an execution strategy, never a stream
-// change, which is what keeps every engine variant bit-identical to the
-// scalar reference.
+// the whole run at once amortises the per-block setup, lets four independent
+// round chains overlap in the multiplier pipeline in portable Go, and on
+// amd64 CPUs with AVX2 (see philox_avx2_amd64.s; a CPUID check at start-up
+// picks the path) computes eight blocks per vector iteration.
+//
+// Two forms share each draw pattern. BlockRow and BlockLanes return the raw
+// stream: they write exactly the words Block would. AcceptRow and
+// AcceptLanes return what a Metropolis row kernel consumes: one accept bit
+// per draw, u < t4 and u < t8, compared in vector registers where the block
+// is generated instead of staged through memory. The portable definition of
+// each accept kernel is its raw kernel followed by the compare, so both
+// forms read one stream, and every path is an execution strategy, never a
+// stream change. That is what keeps every engine variant bit-identical to
+// the scalar reference.
 
 // BlockRow fills dst with n = len(dst)/4 consecutive Philox blocks under one
 // key: dst[4i:4i+4] = Block({ctr[0], ctr[1], ctr[2], ctr[3]+i}, key) for
@@ -136,6 +142,81 @@ func blockLanesGeneric(dst []uint32, ctr Counter, k0s, k1s []uint32, i, n int) {
 	for ; i < n; i++ {
 		b := Block(ctr, Key{k0s[i], k1s[i]})
 		copy(dst[4*i:4*i+4], b[:])
+	}
+}
+
+// AcceptRow draws the per-site randoms of len(a4) consecutive 64-column
+// words (the multispin draw pattern: word w's 32 active sites read the
+// eight blocks at counters ctr[3]+8w .. ctr[3]+8w+7, with the ctr[3]
+// arithmetic of BlockRow) and returns them as accept masks: bit j of a4[w]
+// (a8[w]) is set when random j of word w, component j&3 of block j>>2, is
+// below t4 (t8), so a threshold of 0 accepts nothing and one of 2^32 or
+// more (up to 2^63) accepts everything. len(a8) must equal len(a4).
+func AcceptRow(a4, a8 []uint32, ctr Counter, key Key, t4, t8 uint64) {
+	if len(a4) != len(a8) {
+		panic("rng: AcceptRow needs len(a4) == len(a8)")
+	}
+	if len(a4) == 0 {
+		return
+	}
+	if useAVX2 {
+		acceptRowAVX2(&a4[0], &a8[0], uint64(len(a4)), ctr, key, t4, t8)
+		return
+	}
+	acceptRowGeneric(a4, a8, ctr, key, t4, t8)
+}
+
+// acceptRowGeneric is the portable AcceptRow: blockRowGeneric one word at a
+// time, then the compare.
+func acceptRowGeneric(a4, a8 []uint32, ctr Counter, key Key, t4, t8 uint64) {
+	var blk [32]uint32
+	for w := range a4 {
+		blockRowGeneric(blk[:], Counter{ctr[0], ctr[1], ctr[2], ctr[3] + uint32(8*w)}, key, 0, 8)
+		var m4, m8 uint32
+		for j, u := range blk {
+			m4 |= uint32((uint64(u)-t4)>>63) << uint(j)
+			m8 |= uint32((uint64(u)-t8)>>63) << uint(j)
+		}
+		a4[w], a8[w] = m4, m8
+	}
+}
+
+// AcceptLanes draws one block per lane under a shared counter (the
+// BlockLanes pattern) and returns lane masks: bit l of a4[c] (a8[c]) is set
+// when component c of Block(ctr, Key{k0s[l], k1s[l]}) is below t4s[l]
+// (t8s[l]), with the thresholds of AcceptRow. All four slices must have the
+// same length, at most 64.
+func AcceptLanes(a4, a8 *[4]uint64, ctr Counter, k0s, k1s []uint32, t4s, t8s []uint64) {
+	n := len(k0s)
+	if len(k1s) != n || len(t4s) != n || len(t8s) != n || n > 64 {
+		panic("rng: AcceptLanes needs equal-length key and threshold slices of at most 64 lanes")
+	}
+	*a4, *a8 = [4]uint64{}, [4]uint64{}
+	i := 0
+	if useAVX2 && n >= 8 {
+		m := n &^ 7
+		acceptLanesAVX2(a4, a8, uint64(m), ctr, &k0s[0], &k1s[0], &t4s[0], &t8s[0])
+		i = m
+	}
+	acceptLanesGeneric(a4, a8, ctr, k0s, k1s, t4s, t8s, i, n)
+}
+
+// acceptLanesGeneric is the portable AcceptLanes for lanes [i, n):
+// blockLanesGeneric eight lanes at a time, then the compare, OR'ed into
+// a4/a8.
+func acceptLanesGeneric(a4, a8 *[4]uint64, ctr Counter, k0s, k1s []uint32, t4s, t8s []uint64, i, n int) {
+	var blk [32]uint32
+	for ; i < n; i += 8 {
+		m := min(8, n-i)
+		blockLanesGeneric(blk[:4*m], ctr, k0s[i:i+m], k1s[i:i+m], 0, m)
+		for l := 0; l < m; l++ {
+			t4, t8 := t4s[i+l], t8s[i+l]
+			bit := uint(i + l)
+			for c, u := range blk[4*l : 4*l+4] {
+				a4[c] |= ((uint64(u) - t4) >> 63) << bit
+				a8[c] |= ((uint64(u) - t8) >> 63) << bit
+			}
+		}
 	}
 }
 

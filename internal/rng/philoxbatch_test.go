@@ -151,3 +151,143 @@ func BenchmarkBlockLanes(b *testing.B) {
 		BlockLanes(dst, Counter{0, 0, uint32(i), 0}, k0s, k1s)
 	}
 }
+
+// BenchmarkAcceptRow times the fused multispin draw: 32 words (256 blocks)
+// of accept masks per call, the same Philox work as BenchmarkBlockRow.
+func BenchmarkAcceptRow(b *testing.B) {
+	a4, a8 := make([]uint32, 32), make([]uint32, 32)
+	for i := 0; i < b.N; i++ {
+		AcceptRow(a4, a8, Counter{0, 0, uint32(i), 0}, Key{1, 2}, 1<<31, 1<<29)
+	}
+}
+
+// BenchmarkAcceptLanes times the fused ensemble draw: one four-site group
+// of 64 lanes per call, the same Philox work as BenchmarkBlockLanes.
+func BenchmarkAcceptLanes(b *testing.B) {
+	const lanes = 64
+	k0s, k1s := make([]uint32, lanes), make([]uint32, lanes)
+	t4s, t8s := make([]uint64, lanes), make([]uint64, lanes)
+	for l := range k0s {
+		k0s[l], k1s[l] = uint32(l), uint32(l*7)
+		t4s[l], t8s[l] = 1<<31, 1<<29
+	}
+	var a4, a8 [4]uint64
+	for i := 0; i < b.N; i++ {
+		AcceptLanes(&a4, &a8, Counter{0, 0, uint32(i), 0}, k0s, k1s, t4s, t8s)
+	}
+}
+
+// acceptEdges are the threshold values the accept kernels must get exactly
+// right: nothing, the smallest non-empty set, the sign boundary of the
+// vector compare, everything but the largest draw, everything, and a
+// threshold whose high word is not one.
+var acceptEdges = []uint64{0, 1, 1 << 31, 1<<32 - 1, 1 << 32, 1<<33 + 5}
+
+// TestAcceptRowMatchesBlock: AcceptRow is Block at consecutive counters
+// followed by u < t, for the edge thresholds, for thresholds equal to a
+// drawn value and one above it (the compare's exact boundary), for every
+// row length from one word to two vector-unfriendly tails, and across a
+// ctr[3] wrap.
+func TestAcceptRowMatchesBlock(t *testing.T) {
+	forEachDispatch(t, testAcceptRowMatchesBlock)
+}
+
+func testAcceptRowMatchesBlock(t *testing.T) {
+	key := Key{0xDEADBEEF, 0x1BD11BDA}
+	for _, ctr := range []Counter{
+		{0, 0, 0, 0},
+		{1, 2, 3, 4},
+		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFE0}, // c3 wraps after four words
+	} {
+		for _, words := range []int{1, 2, 3, 7, 8, 9, 64} {
+			drawn := uint64(Block(Counter{ctr[0], ctr[1], ctr[2], ctr[3] + 5}, key)[2])
+			ths := append(append([]uint64(nil), acceptEdges...), drawn, drawn+1)
+			for _, t4 := range ths {
+				for _, t8 := range ths {
+					a4 := make([]uint32, words)
+					a8 := make([]uint32, words)
+					AcceptRow(a4, a8, ctr, key, t4, t8)
+					for w := 0; w < words; w++ {
+						var want4, want8 uint32
+						for j := 0; j < 32; j++ {
+							u := uint64(Block(Counter{ctr[0], ctr[1], ctr[2], ctr[3] + uint32(8*w+j>>2)}, key)[j&3])
+							if u < t4 {
+								want4 |= 1 << j
+							}
+							if u < t8 {
+								want8 |= 1 << j
+							}
+						}
+						if a4[w] != want4 || a8[w] != want8 {
+							t.Fatalf("AcceptRow ctr=%v words=%d t4=%#x t8=%#x word %d: got (%#x, %#x) want (%#x, %#x)",
+								ctr, words, t4, t8, w, a4[w], a8[w], want4, want8)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAcceptLanesMatchesBlock: AcceptLanes is Block under per-lane keys
+// followed by u < t with per-lane thresholds, for every lane count 1..64
+// (vector body, portable tail and both together), with each lane's pair
+// drawn from the edge thresholds and from its own draws.
+func TestAcceptLanesMatchesBlock(t *testing.T) {
+	forEachDispatch(t, testAcceptLanesMatchesBlock)
+}
+
+func testAcceptLanesMatchesBlock(t *testing.T) {
+	for _, ctr := range []Counter{{101, 102, 103, 104}, {0, 0xFFFFFFFF, 7, 0xFFFFFFFF}} {
+		for lanes := 1; lanes <= 64; lanes++ {
+			k0s := make([]uint32, lanes)
+			k1s := make([]uint32, lanes)
+			blks := make([][4]uint32, lanes)
+			for l := range k0s {
+				k0s[l] = uint32(l)*0x9E3779B9 + 1
+				k1s[l] = uint32(l)*0xBB67AE85 + 2
+				blks[l] = Block(ctr, Key{k0s[l], k1s[l]})
+			}
+			// Shift the lane-to-threshold assignment so every lane meets
+			// every case, including a threshold one above its own draw.
+			for shift := 0; shift < len(acceptEdges)+2; shift++ {
+				t4s := make([]uint64, lanes)
+				t8s := make([]uint64, lanes)
+				for l := range t4s {
+					t4s[l] = laneThreshold(blks[l], l+shift)
+					t8s[l] = laneThreshold(blks[l], 3*l+shift+1)
+				}
+				var a4, a8 [4]uint64
+				AcceptLanes(&a4, &a8, ctr, k0s, k1s, t4s, t8s)
+				var want4, want8 [4]uint64
+				for l, b := range blks {
+					for c, u := range b {
+						if uint64(u) < t4s[l] {
+							want4[c] |= 1 << l
+						}
+						if uint64(u) < t8s[l] {
+							want8[c] |= 1 << l
+						}
+					}
+				}
+				if a4 != want4 || a8 != want8 {
+					t.Fatalf("AcceptLanes ctr=%v lanes=%d shift=%d: got (%#x, %#x) want (%#x, %#x)",
+						ctr, lanes, shift, a4, a8, want4, want8)
+				}
+			}
+		}
+	}
+}
+
+// laneThreshold picks case i of a lane: one of the edge thresholds, the
+// lane's component-1 draw itself, or one above it.
+func laneThreshold(b [4]uint32, i int) uint64 {
+	switch i %= len(acceptEdges) + 2; i {
+	case len(acceptEdges):
+		return uint64(b[1])
+	case len(acceptEdges) + 1:
+		return uint64(b[1]) + 1
+	default:
+		return acceptEdges[i]
+	}
+}

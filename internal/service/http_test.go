@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -342,6 +343,60 @@ func TestHTTPMetrics(t *testing.T) {
 	stats := srv.Stats()
 	if !strings.Contains(text, fmt.Sprintf("isingd_sweeps_run_total %d", stats.SweepsRun)) {
 		t.Fatalf("metrics disagree with stats (sweeps_run %d):\n%s", stats.SweepsRun, text)
+	}
+}
+
+// TestTerminalCountersVisibleAtDone: a client that waits on a job's Done
+// channel and then reads the counters must find the job counted and its run
+// observed, for a completed and for a failed run. The server's clock stalls
+// every read made after the watched job's Done has closed, so a count or
+// observation made after the close (the order that once made
+// TestHTTPMetricsHistograms read isingd_run_seconds_count 0 about once in a
+// few hundred runs) is missed every time instead of rarely.
+func TestTerminalCountersVisibleAtDone(t *testing.T) {
+	var watched atomic.Pointer[Job]
+	stallAfterDone := func() time.Time {
+		if j := watched.Load(); j != nil {
+			select {
+			case <-j.Done():
+				time.Sleep(200 * time.Millisecond)
+			default:
+			}
+		}
+		return time.Now()
+	}
+	fs := &faultFS{}
+	srv, _ := New(Config{Workers: 1, Now: stallAfterDone, CheckpointDir: t.TempDir(), CheckpointFS: fs})
+	defer srv.Close()
+	srv.testHookRun = func(j *Job) {
+		watched.Store(j)
+		if j.Spec().Seed == 2 {
+			fs.failWrite.Store(true) // the run fails at its first periodic checkpoint
+		}
+	}
+	for _, c := range []struct {
+		spec                 JobSpec
+		state                JobState
+		completed, failed, n int64
+	}{
+		{tinySpec(1), StateDone, 1, 0, 1},
+		{JobSpec{Backend: "checkerboard", Rows: 8, Sweeps: 300, Seed: 2, CheckpointInterval: 64}, StateFailed, 1, 1, 2},
+	} {
+		j, err := srv.Submit(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		// Read the counters directly: Stats would itself stall on the clock.
+		completed, failed, runs := srv.jobsCompleted.Load(), srv.jobsFailed.Load(), srv.runH.Count()
+		watched.Store(nil)
+		if got := j.Status().State; got != c.state {
+			t.Fatalf("job %s finished %s, want %s", j.ID(), got, c.state)
+		}
+		if completed != c.completed || failed != c.failed || runs != c.n {
+			t.Fatalf("after job %s closed Done: jobs_completed=%d jobs_failed=%d run_seconds_count=%d, want %d %d %d",
+				j.ID(), completed, failed, runs, c.completed, c.failed, c.n)
+		}
 	}
 }
 

@@ -174,6 +174,15 @@ func (j *Job) notifyStream() {
 // transitions close done exactly once and wake stream watchers so open
 // streams end promptly.
 func (j *Job) setState(state JobState, err error) bool {
+	return j.setStateThen(state, err, nil)
+}
+
+// setStateThen is setState with a terminal hook: when this call moves the
+// job to a terminal state, onTerminal (if not nil) runs with the run-start
+// stamp under the job lock, before Done closes and before any status read
+// can see the new state. Server counters bumped there are therefore visible
+// to every client that has seen the job finish.
+func (j *Job) setStateThen(state JobState, err error, onTerminal func(runStarted time.Time)) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.terminal() {
@@ -188,16 +197,14 @@ func (j *Job) setState(state JobState, err error) bool {
 		j.addEventLocked(ev, 0)
 	}
 	if state.terminal() {
-		j.finishedAt = j.now()
-		j.notifyStream()
-		close(j.done)
+		j.closeLocked(onTerminal)
 	}
 	return true
 }
 
 // finish marks the job done with its result, reporting whether it was still
-// live to finish.
-func (j *Job) finish(result *encode.Result, cached bool) bool {
+// live to finish. onTerminal runs as in setStateThen.
+func (j *Job) finish(result *encode.Result, cached bool, onTerminal func(runStarted time.Time)) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.terminal() {
@@ -207,18 +214,19 @@ func (j *Job) finish(result *encode.Result, cached bool) bool {
 	j.result = result
 	j.cached = cached
 	j.addEventLocked(EventCompleted, 0)
-	j.finishedAt = j.now()
-	j.notifyStream()
-	close(j.done)
+	j.closeLocked(onTerminal)
 	return true
 }
 
-// runStarted returns the StateRunning transition stamp (zero for a job that
-// never reached a worker).
-func (j *Job) runStarted() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.runStartedAt
+// closeLocked stamps the terminal transition, runs its hook and only then
+// wakes the stream watchers and closes Done.
+func (j *Job) closeLocked(onTerminal func(runStarted time.Time)) {
+	j.finishedAt = j.now()
+	if onTerminal != nil {
+		onTerminal(j.runStartedAt)
+	}
+	j.notifyStream()
+	close(j.done)
 }
 
 // setSweepsDone publishes progress. It does not wake stream watchers: a

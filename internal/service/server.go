@@ -440,7 +440,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.mu.Unlock()
 		s.jobsSubmitted.Add(1)
 		s.jobsCached.Add(1)
-		j.finish(cached, true)
+		j.finish(cached, true, nil)
 		s.jobLogger(j).Debug("cache hit")
 		s.pruneJobs()
 		return j, nil
@@ -663,8 +663,7 @@ func (s *Server) Cancel(id string) (*Job, error) {
 	}
 	j.cancel(errCanceled)
 	s.dequeue(j)
-	if j.setState(StateCanceled, errCanceled) {
-		s.jobsCanceled.Add(1)
+	if j.setStateThen(StateCanceled, errCanceled, countOnly(&s.jobsCanceled)) {
 		s.removeCheckpoint(j)
 		s.jobLogger(j).Info("job canceled")
 		s.pruneJobs()
@@ -870,25 +869,31 @@ func (s *Server) run(j *Job) {
 	s.runSingle(j)
 }
 
-// observeRun folds the job's worker occupancy into the run-duration
-// histogram (a job that never reached a worker observes nothing) and returns
-// it for the log line.
-func (s *Server) observeRun(j *Job) time.Duration {
-	started := j.runStarted()
-	if started.IsZero() {
-		return 0
+// countRun returns the terminal hook of a finished run: it bumps counter and
+// folds the job's worker occupancy into the run-duration histogram (a job
+// that never reached a worker observes nothing), storing it in *d for the
+// log line. The job runs the hook before it closes Done (see
+// Job.setStateThen), so a client that waited on Done scrapes both.
+func (s *Server) countRun(counter *atomic.Int64, d *time.Duration) func(runStarted time.Time) {
+	return func(started time.Time) {
+		counter.Add(1)
+		if !started.IsZero() {
+			*d = s.now().Sub(started)
+			s.runH.Observe(*d)
+		}
 	}
-	d := s.now().Sub(started)
-	s.runH.Observe(d)
-	return d
+}
+
+// countOnly returns a terminal hook that only bumps counter.
+func countOnly(counter *atomic.Int64) func(time.Time) {
+	return func(time.Time) { counter.Add(1) }
 }
 
 // fail marks the job failed.
 func (s *Server) fail(j *Job, err error) {
 	s.removeCheckpoint(j)
-	if j.setState(StateFailed, err) {
-		s.jobsFailed.Add(1)
-		d := s.observeRun(j)
+	var d time.Duration
+	if j.setStateThen(StateFailed, err, s.countRun(&s.jobsFailed, &d)) {
 		s.jobLogger(j).Warn("job failed", "error", err, "run_ms", float64(d)/float64(time.Millisecond))
 	}
 	s.pruneJobs()
@@ -900,9 +905,8 @@ func (s *Server) fail(j *Job, err error) {
 func (s *Server) complete(j *Job, r *encode.Result) {
 	s.storeResult(j.key, r)
 	s.removeCheckpoint(j)
-	if j.finish(r, false) {
-		s.jobsCompleted.Add(1)
-		d := s.observeRun(j)
+	var d time.Duration
+	if j.finish(r, false, s.countRun(&s.jobsCompleted, &d)) {
 		s.jobLogger(j).Info("job completed", "run_ms", float64(d)/float64(time.Millisecond),
 			"sweeps", j.spec.totalSweeps())
 	}
@@ -929,17 +933,13 @@ func (s *Server) interrupted(j *Job, snapper ising.Snapshotter, canCkpt bool, do
 			j.setState(StateQueued, nil)
 			return
 		}
-		if j.setState(StateCanceled, errClosing) {
-			s.jobsCanceled.Add(1)
-		}
+		j.setStateThen(StateCanceled, errClosing, countOnly(&s.jobsCanceled))
 		return
 	}
 	// Client cancel: Cancel already set the state; make sure no checkpoint
 	// survives (the worker may have written one after Cancel removed it).
 	s.removeCheckpoint(j)
-	if j.setState(StateCanceled, errCanceled) {
-		s.jobsCanceled.Add(1)
-	}
+	j.setStateThen(StateCanceled, errCanceled, countOnly(&s.jobsCanceled))
 }
 
 // backendConfig maps a job spec onto the registry's engine configuration.
