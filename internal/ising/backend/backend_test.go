@@ -10,7 +10,6 @@ import (
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/backend"
 	"tpuising/internal/ising/gpusim"
-	"tpuising/internal/ising/multispin"
 	"tpuising/internal/sweep"
 )
 
@@ -141,40 +140,73 @@ func latticeHash(l *ising.Lattice) uint64 {
 	return h.Sum64()
 }
 
-// TestDeterminismGolden: a fixed seed and config must give an identical final
-// lattice across repeated runs and across GOMAXPROCS values, for both the
-// multispin engine and the ParallelSweep baseline (both are site-keyed, so
-// scheduling must not leak into the physics).
+// TestDeterminismGolden pins the chains themselves: a fixed seed and config
+// must reproduce a fixed final-configuration hash on every host route a
+// refactor of the engines could move — single chains (cold, hot with a
+// band-splitting worker count, shared-random), a 2x2 pod grid, and
+// lane-packed batches of 64 and 8 lanes — at every GOMAXPROCS value. The
+// hashes are the engines' packed-word FNV-1a hashes, so a pinned value also
+// pins the snapshot spin bytes a checkpoint stores. The ParallelSweep
+// baseline is checked for GOMAXPROCS independence only.
 func TestDeterminismGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const sweeps = 20
-	run := func(name string) uint64 {
-		switch name {
-		case "multispin":
-			e, err := multispin.New(multispin.Config{Rows: 64, Cols: 128, Temperature: 2.3, Seed: 11})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Run(sweeps)
-			return e.Hash()
-		case "gpusim":
-			s := gpusim.NewSampler(ising.NewLattice(64, 128), 2.3, 11, 0)
-			s.Run(sweeps)
-			return latticeHash(s.Lattice)
-		}
-		panic("unknown engine")
-	}
-	for _, name := range []string{"multispin", "gpusim"} {
-		var want uint64
-		first := true
+	type hasher interface{ Hash() uint64 }
+	base := backend.Config{Rows: 64, Cols: 128, Temperature: 2.3, Seed: 11}
+	with := func(f func(*backend.Config)) backend.Config { c := base; f(&c); return c }
+	pod := with(func(c *backend.Config) { c.GridR, c.GridC, c.Hot = 2, 2, true })
+	for _, tc := range []struct {
+		label, name string
+		cfg         backend.Config
+		lanes       int // 0 = one chain
+		want        uint64
+	}{
+		{"multispin cold", "multispin", base, 0, 0x82f9ddbefd71bf73},
+		{"multispin hot, 3 workers", "multispin", with(func(c *backend.Config) { c.Hot, c.Workers = true, 3 }), 0, 0x9186f7c96dc3a9bd},
+		{"multispin-shared", "multispin-shared", with(func(c *backend.Config) { c.Hot = true }), 0, 0xdfff081bf36f615f},
+		{"sharded 2x2", "sharded", pod, 0, 0x9186f7c96dc3a9bd},
+		{"multispin batch, 64 lanes", "multispin", with(func(c *backend.Config) { c.Hot = true }), 64, 0xc12a749636ee720a},
+		{"multispin batch, 8 lanes", "multispin", base, 8, 0x9920243d8915802d},
+		{"sharded 2x2 batch, 64 lanes", "sharded", pod, 64, 0xc12a749636ee720a},
+	} {
 		for _, procs := range []int{1, 2, 4, 4} { // repeated value = repeated run
 			runtime.GOMAXPROCS(procs)
-			h := run(name)
-			if first {
-				want, first = h, false
-			} else if h != want {
-				t.Fatalf("%s: GOMAXPROCS=%d produced hash %x, want %x", name, procs, h, want)
+			var eng interface {
+				Sweep()
+				Step() uint64
 			}
+			var err error
+			if tc.lanes == 0 {
+				eng, err = backend.New(tc.name, tc.cfg)
+			} else {
+				eng, err = backend.NewBatch(tc.name, tc.cfg, tc.lanes)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tc.label, err)
+			}
+			for i := 0; i < sweeps; i++ {
+				eng.Sweep()
+			}
+			h, ok := eng.(hasher)
+			if !ok {
+				t.Fatalf("%s: engine %T has no Hash", tc.label, eng)
+			}
+			if got := h.Hash(); got != tc.want || eng.Step() != 2*sweeps {
+				t.Fatalf("%s: GOMAXPROCS=%d produced hash %#x at step %d, want %#x at step %d",
+					tc.label, procs, got, eng.Step(), tc.want, 2*sweeps)
+			}
+		}
+	}
+
+	var want uint64
+	for i, procs := range []int{1, 2, 4, 4} {
+		runtime.GOMAXPROCS(procs)
+		s := gpusim.NewSampler(ising.NewLattice(64, 128), 2.3, 11, 0)
+		s.Run(sweeps)
+		if h := latticeHash(s.Lattice); i == 0 {
+			want = h
+		} else if h != want {
+			t.Fatalf("gpusim: GOMAXPROCS=%d produced hash %x, want %x", procs, h, want)
 		}
 	}
 }
