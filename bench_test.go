@@ -15,7 +15,6 @@ import (
 	"tpuising/internal/harness"
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/backend"
-	"tpuising/internal/ising/ensemble"
 	"tpuising/internal/ising/tpu"
 	"tpuising/internal/perf"
 	"tpuising/internal/sweep"
@@ -290,17 +289,18 @@ func BenchmarkShardedBatch8_2x2_256(b *testing.B) {
 	timeSweeps(b, size*size*lanes, batch.Sweep)
 }
 
-// BenchmarkEnsemble64_256 times whole-ensemble sweeps of the lane-packed
-// engine (internal/ising/ensemble): 64 independent chains, each
-// bit-identical to a standalone multispin chain, advance per Sweep, so
-// host_flips/ns is the aggregate over all lanes.
+// BenchmarkEnsemble64_256 times whole-ensemble sweeps of a 64-lane multispin
+// batch, which runs lane-packed on one shard (the "ensemble" engine): 64
+// independent chains, each bit-identical to a standalone multispin chain,
+// advance per Sweep, so host_flips/ns is the aggregate over all lanes.
 func BenchmarkEnsemble64_256(b *testing.B) {
 	const size, lanes = 256, 64
-	e, err := ensemble.New(ensemble.Config{
-		Rows: size, Cols: size, Lanes: lanes, Temperature: 2.5, Seed: 1,
-	})
+	e, err := backend.NewBatch("multispin", hostConfig(size), lanes)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if e.Name() != "ensemble" {
+		b.Fatalf("64-lane multispin batch runs on %q, want the lane-packed ensemble", e.Name())
 	}
 	timeSweeps(b, size*size*lanes, e.Sweep)
 }

@@ -238,9 +238,9 @@ func runBackend(name string, rows, cols, gridR, gridC int, temp float64, seed ui
 }
 
 // runReplicas runs the batched-ensemble mode: B independent chains of the
-// selected backend at one temperature behind ising.BatchBackend — one
-// lane-packed internal/ising/ensemble engine for multispin, one lane-packed
-// internal/ising/shardedensemble pod for 64 sharded lanes, the generic
+// selected backend at one temperature behind ising.BatchBackend — the
+// lane-packed internal/ising/shardedensemble engine on one shard for
+// multispin ("ensemble"), on sharded's grid for 64 sharded lanes, the generic
 // lane-parallel adapter for every other batch (backend.NewBatch picks).
 // Lane L is seeded ising.LaneSeed(seed, L), so its chain is exactly the
 // single-chain run `-backend <name> -seed <laneseed>` would produce; the
@@ -334,7 +334,7 @@ func parseTemper(s string) (replicas int, tmin, tmax float64, err error) {
 
 // runTemper runs the replica-exchange mode: a ladder of `replicas` evenly
 // spaced temperatures in [tmin, tmax], one rung per lane of a batched
-// backend (backend.NewBatchLadder — the lane-packed ensemble engine for
+// backend (backend.NewBatchLadder — the one-shard lane-packed engine for
 // multispin, the lane-packed pod for a 64-rung sharded ladder, the
 // lane-parallel adapter otherwise), coupled by Metropolis
 // swaps every swapInterval sweeps (internal/tempering). Batched execution is

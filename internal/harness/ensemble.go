@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"tpuising/internal/ising"
-	"tpuising/internal/ising/ensemble"
+	"tpuising/internal/ising/backend"
 )
 
 // EnsembleOnsager runs the physics validation of the lane-packed engine: at
@@ -26,13 +26,15 @@ func EnsembleOnsager(size, lanes, burnIn, samples int, seed uint64) *Table {
 	}
 	tc := ising.CriticalTemperature()
 	for _, temp := range []float64{1.8, 2.0, 2.1} {
-		e, err := ensemble.New(ensemble.Config{
-			Rows: size, Cols: size, Lanes: lanes, Temperature: temp, Seed: seed,
-		})
+		e, err := backend.NewBatch("multispin", backend.Config{
+			Rows: size, Cols: size, Temperature: temp, Seed: seed,
+		}, lanes)
 		if err != nil {
 			panic(fmt.Sprintf("harness: %v", err))
 		}
-		e.Run(burnIn)
+		for s := 0; s < burnIn; s++ {
+			e.Sweep()
+		}
 		var absSum, eSum float64
 		for s := 0; s < samples; s++ {
 			e.Sweep()

@@ -107,16 +107,22 @@ func (m *Mesh) ShiftPairs(dx, dy int) [][2]int {
 	return pairs
 }
 
+// MaxHops returns the largest hop count among the source->destination pairs
+// of one collective permute: the distance its slowest transfer travels.
+func (m *Mesh) MaxHops(pairs [][2]int) int {
+	maxHops := 0
+	for _, p := range pairs {
+		maxHops = max(maxHops, m.Hops(p[0], p[1]))
+	}
+	return maxHops
+}
+
 // PermuteCost returns the modelled wall time and the maximum hop count of one
 // CollectivePermute in which every core exchanges `bytes` bytes according to
 // pairs. All cores block until the slowest transfer completes, so the cost is
 // the maximum over the pairs plus the synchronisation overhead.
 func (m *Mesh) PermuteCost(pairs [][2]int, bytes int64) (seconds float64, maxHops int) {
-	for _, p := range pairs {
-		if h := m.Hops(p[0], p[1]); h > maxHops {
-			maxHops = h
-		}
-	}
+	maxHops = m.MaxHops(pairs)
 	l := m.Link
 	seconds = l.SyncLatencySec +
 		l.SyncPerSqrtCoreSec*sqrtf(float64(m.NumCores())) +

@@ -105,6 +105,23 @@ func TestPermuteCostModel(t *testing.T) {
 	}
 }
 
+// TestMaxHops: the hop count of a collective is its farthest pair's torus
+// distance, wrap-around included, and agrees with PermuteCost's.
+func TestMaxHops(t *testing.T) {
+	m := NewMesh(8, 4)
+	for _, tc := range []struct{ dx, dy, want int }{
+		{0, 0, 0}, {1, 0, 1}, {3, 0, 3}, {7, 0, 1}, {-2, 0, 2}, {0, 2, 2}, {0, 3, 1}, {4, 2, 6},
+	} {
+		pairs := m.ShiftPairs(tc.dx, tc.dy)
+		if got := m.MaxHops(pairs); got != tc.want {
+			t.Errorf("shift (%d,%d): MaxHops = %d, want %d", tc.dx, tc.dy, got, tc.want)
+		}
+		if _, hops := m.PermuteCost(pairs, 64); hops != tc.want {
+			t.Errorf("shift (%d,%d): PermuteCost hops = %d, want %d", tc.dx, tc.dy, hops, tc.want)
+		}
+	}
+}
+
 func TestFabricCollectivePermuteRing(t *testing.T) {
 	// Reproduce Figure 5: three cores in a ring exchange their boundaries.
 	m := NewMesh(3, 1)

@@ -2,10 +2,14 @@
 // the ising.Backend interface: the serial checkerboard reference, the
 // GPU-style parallel CPU baseline, the bit-packed multispin engine, its
 // mesh-sharded pod decomposition (sharded) and the simulated-TPU simulator.
-// NewBatch serves the batch axis: a multispin batch runs on the lane-packed
-// ensemble engine, a full 64-lane sharded batch on the lane-packed pod engine
-// (internal/ising/shardedensemble; the name "sharded-ensemble" is an alias
-// of sharded), every other batch on the generic adapter. The CLI's -backend
+// The bit-packed engines are one program on the pod Driver
+// (internal/ising/sharded): multispin and multispin-shared are its one-shard
+// grid, the single core, and sharded any grid. NewBatch serves the batch
+// axis: a multispin batch runs as the lane-packed pod engine
+// (internal/ising/shardedensemble) on one shard, reporting "ensemble", a
+// full 64-lane sharded batch as the same engine on sharded's grid (the name
+// "sharded-ensemble" is an alias of sharded), every other batch on the
+// generic adapter. The CLI's -backend
 // flag, the service, the tempering ladder and the repository benchmarks all
 // go through this package, so adding an engine here makes it available
 // everywhere at once.
@@ -18,9 +22,7 @@ import (
 
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/checkerboard"
-	"tpuising/internal/ising/ensemble"
 	"tpuising/internal/ising/gpusim"
-	"tpuising/internal/ising/multispin"
 	"tpuising/internal/ising/sharded"
 	"tpuising/internal/ising/shardedensemble"
 	"tpuising/internal/ising/tpu"
@@ -74,8 +76,8 @@ var aliases = map[string]string{
 	"cpu":      "checkerboard",
 	"parallel": "gpusim",
 	"gpu":      "gpusim",
-	// The lane-packed pod engine is sharded's batch form, the way the
-	// ensemble engine is multispin's: NewBatch picks it for sharded batches.
+	// The lane-packed pod engine is the batch form of both sharded and
+	// multispin: NewBatch picks it for 64-lane sharded batches.
 	"sharded-ensemble": "sharded",
 }
 
@@ -125,12 +127,11 @@ func New(name string, cfg Config) (ising.Backend, error) {
 // named engine, all at cfg.Temperature, with lane L seeded
 // ising.LaneSeed(cfg.Seed, L). When the engine is the per-site multispin
 // kernel (and the config fits its constraints), the lanes come back as one
-// lane-packed internal/ising/ensemble engine — bit-identical chains, one
-// word pass per site for all of them; a full 64-lane sharded batch likewise
-// comes back as one lane-packed internal/ising/shardedensemble pod. Every
-// other registered
-// engine is lifted through the generic adapter, so the batch axis works for
-// the whole registry. Batching is an execution strategy, never a physics
+// one-shard lane-packed internal/ising/shardedensemble engine named
+// "ensemble" — bit-identical chains, one word pass per site for all of them;
+// a full 64-lane sharded batch likewise comes back as one lane-packed pod on
+// sharded's grid. Every other registered engine is lifted through the
+// generic adapter, so the batch axis works for the whole registry. Batching is an execution strategy, never a physics
 // change: lane L's chain is the same chain either way.
 func NewBatch(name string, cfg Config, lanes int) (ising.BatchBackend, error) {
 	if lanes < 1 {
@@ -156,16 +157,15 @@ func NewBatchLadder(name string, cfg Config, temps []float64) (ising.BatchBacken
 		return nil, fmt.Errorf("backend: batch needs at least 1 lane temperature")
 	}
 	if packedBatchEligible(n, cfg, len(temps)) {
-		return ensemble.New(ensemble.Config{
-			Rows: cfg.Rows, Cols: cfg.Cols, Lanes: len(temps),
-			Temperatures: temps, Seed: cfg.Seed,
-			Workers: cfg.Workers, Hot: cfg.Hot,
+		return shardedensemble.New(shardedensemble.Config{
+			Name: "ensemble", Rows: cfg.Rows, Cols: cfg.Cols, Lanes: len(temps),
+			Temperatures: temps, Seed: cfg.Seed, Workers: cfg.Workers, Hot: cfg.Hot,
 		})
 	}
 	if shardedBatchEligible(n, cfg, len(temps)) {
 		return shardedensemble.New(shardedensemble.Config{
 			Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
-			Lanes: len(temps), Temperatures: temps, Seed: cfg.Seed, Hot: cfg.Hot,
+			Lanes: len(temps), Temperatures: temps, Seed: cfg.Seed, Workers: cfg.Workers, Hot: cfg.Hot,
 		})
 	}
 	backends := make([]ising.Backend, len(temps))
@@ -181,14 +181,14 @@ func NewBatchLadder(name string, cfg Config, temps []float64) (ising.BatchBacken
 }
 
 // packedBatchEligible reports whether a batch of the named engine can run on
-// the lane-packed ensemble engine: per-site multispin chains (the packed
+// the one-shard lane-packed engine: per-site multispin chains (the packed
 // lanes are bit-identical to those), a lattice satisfying the multispin
 // constraints, at most 64 lanes, and no shard grid.
 func packedBatchEligible(name string, cfg Config, lanes int) bool {
 	return name == "multispin" &&
-		lanes <= ensemble.MaxLanes &&
+		lanes <= shardedensemble.MaxLanes &&
 		cfg.Rows >= 2 && cfg.Rows%2 == 0 &&
-		cfg.Cols > 0 && cfg.Cols%multispin.WordBits == 0 &&
+		cfg.Cols > 0 && cfg.Cols%sharded.WordBits == 0 &&
 		cfg.GridR <= 1 && cfg.GridC <= 1
 }
 
@@ -234,24 +234,22 @@ func newGPUSim(cfg Config) (ising.Backend, error) {
 	return gpusim.NewSampler(hostLattice(cfg), temperature(cfg), cfg.Seed, cfg.Workers), nil
 }
 
+// newMultispin builds the multispin backends: the pod engine's one-shard
+// grid, the single core, named "multispin".
 func newMultispin(shared bool) func(Config) (ising.Backend, error) {
 	return func(cfg Config) (ising.Backend, error) {
-		mc := multispin.Config{
-			Rows: cfg.Rows, Cols: cfg.Cols, Temperature: cfg.Temperature,
-			Seed: cfg.Seed, SharedRandom: shared, Workers: cfg.Workers,
-		}
-		if cfg.Hot {
-			mc.Initial = hostLattice(cfg)
-		}
-		return multispin.New(mc)
+		return newPodChain(sharded.Config{Name: "multispin", SharedRandom: shared}, cfg)
 	}
 }
 
 func newSharded(cfg Config) (ising.Backend, error) {
-	sc := sharded.Config{
-		Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
-		Temperature: cfg.Temperature, Seed: cfg.Seed,
-	}
+	return newPodChain(sharded.Config{GridR: cfg.GridR, GridC: cfg.GridC}, cfg)
+}
+
+// newPodChain completes a sharded.Config from the registry config.
+func newPodChain(sc sharded.Config, cfg Config) (ising.Backend, error) {
+	sc.Rows, sc.Cols = cfg.Rows, cfg.Cols
+	sc.Temperature, sc.Seed, sc.Workers = cfg.Temperature, cfg.Seed, cfg.Workers
 	if cfg.Hot {
 		sc.Initial = hostLattice(cfg)
 	}

@@ -1,27 +1,49 @@
-package ensemble
+package ensemble_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"tpuising/internal/ising"
+	"tpuising/internal/ising/ensemble"
 	"tpuising/internal/ising/multispin"
+	"tpuising/internal/ising/sharded"
+	"tpuising/internal/ising/shardedensemble"
 	"tpuising/internal/rng"
 )
 
+// The multispin backend's batches run the kernel as the lane-packed pod
+// engine on one shard; these tests drive that engine, built the way the
+// registry builds it, against standalone multispin chains.
+
+// Config is the engine configuration.
+type Config = shardedensemble.Config
+
+// Engine is the engine the multispin backend's batches run on.
+type Engine = shardedensemble.Engine
+
+// New builds the engine the registry serves as "ensemble".
+func New(cfg Config) (*Engine, error) {
+	cfg.Name = "ensemble"
+	return shardedensemble.New(cfg)
+}
+
 // newStandalone builds the multispin chain lane L of an ensemble must match:
 // same lattice, lane-derived seed, per-site randoms.
-func newStandalone(t *testing.T, rows, cols int, temp float64, seed uint64, lane int, hot bool) *multispin.Engine {
+func newStandalone(t *testing.T, rows, cols int, temp float64, seed uint64, lane int, hot bool) *sharded.Engine {
 	t.Helper()
-	cfg := multispin.Config{
-		Rows: rows, Cols: cols, Temperature: temp,
+	cfg := sharded.Config{
+		Name: "multispin", Rows: rows, Cols: cols, Temperature: temp,
 		Seed: ising.LaneSeed(seed, lane),
 	}
 	if hot {
 		cfg.Initial = ising.NewRandomLattice(rows, cols, rng.New(ising.LaneSeed(seed, lane)))
 	}
-	ms, err := multispin.New(cfg)
+	ms, err := sharded.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +52,7 @@ func newStandalone(t *testing.T, rows, cols int, temp float64, seed uint64, lane
 
 // assertLaneEqual compares one lane of the ensemble against a standalone
 // multispin chain: spins, magnetisation and energy must be identical.
-func assertLaneEqual(t *testing.T, e *Engine, lane int, ms *multispin.Engine, label string) {
+func assertLaneEqual(t *testing.T, e *Engine, lane int, ms *sharded.Engine, label string) {
 	t.Helper()
 	lat := e.LaneLattice(lane)
 	ref := ms.Lattice()
@@ -208,7 +230,7 @@ func TestConfigErrors(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := NewKernel(1, []float64{2.0}, true); err == nil {
+	if _, err := ensemble.NewKernel(1, []float64{2.0}, true); err == nil {
 		t.Error("NewKernel accepted the removed class-shared random mode")
 	}
 }
@@ -233,5 +255,154 @@ func TestObservableCache(t *testing.T) {
 	}
 	if m := e.Magnetizations()[0]; m != 1 {
 		t.Fatalf("lane 0 loaded all-up, magnetisation %v", m)
+	}
+}
+
+// reference replays an ensemble's colour updates row by row through the
+// kernel on a plain copy of its words, as a whole-lattice torus with the
+// row's own end words as wraps.
+type reference struct {
+	kern       *ensemble.Kernel
+	rows, cols int
+	words      []uint64
+	step       uint64
+}
+
+// newReference copies the initial state of an engine built from cfg and
+// derives the same kernel.
+func newReference(t *testing.T, cfg Config) *reference {
+	t.Helper()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	temps := cfg.Temperatures
+	if len(temps) == 0 {
+		temps = make([]float64, cfg.Lanes)
+		for i := range temps {
+			temps[i] = cfg.Temperature
+		}
+	}
+	k, err := ensemble.NewKernel(cfg.Seed, temps, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &reference{kern: k, rows: cfg.Rows, cols: cfg.Cols}
+	e.EachRow(func(_, _ int, words []uint64) { r.words = append(r.words, words...) })
+	return r
+}
+
+// rowWords returns the lane-packed words of one row.
+func (r *reference) rowWords(i int) []uint64 { return r.words[i*r.cols : (i+1)*r.cols] }
+
+// sweep runs both colour updates through UpdateRowRef, or through the
+// optimized UpdateRow when optimized is set.
+func (r *reference) sweep(optimized bool) {
+	for _, pc := range []struct {
+		parity int
+		step   uint64
+	}{{0, r.step}, {1, r.step + 1}} {
+		for i := 0; i < r.rows; i++ {
+			row := r.rowWords(i)
+			north, south := r.rowWords((i-1+r.rows)%r.rows), r.rowWords((i+1)%r.rows)
+			if optimized {
+				r.kern.UpdateRow(row, north, south, row[r.cols-1], row[0], i, 0, pc.parity, pc.step, nil)
+			} else {
+				r.kern.UpdateRowRef(row, north, south, row[r.cols-1], row[0], i, 0, pc.parity, pc.step)
+			}
+		}
+	}
+	r.step += 2
+}
+
+// hash is the FNV-1a hash of the active lane bits in row-major site order,
+// the engine's Hash.
+func (r *reference) hash() uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range r.words {
+		binary.LittleEndian.PutUint64(buf[:], v&r.kern.LaneMask())
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestUpdateRowGoldenEquivalence pins the optimized batched ΔE-class loop to
+// the retained naive reference (UpdateRowRef) bit-for-bit, across random
+// lane counts, ladders and steps — the ensemble half of the
+// golden-equivalence contract (the multispin half lives in
+// multispin/kernel_equiv_test.go). The random trials sweep the engine the
+// multispin batches run on; the threshold edges, which no temperature
+// reaches exactly, sweep the kernel directly. It runs on the host's dispatch
+// (the AVX2 lane kernel on an AVX2 machine); CI also runs it under -race and
+// under GOARCH=386, where the portable loop runs.
+func TestUpdateRowGoldenEquivalence(t *testing.T) {
+	prng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 60; trial++ {
+		lanes := 1 + prng.Intn(ensemble.MaxLanes)
+		rows := 2 + 2*prng.Intn(3)
+		cols := 64 * (1 + prng.Intn(3))
+		var temps []float64
+		if prng.Intn(2) == 1 { // non-uniform ladder
+			temps = make([]float64, lanes)
+			for i := range temps {
+				temps[i] = 1.5 + 2*prng.Float64()
+			}
+		}
+		cfg := Config{
+			Rows: rows, Cols: cols, Lanes: lanes,
+			Temperature: 2.3, Temperatures: temps,
+			Seed: prng.Uint64(), Hot: true,
+		}
+		opt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newReference(t, cfg)
+		for sweep := 0; sweep < 3; sweep++ {
+			opt.Sweep()
+			ref.sweep(false)
+		}
+		if opt.Hash() != ref.hash() {
+			t.Fatalf("trial %d (lanes=%d %dx%d ladder=%v): optimized loop diverged from reference",
+				trial, lanes, rows, cols, temps != nil)
+		}
+	}
+
+	// Threshold edges: T8 = 0 below T≈0.36 and T4 = 1<<32 at very large T
+	// are both reachable from a job spec. Every lane gets its own pair of
+	// edge values, so one call mixes edges across the vector body and the
+	// portable tail.
+	edges := []uint64{0, 1, 1 << 31, 1<<32 - 1, 1 << 32}
+	for i := range edges {
+		for j := range edges {
+			lanes := 1 + prng.Intn(ensemble.MaxLanes)
+			cfg := Config{Rows: 4, Cols: 64, Lanes: lanes, Temperature: 2.3, Seed: prng.Uint64(), Hot: true}
+			opt, ref := newReference(t, cfg), newReference(t, cfg)
+			for l := 0; l < lanes; l++ {
+				th := multispin.Thresholds{T4: edges[(i+l)%len(edges)], T8: edges[(j+2*l)%len(edges)]}
+				opt.kern.SetLaneThresholds(l, th)
+				ref.kern.SetLaneThresholds(l, th)
+			}
+			opt.sweep(true)
+			ref.sweep(false)
+			if opt.hash() != ref.hash() {
+				t.Fatalf("edge case %d,%d (lanes=%d): optimized loop diverged from reference", i, j, lanes)
+			}
+		}
+	}
+}
+
+// BenchmarkEnsembleSweep measures the optimized 64-lane hot loop on the
+// engine the multispin batches and the sharded-ensemble pod run.
+func BenchmarkEnsembleSweep(b *testing.B) {
+	e, err := New(Config{Rows: 64, Cols: 64, Lanes: 64, Temperature: 2.4, Seed: 1, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(e.N()) * int64(e.Lanes()) / 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Sweep()
 	}
 }

@@ -15,18 +15,18 @@ import (
 // (isingbench/layers.go) builds unchanged.
 type Scratch struct{}
 
-// Kernel is the lane-packed row-update kernel shared by the ensemble engine
-// and the sharded-ensemble composition, playing the role multispin.Kernel
-// plays for the multispin and sharded engines: it owns the per-lane keys,
+// Kernel is the lane-packed row-update kernel of the lane-packed pod engine
+// (internal/ising/shardedensemble) on every grid, playing the role
+// multispin.Kernel plays for the bit-packed engine: it owns the per-lane keys,
 // temperatures and acceptance thresholds (plus their structure-of-arrays
 // mirrors feeding the batched rng calls) and updates one row of lane-packed
 // words at a time. Callers address rows by *global* coordinates — globalRow
 // indexes the site-keyed Philox stream and the checkerboard parity, groupOff
 // is the global index of the row slice's first four-site random group — so a
 // shard updating its local slice of a larger lattice draws exactly the
-// randoms the standalone engine draws for those sites. That identity is what
+// randoms the single core draws for those sites. That identity is what
 // makes every lane of a sharded ensemble bit-identical to the same lane of a
-// standalone ensemble (and hence to a standalone multispin chain).
+// one-shard ensemble (and hence to a standalone multispin chain).
 type Kernel struct {
 	lanes    int
 	laneMask uint64             // bits 0..lanes-1
@@ -118,7 +118,7 @@ func (k *Kernel) SetLaneKey(lane int, key rng.Key) {
 // row. row, north and south are slices of lane-packed words (one word per
 // site); westWord and eastWord are the words the sites just outside the slice
 // hold — the caller passes pre-call snapshots of row[len-1] and row[0] for a
-// periodic standalone row, or the received halo words for a shard slice.
+// periodic whole row, or the received halo words for a shard slice.
 // Both are exact, because east/west neighbours of active sites carry the
 // inactive colour and are never written by this update.
 //

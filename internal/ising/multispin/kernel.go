@@ -11,7 +11,7 @@ import (
 // integer acceptance thresholds, the Philox key and the random-sharing mode.
 // It is deliberately free of any lattice geometry — UpdateRow is handed the
 // packed words of one row plus its neighbours and the row's *global*
-// coordinates, so the whole-lattice Engine and the mesh-sharded engine
+// coordinates, so the single core and every shard of a pod grid
 // (internal/ising/sharded) evaluate exactly the same pure function of
 // (seed, step, global site) and stay bit-identical to each other.
 type Kernel struct {

@@ -83,44 +83,6 @@ func checkRowMatchesRef(t *testing.T, prng *rand.Rand, k Kernel, label string, W
 	}
 }
 
-// TestEngineSweepMatchesReferenceKernel drives whole engine sweeps and
-// replays them with the reference kernel row by row: the engine's optimized
-// hot loop (including its rolling-west and halo-snapshot invariants) is
-// bit-identical to the naive kernel applied to the same rows.
-func TestEngineSweepMatchesReferenceKernel(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		eng, err := New(Config{Rows: 16, Cols: 192, Temperature: 2.4, Seed: 99, SharedRandom: shared})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Reference state: same geometry, updated with UpdateRowRef directly.
-		ref := append([]uint64(nil), eng.spins...)
-		k := eng.kern
-		W := eng.words
-		refRow := func(r int) []uint64 { return ref[r*W : (r+1)*W] }
-		for sweep := 0; sweep < 5; sweep++ {
-			step := eng.step
-			eng.Sweep()
-			for _, pc := range []struct {
-				parity int
-				step   uint64
-			}{{0, step}, {1, step + 1}} {
-				for r := 0; r < eng.rows; r++ {
-					row := refRow(r)
-					north := refRow((r - 1 + eng.rows) % eng.rows)
-					south := refRow((r + 1) % eng.rows)
-					k.UpdateRowRef(row, north, south, row[W-1], row[0], r, 0, pc.parity, pc.step)
-				}
-			}
-		}
-		for i := range ref {
-			if eng.spins[i] != ref[i] {
-				t.Fatalf("shared=%v: engine word %d = %#x, reference replay %#x", shared, i, eng.spins[i], ref[i])
-			}
-		}
-	}
-}
-
 // BenchmarkUpdateRow benchmarks the optimized per-site row kernel against the
 // retained reference on a 4096-column row (64 words), the before/after pair
 // of the PR-10 vectorization. Flip throughput: 32 active sites per word.

@@ -1,11 +1,49 @@
-package multispin
+package multispin_test
 
 import (
 	"testing"
 
 	"tpuising/internal/ising"
+	"tpuising/internal/ising/multispin"
+	"tpuising/internal/ising/sharded"
 	"tpuising/internal/rng"
 )
+
+// The multispin backends run the kernel on the pod Driver's one-shard grid;
+// these tests drive that engine, built the way the registry builds it.
+
+// Config is the engine configuration.
+type Config = sharded.Config
+
+// Engine is the engine the multispin backends run on.
+type Engine = sharded.Engine
+
+// New builds the engine the registry serves as multispin.
+func New(cfg Config) (*Engine, error) {
+	cfg.Name = "multispin"
+	return sharded.New(cfg)
+}
+
+// siteRand returns the 32-bit random consumed by site (r, c) at the given
+// colour-step in per-site mode; it is the pure function the bulk kernel
+// evaluates four lanes at a time.
+func siteRand(k multispin.Kernel, step uint64, r, c int) uint32 {
+	j := c >> 1
+	ctr := rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(r)), uint32(j >> 2)}
+	return rng.Block(ctr, k.Key)[j&3]
+}
+
+// wordRand returns the shared random of word w of row r in shared mode.
+func wordRand(k multispin.Kernel, step uint64, r, w int) uint32 {
+	return rng.Block(rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(r)), uint32(w)}, k.Key)[0]
+}
+
+// words gathers the engine's packed words in whole-lattice row-major order.
+func words(e *Engine) []uint64 {
+	var out []uint64
+	e.EachRow(func(_, _ int, row []uint64) { out = append(out, row...) })
+	return out
+}
 
 // randomLattice fills a lattice with spins drawn from the given stream.
 func randomLattice(rows, cols int, p *rng.Philox) *ising.Lattice {
@@ -20,8 +58,8 @@ func randomLattice(rows, cols int, p *rng.Philox) *ising.Lattice {
 
 // referenceUpdateColor is the scalar reference of one colour update: it
 // recomputes every accept/reject decision with plain lattice arithmetic and
-// the engine's own per-site randoms and thresholds.
-func referenceUpdateColor(e *Engine, l *ising.Lattice, parity int, step uint64) {
+// the per-site randoms and thresholds of the engine's kernel k.
+func referenceUpdateColor(k multispin.Kernel, l *ising.Lattice, parity int, step uint64) {
 	before := l.Clone()
 	for r := 0; r < l.Rows; r++ {
 		for c := 0; c < l.Cols; c++ {
@@ -36,17 +74,17 @@ func referenceUpdateColor(e *Engine, l *ising.Lattice, parity int, step uint64) 
 				}
 			}
 			var u uint64
-			if e.kern.Shared {
-				u = uint64(e.wordRand(step, r, c/WordBits))
+			if k.Shared {
+				u = uint64(wordRand(k, step, r, c/multispin.WordBits))
 			} else {
-				u = uint64(e.siteRand(step, r, c))
+				u = uint64(siteRand(k, step, r, c))
 			}
 			flip := false
 			switch d {
 			case 0:
-				flip = u < e.kern.T8
+				flip = u < k.T8
 			case 1:
-				flip = u < e.kern.T4
+				flip = u < k.T4
 			default:
 				flip = true
 			}
@@ -65,8 +103,8 @@ func TestBitLevelEquivalence(t *testing.T) {
 	p := rng.New(7)
 	for _, shared := range []bool{false, true} {
 		for trial := 0; trial < 20; trial++ {
-			rows := 2 * (1 + p.Intn(4))        // 2..8
-			cols := WordBits * (1 + p.Intn(3)) // 64..192
+			rows := 2 * (1 + p.Intn(4))                  // 2..8
+			cols := multispin.WordBits * (1 + p.Intn(3)) // 64..192
 			temp := 1.5 + 2.5*p.Float64()
 			e, err := New(Config{
 				Rows: rows, Cols: cols, Temperature: temp,
@@ -81,13 +119,53 @@ func TestBitLevelEquivalence(t *testing.T) {
 			}
 			want := start.Clone()
 			step := uint64(p.Intn(1000))
+			k := multispin.NewKernel(temp, uint64(trial)*13+1, shared)
 			for parity := 0; parity < 2; parity++ {
-				e.updateColor(parity, step+uint64(parity))
-				referenceUpdateColor(e, want, parity, step+uint64(parity))
+				e.UpdateColor(parity, step+uint64(parity))
+				referenceUpdateColor(k, want, parity, step+uint64(parity))
 				if got := e.Lattice(); !got.Equal(want) {
 					t.Fatalf("shared=%v trial %d: %dx%d at T=%.3f parity %d: bulk and scalar decisions differ",
 						shared, trial, rows, cols, temp, parity)
 				}
+			}
+		}
+	}
+}
+
+// TestEngineSweepMatchesReferenceKernel drives whole engine sweeps and
+// replays them with the reference kernel row by row: the engine's optimized
+// hot loop (including its rolling-west and halo-snapshot invariants) is
+// bit-identical to the naive kernel applied to the same rows.
+func TestEngineSweepMatchesReferenceKernel(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		eng, err := New(Config{Rows: 16, Cols: 192, Temperature: 2.4, Seed: 99, SharedRandom: shared})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Reference state: same geometry, updated with UpdateRowRef directly.
+		ref := words(eng)
+		k := multispin.NewKernel(2.4, 99, shared)
+		W := eng.Cols() / multispin.WordBits
+		refRow := func(r int) []uint64 { return ref[r*W : (r+1)*W] }
+		for sweep := 0; sweep < 5; sweep++ {
+			step := eng.Step()
+			eng.Sweep()
+			for _, pc := range []struct {
+				parity int
+				step   uint64
+			}{{0, step}, {1, step + 1}} {
+				for r := 0; r < eng.Rows(); r++ {
+					row := refRow(r)
+					north := refRow((r - 1 + eng.Rows()) % eng.Rows())
+					south := refRow((r + 1) % eng.Rows())
+					k.UpdateRowRef(row, north, south, row[W-1], row[0], r, 0, pc.parity, pc.step)
+				}
+			}
+		}
+		got := words(eng)
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("shared=%v: engine word %d = %#x, reference replay %#x", shared, i, got[i], ref[i])
 			}
 		}
 	}
@@ -99,7 +177,7 @@ func TestBitLevelEquivalence(t *testing.T) {
 func TestObservablesMatchLattice(t *testing.T) {
 	p := rng.New(3)
 	for trial := 0; trial < 10; trial++ {
-		rows, cols := 2*(1+p.Intn(5)), WordBits*(1+p.Intn(3))
+		rows, cols := 2*(1+p.Intn(5)), multispin.WordBits*(1+p.Intn(3))
 		l := randomLattice(rows, cols, p)
 		e, err := New(Config{Rows: rows, Cols: cols, Temperature: 2.5, Initial: l})
 		if err != nil {
@@ -194,7 +272,7 @@ func TestConfigValidation(t *testing.T) {
 	if e.Name() != "multispin" {
 		t.Fatalf("Name() = %q", e.Name())
 	}
-	if (&Engine{kern: Kernel{Shared: true}}).Name() != "multispin-shared" {
+	if shared, err := New(Config{Rows: 4, Cols: 64, SharedRandom: true}); err != nil || shared.Name() != "multispin-shared" {
 		t.Fatal("shared Name() wrong")
 	}
 }

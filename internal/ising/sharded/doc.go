@@ -21,15 +21,22 @@
 //
 // The engine draws its randoms from the shared multispin.Kernel keyed by
 // *global* (seed, step, row, column), so a sharded run is bit-identical to
-// the whole-lattice multispin engine at the same seed, for every shard grid
-// — the property the distributed correctness tests assert, mirroring how the
+// the single-core multispin chain at the same seed, for every shard grid —
+// the property the distributed correctness tests assert, mirroring how the
 // paper validates the TPU pod against the single-core implementation.
 //
 // The decomposition itself — shard geometry, the four halo permutes per
 // half-sweep, the lockstep sweep loop and the global row walk behind the
 // gather, scatter, hash and snapshot — is the Driver, which the engine
-// plugs its word layout and row kernel into. The lane-packed composed engine
-// (internal/ising/shardedensemble), this backend's 64-lane batch form, runs
-// on the same Driver with 64-lane site words, one word per boundary site in
-// its column halos.
+// plugs its word layout and row kernel into. A 1x1 grid is the single core,
+// the paper's single-core program: it runs no pod or fabric exchange and
+// moves no interconnect traffic, reads its neighbour rows live and wraps
+// each row onto its own end words, and splits its rows into Config.Workers
+// host row bands with pre-update copies of the band-boundary rows. The
+// registry serves the multispin and multispin-shared backends as this
+// one-shard engine (Config.Name "multispin", Config.SharedRandom for the
+// shared-random kernel). The lane-packed composed engine
+// (internal/ising/shardedensemble), the batch form of both backends, runs on
+// the same Driver with 64-lane site words, one word per boundary site in its
+// column halos.
 package sharded

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"sync"
 
 	"tpuising/internal/device/metrics"
 	"tpuising/internal/pod"
@@ -32,6 +34,11 @@ type Geometry struct {
 	// Lanes is the number of chains each site word carries (0 means 1); it
 	// scales the attempted updates Counts reports.
 	Lanes int
+	// Workers is the number of host row bands a one-shard grid splits its
+	// rows into, one goroutine each (0 = GOMAXPROCS at construction, at most
+	// one band per row). A pod grid runs one goroutine per shard instead.
+	// The chain never depends on it.
+	Workers int
 }
 
 // RowKernel updates the sites of one colour in one shard row. westWrap and
@@ -39,8 +46,10 @@ type Geometry struct {
 // edges, placed where the kernel reads them: the high SiteBits bits of
 // westWrap and the low SiteBits bits of eastWrap. globalRow and colOff
 // locate the row's first site in the global lattice, which is what keys the
-// engine's random stream.
-type RowKernel func(shard int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64)
+// engine's random stream. worker identifies the goroutine making the call —
+// the shard on a pod grid, the row band on a single core — and is below
+// Driver.Workers; calls with different workers run concurrently.
+type RowKernel func(worker int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64)
 
 // shard is one core's block of the lattice plus its halo buffers.
 type shard struct {
@@ -53,11 +62,25 @@ type shard struct {
 	edge                     []uint64 // outgoing boundary column
 }
 
+// band is one host worker's block of rows [r0, r1) on a one-shard grid.
+// north and south receive pre-update copies of the rows just outside it
+// before every colour update; they are nil when one band holds every row.
+type band struct {
+	r0, r1       int
+	north, south []uint64
+}
+
 // Driver runs one engine over an R x C grid of shards on the simulated pod
 // mesh: it owns the shards, the halo exchanges and the sweep loop, and
 // walks the shards in global order for the engine's gather, scatter and
 // observables. The engine supplies its word layout (Geometry) and its row
 // kernel.
+//
+// A 1x1 grid is a single core, the paper's single-core program: it runs no
+// pod or fabric exchange, so it moves no interconnect traffic. Its
+// neighbours are its own rows, read live, and its wrap words are the row's
+// own end words, exactly like a whole-lattice engine. Its rows split into
+// Geometry.Workers host bands instead.
 type Driver struct {
 	rows, cols   int
 	gridR, gridC int
@@ -71,6 +94,7 @@ type Driver struct {
 	shards       []*shard // indexed by core ID (row-major over the mesh grid)
 	kernel       RowKernel
 	step         uint64
+	bands        []band // one-shard grid only
 }
 
 // NewDriver validates the geometry and allocates a cold (all +1) lattice
@@ -124,7 +148,26 @@ func NewDriver(g Geometry, kernel RowKernel) (*Driver, error) {
 		}
 		d.shards[id] = sh
 	}
+	if len(d.shards) == 1 {
+		d.planBands(g.Workers)
+	}
 	return d, nil
+}
+
+// planBands splits a one-shard grid's rows into at most `workers` equal
+// bands (0 = GOMAXPROCS), each with its boundary-row copy buffers.
+func (d *Driver) planBands(workers int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	rowsPer := (d.rows + workers - 1) / workers
+	for r0 := 0; r0 < d.rows; r0 += rowsPer {
+		b := band{r0: r0, r1: min(r0+rowsPer, d.rows)}
+		if rowsPer < d.rows {
+			b.north, b.south = make([]uint64, d.rowWords), make([]uint64, d.rowWords)
+		}
+		d.bands = append(d.bands, b)
+	}
 }
 
 // Rows returns the per-chain row count.
@@ -141,6 +184,10 @@ func (d *Driver) Grid() (gridR, gridC int) { return d.gridR, d.gridC }
 
 // NumShards returns the number of shards (= simulated mesh cores).
 func (d *Driver) NumShards() int { return len(d.shards) }
+
+// Workers returns the number of concurrent RowKernel workers: the shards of
+// a pod grid, the row bands of a single core.
+func (d *Driver) Workers() int { return max(len(d.shards), len(d.bands)) }
 
 // Step returns the number of colour updates performed so far.
 func (d *Driver) Step() uint64 { return d.step }
@@ -209,39 +256,78 @@ func (d *Driver) exchangeHalos(r *pod.Replica, sh *shard) {
 	sh.west = r.ShiftExchangeWords(d.packEdge(sh, true), 1, 0)
 }
 
-// updateColor runs the row kernel over one colour of one shard, with the
-// freshly exchanged halos at the shard boundaries.
-func (d *Driver) updateColor(id int, sh *shard, parity int, step uint64) {
-	for r := 0; r < d.shardRows; r++ {
-		north, south := sh.north, sh.south
-		if r > 0 {
-			north = d.row(sh, r-1)
+// updateRows runs the row kernel over one colour of shard rows [r0, r1).
+// north and south stand in for the rows just outside the range; nil means
+// the shard's own rows, read live with the torus wrap. A shard that has
+// exchanged halos takes its wrap sites from the received columns; a single
+// core wraps each row onto its own end words. Every neighbour the kernel
+// reads belongs to the other colour, so live reads, copies and halos agree.
+func (d *Driver) updateRows(worker int, sh *shard, r0, r1 int, north, south []uint64, parity int, step uint64) {
+	rows, w := d.shardRows, d.rowWords
+	if north == nil {
+		north = d.row(sh, (r0-1+rows)%rows)
+	}
+	row := d.row(sh, r0)
+	for r := r0; r < r1; r++ {
+		// The rows roll: this row is the next one's north, its south the
+		// next one's row.
+		next := south
+		if r < r1-1 || next == nil {
+			next = d.row(sh, (r+1)%rows)
 		}
-		if r < d.shardRows-1 {
-			south = d.row(sh, r+1)
+		westWrap, eastWrap := row[w-1], row[0]
+		if sh.west != nil {
+			westWrap = d.haloSite(sh.west, r) << (WordBits - d.siteBits)
+			eastWrap = d.haloSite(sh.east, r)
 		}
-		westWrap := d.haloSite(sh.west, r) << (WordBits - d.siteBits)
-		d.kernel(id, d.row(sh, r), north, south, westWrap, d.haloSite(sh.east, r),
-			sh.rowOff+r, sh.colOff, parity, step)
+		d.kernel(worker, row, north, next, westWrap, eastWrap, sh.rowOff+r, sh.colOff, parity, step)
+		north, row = row, next
 	}
 }
 
-// Sweep performs one whole-lattice update: all shards exchange halos and
-// update their black sites in lockstep, then exchange again and update the
-// white sites, consuming two colour-step indices like the other engines.
-func (d *Driver) Sweep() {
-	step := d.step
-	err := d.pod.Replicate(func(r *pod.Replica) error {
-		sh := d.shards[r.ID]
-		d.exchangeHalos(r, sh)
-		d.updateColor(r.ID, sh, 0, step)
-		d.exchangeHalos(r, sh)
-		d.updateColor(r.ID, sh, 1, step+1)
-		return nil
-	})
-	if err != nil {
-		panic(err)
+// UpdateColor performs one colour update (parity 0 = black, 1 = white) of
+// the whole lattice at the given colour-step, without advancing the step
+// counter. On a pod grid all shards exchange halos and update in lockstep;
+// a single core updates its row bands concurrently, after copying each
+// band's boundary neighbour rows.
+func (d *Driver) UpdateColor(parity int, step uint64) {
+	if len(d.shards) > 1 {
+		err := d.pod.Replicate(func(r *pod.Replica) error {
+			sh := d.shards[r.ID]
+			d.exchangeHalos(r, sh)
+			d.updateRows(r.ID, sh, 0, d.shardRows, sh.north, sh.south, parity, step)
+			return nil
+		})
+		if err != nil {
+			panic(err)
+		}
+		return
 	}
+	sh := d.shards[0]
+	if len(d.bands) == 1 {
+		d.updateRows(0, sh, 0, d.rows, nil, nil, parity, step)
+		return
+	}
+	for _, b := range d.bands {
+		copy(b.north, d.row(sh, (b.r0-1+d.rows)%d.rows))
+		copy(b.south, d.row(sh, b.r1%d.rows))
+	}
+	var wg sync.WaitGroup
+	for i, b := range d.bands {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.updateRows(i, sh, b.r0, b.r1, b.north, b.south, parity, step)
+		}()
+	}
+	wg.Wait()
+}
+
+// Sweep performs one whole-lattice update: every black site, then every
+// white site, consuming two colour-step indices like the other engines.
+func (d *Driver) Sweep() {
+	d.UpdateColor(0, d.step)
+	d.UpdateColor(1, d.step+1)
 	d.step += 2
 }
 

@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 
@@ -13,6 +14,10 @@ const WordBits = multispin.WordBits
 
 // Config describes a sharded multispin engine.
 type Config struct {
+	// Name is the engine's name in Name, snapshots and validation errors
+	// ("" = "sharded"). The registry serves its multispin backends as
+	// one-shard engines named "multispin".
+	Name string
 	// Rows and Cols are the global lattice dimensions. Rows must be even and
 	// divisible by GridR; Cols must be divisible by GridC with every shard at
 	// least one 64-column word wide.
@@ -25,6 +30,14 @@ type Config struct {
 	Temperature float64
 	// Seed seeds the site-keyed Philox stream shared by all shards.
 	Seed uint64
+	// SharedRandom selects the cheap kernel variant that draws one random
+	// per 64-column word instead of one per site, at the cost of weak
+	// intra-word correlations; the engine's name gains a "-shared" suffix.
+	SharedRandom bool
+	// Workers is the number of row-band goroutines of a one-shard grid
+	// (0 = GOMAXPROCS); a pod grid runs one goroutine per shard. It never
+	// changes a result.
+	Workers int
 	// Initial is an optional starting configuration; cold (all +1) when nil.
 	Initial *ising.Lattice
 }
@@ -34,18 +47,19 @@ type Config struct {
 // ising.Backend.
 type Engine struct {
 	*Driver
+	base        string // Config.Name: the name without the shared-mode suffix
 	kern        multispin.Kernel
-	scratch     []multispin.Scratch // per-shard draw scratch for the batched kernel
+	scratch     []multispin.Scratch // per-worker draw scratch for the batched kernel
 	temperature float64
 	thresholds  multispin.ThresholdCache // memoized acceptance pairs for SetTemperature
 }
 
 // New builds an engine from the config.
 func New(cfg Config) (*Engine, error) {
-	e := &Engine{}
+	e := &Engine{base: cmp.Or(cfg.Name, "sharded")}
 	d, err := NewDriver(Geometry{
-		Engine: "sharded", Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
-		SiteBits: 1, ColGroup: WordBits,
+		Engine: e.base, Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
+		SiteBits: 1, ColGroup: WordBits, Workers: cfg.Workers,
 	}, e.updateRow)
 	if err != nil {
 		return nil, err
@@ -55,12 +69,12 @@ func New(cfg Config) (*Engine, error) {
 		temp = ising.CriticalTemperature()
 	}
 	if temp <= 0 {
-		return nil, fmt.Errorf("sharded: temperature must be positive, got %g", temp)
+		return nil, fmt.Errorf("%s: temperature must be positive, got %g", e.base, temp)
 	}
 	e.Driver = d
 	e.temperature = temp
-	e.kern = multispin.NewKernel(temp, cfg.Seed, false)
-	e.scratch = make([]multispin.Scratch, d.NumShards())
+	e.kern = multispin.NewKernel(temp, cfg.Seed, cfg.SharedRandom)
+	e.scratch = make([]multispin.Scratch, d.Workers())
 	if cfg.Initial != nil {
 		if err := e.SetLattice(cfg.Initial); err != nil {
 			return nil, err
@@ -70,14 +84,20 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // updateRow is the engine's RowKernel: the shared multispin kernel, keyed by
-// global row and word, with the shard's own draw scratch.
-func (e *Engine) updateRow(shard int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64) {
+// global row and word, with the worker's own draw scratch.
+func (e *Engine) updateRow(worker int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64) {
 	e.kern.UpdateRowScratch(row, north, south, westWrap, eastWrap,
-		globalRow, colOff/WordBits, parity, step, &e.scratch[shard])
+		globalRow, colOff/WordBits, parity, step, &e.scratch[worker])
 }
 
-// Name identifies the engine ("sharded").
-func (e *Engine) Name() string { return "sharded" }
+// Name identifies the engine: Config.Name ("sharded" by default), with a
+// "-shared" suffix in the shared-random mode.
+func (e *Engine) Name() string {
+	if e.kern.Shared {
+		return e.base + "-shared"
+	}
+	return e.base
+}
 
 // Temperature returns the current temperature.
 func (e *Engine) Temperature() float64 { return e.temperature }
@@ -86,7 +106,7 @@ func (e *Engine) Temperature() float64 { return e.temperature }
 // the current configuration.
 func (e *Engine) SetTemperature(t float64) {
 	if t <= 0 {
-		panic("sharded: temperature must be positive")
+		panic(e.base + ": temperature must be positive")
 	}
 	e.kern.SetThresholds(e.thresholds.For(t))
 	e.temperature = t
@@ -146,7 +166,7 @@ func (e *Engine) Lattice() *ising.Lattice {
 // SetLattice scatters a global configuration over the shards.
 func (e *Engine) SetLattice(l *ising.Lattice) error {
 	if l.Rows != e.Rows() || l.Cols != e.Cols() {
-		return fmt.Errorf("sharded: lattice is %dx%d, engine is %dx%d", l.Rows, l.Cols, e.Rows(), e.Cols())
+		return fmt.Errorf("%s: lattice is %dx%d, engine is %dx%d", e.base, l.Rows, l.Cols, e.Rows(), e.Cols())
 	}
 	e.EachRow(func(r, c0 int, words []uint64) {
 		clear(words)
@@ -170,6 +190,6 @@ func (e *Engine) Spin(row, col int) int8 {
 }
 
 // Hash returns an FNV-1a hash of the global packed configuration in
-// whole-lattice word order, so it is directly comparable with the hash of a
-// multispin.Engine holding the same configuration.
+// whole-lattice word order, so it is the same for every shard grid holding
+// the same configuration.
 func (e *Engine) Hash() uint64 { return e.HashWords(^uint64(0)) }

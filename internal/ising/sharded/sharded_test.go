@@ -2,18 +2,19 @@ package sharded
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"tpuising/internal/ising"
-	"tpuising/internal/ising/multispin"
 	"tpuising/internal/perf"
 	"tpuising/internal/rng"
 )
 
 // newPair builds a sharded engine and the whole-lattice multispin reference
+// (the one-shard engine the registry serves as multispin, on one worker)
 // with identical physics configuration.
-func newPair(t *testing.T, rows, cols, gridR, gridC int, temp float64, seed uint64, hot bool) (*Engine, *multispin.Engine) {
+func newPair(t *testing.T, rows, cols, gridR, gridC int, temp float64, seed uint64, hot bool) (*Engine, *Engine) {
 	t.Helper()
 	var initial *ising.Lattice
 	if hot {
@@ -26,12 +27,12 @@ func newPair(t *testing.T, rows, cols, gridR, gridC int, temp float64, seed uint
 	if err != nil {
 		t.Fatalf("sharded.New(%dx%d grid %dx%d): %v", rows, cols, gridR, gridC, err)
 	}
-	ref, err := multispin.New(multispin.Config{
-		Rows: rows, Cols: cols, Temperature: temp, Seed: seed,
+	ref, err := New(Config{
+		Name: "multispin", Rows: rows, Cols: cols, Temperature: temp, Seed: seed,
 		Workers: 1, Initial: initial,
 	})
 	if err != nil {
-		t.Fatalf("multispin.New(%dx%d): %v", rows, cols, err)
+		t.Fatalf("multispin reference (%dx%d): %v", rows, cols, err)
 	}
 	return sh, ref
 }
@@ -46,7 +47,7 @@ func TestBitIdenticalToMultispin(t *testing.T) {
 		rows, cols   int
 		gridR, gridC int
 	}{
-		{64, 128, 1, 1}, // degenerate: one shard, self-exchange over the torus
+		{64, 128, 1, 1}, // degenerate: one shard, the single core
 		{64, 128, 2, 2},
 		{64, 128, 4, 1},
 		{64, 128, 1, 2},  // shards one word wide: east and west wraps both halo
@@ -84,8 +85,9 @@ func TestBitIdenticalToMultispin(t *testing.T) {
 	}
 }
 
-// TestDegenerateGridIsSingleShard: the 1x1 grid runs the plain multispin
-// chain on one mesh core (all four halo exchanges are torus self-loops).
+// TestDegenerateGridIsSingleShard: the 1x1 grid is the single core, the
+// plain multispin chain: it wraps its own rows locally and moves no
+// interconnect traffic.
 func TestDegenerateGridIsSingleShard(t *testing.T) {
 	e, err := New(Config{Rows: 64, Cols: 128})
 	if err != nil {
@@ -100,10 +102,41 @@ func TestDegenerateGridIsSingleShard(t *testing.T) {
 	e.Run(3)
 	c := e.Counts()
 	if c.CommHops != 0 {
-		t.Errorf("single-shard self-exchanges should traverse 0 hops, got %d", c.CommHops)
+		t.Errorf("a single core should traverse 0 hops, got %d", c.CommHops)
 	}
-	if c.CommEvents != 3*8 {
-		t.Errorf("CommEvents = %d, want %d", c.CommEvents, 3*8)
+	if c.CommEvents != 0 || c.CommBytes != 0 {
+		t.Errorf("CommEvents = %d, CommBytes = %d, want 0 (a single core exchanges no halos)", c.CommEvents, c.CommBytes)
+	}
+}
+
+// TestBandSplitMatchesSingleBand: the single core's host row bands never
+// change the chain. Every worker count (GOMAXPROCS, one band, a count that
+// does not divide the rows, more workers than rows) must reproduce the
+// one-band run, in both random modes.
+func TestBandSplitMatchesSingleBand(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
+	const rows = 64
+	for _, shared := range []bool{false, true} {
+		var want uint64
+		for i, workers := range []int{1, 0, 3, rows + 5} {
+			e, err := New(Config{
+				Rows: rows, Cols: 128, Temperature: 2.3, Seed: 17, SharedRandom: shared,
+				Workers: workers, Initial: ising.NewRandomLattice(rows, 128, rng.New(17)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers > 0 && e.Workers() != min(workers, rows) {
+				t.Fatalf("workers=%d: %d row bands", workers, e.Workers())
+			}
+			e.Run(6)
+			if h := e.Hash(); i == 0 {
+				want = h
+			} else if h != want {
+				t.Fatalf("shared=%v workers=%d: hash %#x, one band %#x", shared, workers, h, want)
+			}
+		}
 	}
 }
 
@@ -196,7 +229,10 @@ func TestCommCountsMatchShardTraffic(t *testing.T) {
 		if c.Ops != sweeps*int64(e.N()) {
 			t.Errorf("grid %v: Ops = %d, want %d", grid, c.Ops, sweeps*int64(e.N()))
 		}
-		if rep.PermuteSec <= 0 {
+		if cores := grid[0] * grid[1]; cores == 1 && (c.CommBytes != 0 || rep.PermuteSec != 0) {
+			t.Errorf("grid %v: a single core should move no halo traffic (measured %d bytes, modelled %v s)",
+				grid, c.CommBytes, rep.PermuteSec)
+		} else if cores > 1 && rep.PermuteSec <= 0 {
 			t.Errorf("grid %v: modelled permute time should be positive", grid)
 		}
 	}

@@ -14,17 +14,23 @@
 // The composition is an execution strategy, never a physics change. Shards
 // call the shared ensemble.Kernel with global row indices and global random-
 // group offsets, so every site of every lane draws exactly the randoms the
-// standalone ensemble engine draws — lane L of a sharded ensemble is
-// bit-identical to lane L of a standalone ensemble with the same seed (and
-// hence to a standalone multispin chain seeded ising.LaneSeed(seed, L)),
-// whatever the shard grid. The lane-equivalence tests assert this per lane
-// for multiple grids. The engine is the sharded backend's batch form:
-// backend.NewBatch builds it for a full 64-lane batch or ladder of sharded
-// chains; a single sharded chain, and a batch of any other lane count, runs
-// on internal/ising/sharded's one-bit-per-site words.
+// one-shard grid draws — lane L of a sharded ensemble is bit-identical to
+// lane L of a one-shard ensemble with the same seed (and hence to a
+// standalone multispin chain seeded ising.LaneSeed(seed, L)), whatever the
+// shard grid. The lane-equivalence tests assert this per lane for multiple
+// grids.
+//
+// The engine is the batch form of both bit-packed backends. On one shard,
+// the single core, it is the multispin backend's batch engine: backend.NewBatch
+// builds it, named "ensemble", for a batch or ladder of up to 64 multispin
+// chains, and it exchanges no halos. On sharded's grid it is the sharded
+// backend's batch engine for a full 64-lane batch or ladder; a single sharded
+// chain, and a sharded batch of any other lane count, runs on
+// internal/ising/sharded's one-bit-per-site words.
 package shardedensemble
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 
@@ -46,6 +52,10 @@ const groupCols = 8
 
 // Config describes a sharded lane-packed ensemble.
 type Config struct {
+	// Name is the engine's name in Name and its validation errors ("" =
+	// "sharded-ensemble", whose errors read "shardedensemble"). The registry
+	// serves its multispin batches as one-shard engines named "ensemble".
+	Name string
 	// Rows and Cols are the per-lane lattice dimensions, with the ensemble
 	// constraints (even Rows >= 2, Cols a positive multiple of 64). Rows must
 	// divide over GridR; Cols over GridC with every shard a multiple of 8
@@ -61,12 +71,19 @@ type Config struct {
 	// temperature). Ignored when Temperatures is set.
 	Temperature float64
 	// Temperatures, when non-empty, gives every lane its own temperature
-	// (len == Lanes), like ensemble.Config.Temperatures.
+	// (len == Lanes): lane L runs at Temperatures[L]. This is what lets a
+	// tempering ladder or a whole temperature scan run as one ensemble.
 	Temperatures []float64
 	// Seed is the run seed; lane L's chain is seeded ising.LaneSeed(Seed, L).
 	Seed uint64
+	// Workers is the number of row-band goroutines of a one-shard grid
+	// (0 = GOMAXPROCS); a pod grid runs one goroutine per shard. It never
+	// changes a result.
+	Workers int
 	// Hot starts every lane from its own random (infinite-temperature)
-	// lattice, exactly like ensemble.Config.Hot.
+	// lattice drawn from rng.New(ising.LaneSeed(Seed, L)) — the same initial
+	// configuration the backend factory gives a standalone hot-start chain
+	// with that seed.
 	Hot bool
 }
 
@@ -75,27 +92,35 @@ type Config struct {
 // ising.BatchBackend and ising.BatchTempered.
 type Engine struct {
 	*sharded.Driver
-	lanes int
-	kern  *ensemble.Kernel
-	seed  uint64
+	name   string
+	prefix string // validation error prefix
+	lanes  int
+	kern   *ensemble.Kernel
+	seed   uint64
 
-	// Observable caches, stamped like ensemble's (^0 = never).
+	// Observable caches: Magnetizations/Energies are O(lanes * N) passes, so
+	// consumers that read several observables per step (tempering, the
+	// service's per-lane sampling) share one pass per step. A cache is valid
+	// while its step stamp matches the engine's (stamps start at ^0 = never).
 	magsStep, esStep uint64
 	mags, es         []float64
 }
 
 // New builds an engine from the config.
 func New(cfg Config) (*Engine, error) {
-	e := &Engine{lanes: cfg.Lanes, seed: cfg.Seed, magsStep: ^uint64(0), esStep: ^uint64(0)}
+	e := &Engine{
+		name: cmp.Or(cfg.Name, "sharded-ensemble"), prefix: cmp.Or(cfg.Name, "shardedensemble"),
+		lanes: cfg.Lanes, seed: cfg.Seed, magsStep: ^uint64(0), esStep: ^uint64(0),
+	}
 	d, err := sharded.NewDriver(sharded.Geometry{
-		Engine: "shardedensemble", Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
-		SiteBits: MaxLanes, ColGroup: groupCols, Lanes: cfg.Lanes,
+		Engine: e.prefix, Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
+		SiteBits: MaxLanes, ColGroup: groupCols, Lanes: cfg.Lanes, Workers: cfg.Workers,
 	}, e.updateRow)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Lanes < 1 || cfg.Lanes > MaxLanes {
-		return nil, fmt.Errorf("shardedensemble: lanes must be 1..%d, got %d", MaxLanes, cfg.Lanes)
+		return nil, fmt.Errorf("%s: lanes must be 1..%d, got %d", e.prefix, MaxLanes, cfg.Lanes)
 	}
 	temps := cfg.Temperatures
 	if len(temps) == 0 {
@@ -109,7 +134,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	if len(temps) != cfg.Lanes {
-		return nil, fmt.Errorf("shardedensemble: %d temperatures for %d lanes", len(temps), cfg.Lanes)
+		return nil, fmt.Errorf("%s: %d temperatures for %d lanes", e.prefix, len(temps), cfg.Lanes)
 	}
 	if e.kern, err = ensemble.NewKernel(cfg.Seed, temps, false); err != nil {
 		return nil, err
@@ -128,15 +153,16 @@ func New(cfg Config) (*Engine, error) {
 
 // updateRow is the engine's RowKernel: the shared lane-packed kernel with
 // the global row and the shard's global random-group offset, so the randoms
-// match the standalone ensemble site for site.
-func (e *Engine) updateRow(shard int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64) {
+// are the same site for site on every grid.
+func (e *Engine) updateRow(_ int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64) {
 	e.kern.UpdateRow(row, north, south, westWrap, eastWrap,
 		globalRow, colOff/groupCols, parity, step, nil)
 }
 
-// Name identifies the engine ("sharded-ensemble"), the batch engine a
-// sharded batch reports.
-func (e *Engine) Name() string { return "sharded-ensemble" }
+// Name identifies the engine: Config.Name, "sharded-ensemble" by default
+// (the batch engine a sharded batch reports) and "ensemble" for the
+// multispin backend's batches.
+func (e *Engine) Name() string { return e.name }
 
 // Lanes returns the number of replicas.
 func (e *Engine) Lanes() int { return e.lanes }
@@ -148,8 +174,9 @@ func (e *Engine) Seed() uint64 { return e.seed }
 func (e *Engine) LaneTemperature(lane int) float64 { return e.kern.LaneTemperature(lane) }
 
 // SetLaneTemperature changes one lane's temperature; the lane's chain
-// continues from its current configuration (thresholds memoized per rung,
-// like the standalone ensemble).
+// continues from its current configuration. The kernel memoizes the
+// acceptance thresholds per rung, so the tempering swap path pays no
+// math.Exp after a rung's first visit.
 func (e *Engine) SetLaneTemperature(lane int, t float64) {
 	e.kern.SetLaneTemperature(lane, t)
 }
@@ -254,10 +281,10 @@ func (e *Engine) LaneLattice(lane int) *ising.Lattice {
 // SetLaneLattice scatters one lane's configuration over the shards.
 func (e *Engine) SetLaneLattice(lane int, l *ising.Lattice) error {
 	if l.Rows != e.Rows() || l.Cols != e.Cols() {
-		return fmt.Errorf("shardedensemble: lattice is %dx%d, engine is %dx%d", l.Rows, l.Cols, e.Rows(), e.Cols())
+		return fmt.Errorf("%s: lattice is %dx%d, engine is %dx%d", e.prefix, l.Rows, l.Cols, e.Rows(), e.Cols())
 	}
 	if lane < 0 || lane >= e.lanes {
-		return fmt.Errorf("shardedensemble: lane %d out of range (engine has %d)", lane, e.lanes)
+		return fmt.Errorf("%s: lane %d out of range (engine has %d)", e.prefix, lane, e.lanes)
 	}
 	bit := uint64(1) << uint(lane)
 	e.EachRow(func(r, c0 int, words []uint64) {
@@ -276,6 +303,6 @@ func (e *Engine) SetLaneLattice(lane int, l *ising.Lattice) error {
 }
 
 // Hash returns an FNV-1a hash of the lane-packed configuration in global
-// row-major site order (active lanes masked) — directly comparable with the
-// hash of a standalone ensemble.Engine holding the same configuration.
+// row-major site order (active lanes masked) — the same for every shard grid
+// holding the same configuration.
 func (e *Engine) Hash() uint64 { return e.HashWords(e.kern.LaneMask()) }

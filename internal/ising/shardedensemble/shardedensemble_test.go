@@ -1,15 +1,16 @@
 package shardedensemble
 
 import (
+	"runtime"
 	"testing"
 
-	"tpuising/internal/ising/ensemble"
 	"tpuising/internal/perf"
 )
 
 // TestLaneBitIdenticalToStandaloneEnsemble is the composition's central
 // contract: every lane of a sharded ensemble is bit-identical to the same
-// lane of a standalone ensemble with the same seed, for non-trivial grids
+// lane of a standalone ensemble (the one-shard engine the registry serves as
+// "ensemble", on one worker) with the same seed, for non-trivial grids
 // including non-square ones and temperature ladders. The comparison is on the
 // full packed configuration (Hash covers every lane bit of every site), plus
 // the per-lane observables.
@@ -42,8 +43,8 @@ func TestLaneBitIdenticalToStandaloneEnsemble(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		plain, err := ensemble.New(ensemble.Config{
-			Rows: tc.rows, Cols: tc.cols, Lanes: tc.lanes,
+		plain, err := New(Config{
+			Name: "ensemble", Rows: tc.rows, Cols: tc.cols, Lanes: tc.lanes,
 			Temperature: 2.3, Temperatures: temps,
 			Seed: 77, Hot: true, Workers: 1,
 		})
@@ -154,8 +155,39 @@ func TestCommCountsMatchShardedEnsembleTraffic(t *testing.T) {
 		if c.Ops != sweeps*int64(e.N())*int64(e.Lanes()) {
 			t.Errorf("grid %v: Ops = %d, want %d", grid, c.Ops, sweeps*int64(e.N())*int64(e.Lanes()))
 		}
-		if rep.PermuteSec <= 0 {
+		if cores := grid[0] * grid[1]; cores == 1 && (c.CommBytes != 0 || rep.PermuteSec != 0) {
+			t.Errorf("grid %v: a single core should move no halo traffic (measured %d bytes, modelled %v s)",
+				grid, c.CommBytes, rep.PermuteSec)
+		} else if cores > 1 && rep.PermuteSec <= 0 {
 			t.Errorf("grid %v: modelled permute time should be positive", grid)
+		}
+	}
+}
+
+// TestBandSplitMatchesSingleBand: the single core's host row bands never
+// change the lane-packed chains. Every worker count (GOMAXPROCS, one band, a
+// count that does not divide the rows, more workers than rows) must
+// reproduce the one-band run.
+func TestBandSplitMatchesSingleBand(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
+	const rows = 16
+	var want uint64
+	for i, workers := range []int{1, 0, 3, rows + 5} {
+		e, err := New(Config{
+			Rows: rows, Cols: 64, Lanes: 64, Temperature: 2.3, Seed: 5, Workers: workers, Hot: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers > 0 && e.Workers() != min(workers, rows) {
+			t.Fatalf("workers=%d: %d row bands", workers, e.Workers())
+		}
+		e.Run(6)
+		if h := e.Hash(); i == 0 {
+			want = h
+		} else if h != want {
+			t.Fatalf("workers=%d: hash %#x, one band %#x", workers, h, want)
 		}
 	}
 }

@@ -68,9 +68,13 @@ func ShardTraffic(s ShardSpec, link interconnect.LinkParams) ShardTrafficReport 
 // ShardedEnsembleTraffic: every core of a GridC x GridR torus sends one
 // row-halo message north and south and one column-halo message east and
 // west per half-sweep, two half-sweeps per sweep. The engines differ only
-// in the two message sizes.
+// in the two message sizes. A 1x1 grid is a single core that wraps its own
+// rows locally, so it moves nothing: zero bytes, events and permute time.
 func haloTraffic(gridR, gridC int, rowHaloBytes, colHaloBytes int64, link interconnect.LinkParams) ShardTrafficReport {
 	cores := int64(gridR * gridC)
+	if cores == 1 {
+		return ShardTrafficReport{}
+	}
 	rep := ShardTrafficReport{
 		RowHaloBytes: rowHaloBytes,
 		ColHaloBytes: colHaloBytes,

@@ -124,8 +124,7 @@ func (r *Replica) NeighborID(dx, dy int) int { return r.pod.mesh.ID(r.X+dx, r.Y+
 // zeros if none). The communication cost is charged to this core's profile.
 func (r *Replica) CollectivePermute(data *tensor.Tensor, pairs [][2]int) *tensor.Tensor {
 	out := r.pod.fabric.CollectivePermute(r.ID, data, pairs)
-	_, hops := r.pod.mesh.PermuteCost(pairs, data.SizeBytes())
-	r.Core.RecordComm(data.SizeBytes(), int64(hops))
+	r.Core.RecordComm(data.SizeBytes(), int64(r.pod.mesh.MaxHops(pairs)))
 	return out
 }
 
@@ -142,9 +141,7 @@ func (r *Replica) ShiftExchange(data *tensor.Tensor, dx, dy int) *tensor.Tensor 
 // communication profile exactly like the tensor collective.
 func (r *Replica) CollectivePermuteWords(data []uint64, pairs [][2]int) []uint64 {
 	out := r.pod.fabric.CollectivePermuteWords(r.ID, data, pairs)
-	bytes := int64(len(data)) * 8
-	_, hops := r.pod.mesh.PermuteCost(pairs, bytes)
-	r.Core.RecordComm(bytes, int64(hops))
+	r.Core.RecordComm(int64(len(data))*8, int64(r.pod.mesh.MaxHops(pairs)))
 	return out
 }
 

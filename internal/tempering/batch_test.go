@@ -6,7 +6,6 @@ import (
 
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/backend"
-	"tpuising/internal/ising/ensemble"
 )
 
 // ladderOf returns a small ascending ladder for the batch tests.
@@ -47,9 +46,7 @@ func TestBatchLadderBitIdenticalToClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := ensemble.New(ensemble.Config{
-		Rows: rows, Cols: cols, Lanes: len(temps), Temperatures: temps, Seed: seed,
-	})
+	packed, err := backend.NewBatchLadder("multispin", backend.Config{Rows: rows, Cols: cols, Seed: seed}, temps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +116,14 @@ func TestBatchLadderOverAdapter(t *testing.T) {
 func TestNewBatchValidation(t *testing.T) {
 	temps := ladderOf(3)
 	cfg := Config{Temperatures: temps, Seed: 1}
-	wrong, err := ensemble.New(ensemble.Config{Rows: 8, Cols: 64, Lanes: 2, Temperature: 2.0, Seed: 1})
+	wrong, err := backend.NewBatch("multispin", backend.Config{Rows: 8, Cols: 64, Temperature: 2.0, Seed: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewBatch(cfg, wrong); err == nil {
 		t.Error("lane/rung mismatch accepted")
 	}
-	swept, err := ensemble.New(ensemble.Config{Rows: 8, Cols: 64, Lanes: 3, Temperature: 2.0, Seed: 1})
+	swept, err := backend.NewBatch("multispin", backend.Config{Rows: 8, Cols: 64, Temperature: 2.0, Seed: 1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

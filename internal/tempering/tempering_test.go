@@ -8,7 +8,7 @@ import (
 	"tpuising/internal/interconnect"
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/backend"
-	"tpuising/internal/ising/multispin"
+	"tpuising/internal/ising/sharded"
 	"tpuising/internal/perf"
 	"tpuising/internal/stats"
 )
@@ -55,11 +55,11 @@ func TestSwapAcceptanceMatchesAnalyticProbability(t *testing.T) {
 	flipped.Flip(0, 0)
 	newBackend := func(initial *ising.Lattice) func(int, float64) (ising.Backend, error) {
 		return func(slot int, temperature float64) (ising.Backend, error) {
-			cfg := multispin.Config{Rows: rows, Cols: cols, Temperature: temperature, Seed: uint64(slot)}
+			cfg := sharded.Config{Name: "multispin", Rows: rows, Cols: cols, Temperature: temperature, Seed: uint64(slot)}
 			if slot == 1 {
 				cfg.Initial = initial
 			}
-			return multispin.New(cfg)
+			return sharded.New(cfg)
 		}
 	}
 
