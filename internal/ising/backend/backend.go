@@ -9,10 +9,9 @@
 // (internal/ising/shardedensemble) on one shard, reporting "ensemble", a
 // full 64-lane sharded batch as the same engine on sharded's grid (the name
 // "sharded-ensemble" is an alias of sharded), every other batch on the
-// generic adapter. The CLI's -backend
-// flag, the service, the tempering ladder and the repository benchmarks all
-// go through this package, so adding an engine here makes it available
-// everywhere at once.
+// generic adapter. The CLI's -backend flag, the service, the tempering
+// ladder and the repository benchmarks all go through this package, so
+// adding an engine here makes it available everywhere at once.
 package backend
 
 import (
@@ -131,8 +130,9 @@ func New(name string, cfg Config) (ising.Backend, error) {
 // "ensemble" — bit-identical chains, one word pass per site for all of them;
 // a full 64-lane sharded batch likewise comes back as one lane-packed pod on
 // sharded's grid. Every other registered engine is lifted through the
-// generic adapter, so the batch axis works for the whole registry. Batching is an execution strategy, never a physics
-// change: lane L's chain is the same chain either way.
+// generic adapter, so the batch axis works for the whole registry. Batching
+// is an execution strategy, never a physics change: lane L's chain is the
+// same chain either way.
 func NewBatch(name string, cfg Config, lanes int) (ising.BatchBackend, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("backend: batch needs at least 1 lane, got %d", lanes)

@@ -17,8 +17,9 @@ import (
 // service, the CLI) can run B chains for roughly the price of one through
 // this interface. Two implementations exist: the generic adapter returned by
 // NewBatchOf, which lifts any registered Backend into a lane-parallel
-// ensemble, and the lane-packed engine of internal/ising/ensemble, which
-// stores one bit per chain in each uint64 word.
+// ensemble, and the lane-packed engine of internal/ising/shardedensemble
+// (the internal/ising/ensemble kernel on the pod Driver), which stores one
+// bit per chain in each uint64 word.
 type BatchBackend interface {
 	// Name identifies the engine in tables, flags and benchmark output.
 	Name() string

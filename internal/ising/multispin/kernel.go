@@ -105,8 +105,9 @@ func (k *Kernel) SetThresholds(th Thresholds) {
 // with >= 2 disagreeing neighbours (always accept), one marks exactly one
 // (accept with probability exp(-4 beta)) and zero marks none (accept with
 // probability exp(-8 beta)). It is the shared core of every bit-packed
-// engine's hot loop — the whole-lattice engine, the mesh-sharded engine and
-// internal/ising/ensemble all classify through it.
+// engine's hot loop — this package's row kernel on every shard grid (the
+// single core included) and internal/ising/ensemble's lane kernel both
+// classify through it.
 func DisagreeClasses(d1, d2, d3, d4 uint64) (ge2, one, zero uint64) {
 	// Bit-sliced sum of the four d-bits into a 3-bit count per site.
 	h0, c0 := d1^d2, d1&d2
@@ -148,13 +149,13 @@ func (s *Scratch) buf(n int) []uint32 {
 // neighbour bit consumed belongs to the opposite colour, which this update
 // does not write). westWrap is the word logically west of row[0] (only its
 // bit 63 is consumed) and eastWrap the word logically east of row[W-1] (only
-// its bit 0 is consumed); the whole-lattice engine passes the row's own end
-// words for the torus wrap, a shard passes its neighbour's halo.
+// its bit 0 is consumed); the single core passes the row's own end words for
+// the torus wrap, a shard of a larger grid passes its neighbour's halo.
 //
 // globalRow and wordOff are the row's global row index and the global word
 // index of row[0]: they key the site randoms and select the active-colour
 // parity, so a shard updating a window of a larger lattice draws exactly the
-// randoms the whole-lattice engine would.
+// randoms the single core would.
 //
 // UpdateRow is the convenience form that brings its own scratch; the engines'
 // hot loops call UpdateRowScratch with a persistent per-worker Scratch

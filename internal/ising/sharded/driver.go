@@ -79,8 +79,7 @@ type band struct {
 // A 1x1 grid is a single core, the paper's single-core program: it runs no
 // pod or fabric exchange, so it moves no interconnect traffic. Its
 // neighbours are its own rows, read live, and its wrap words are the row's
-// own end words, exactly like a whole-lattice engine. Its rows split into
-// Geometry.Workers host bands instead.
+// own end words. Its rows split into Geometry.Workers host bands instead.
 type Driver struct {
 	rows, cols   int
 	gridR, gridC int
@@ -339,8 +338,8 @@ func (d *Driver) Run(n int) {
 }
 
 // EachRow calls fn with every shard row in global row-major order — the
-// whole-lattice word order of the unsharded engines — giving the global row
-// and the global column of the row's first site.
+// word order of the single core — giving the global row and the global
+// column of the row's first site.
 func (d *Driver) EachRow(fn func(row, col int, words []uint64)) {
 	mesh := d.pod.Mesh()
 	for gr := 0; gr < d.rows; gr++ {

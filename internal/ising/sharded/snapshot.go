@@ -9,14 +9,14 @@ import (
 
 // Snapshot captures the engine's chain state in whole-lattice coordinates:
 // the shards' packed words are gathered in global row-major word order and
-// dumped little-endian — byte-for-byte the layout a multispin engine holding
-// the same configuration would dump, because the two engines are
-// bit-identical at the same seed. The snapshot carries the sharded backend
-// name, the site-keyed Philox key and the colour-step counter; the shard
-// grid is deliberately absent, since the chain is a pure function of
-// (seed, step, global site) and restores into any grid of the same lattice.
-// With this, sharded isingd jobs checkpoint and resume like the other host
-// engines. It satisfies ising.Snapshotter.
+// dumped little-endian — byte-for-byte the same for every shard grid holding
+// the same configuration, the single core that serves multispin included.
+// The snapshot carries the engine's name (so a multispin, multispin-shared
+// or sharded snapshot restores only into its own backend), the site-keyed
+// Philox key and the colour-step counter; the shard grid is deliberately
+// absent, since the chain is a pure function of (seed, step, global site)
+// and restores into any grid of the same lattice. It satisfies
+// ising.Snapshotter.
 func (e *Engine) Snapshot() (*ising.Snapshot, error) {
 	spins := make([]byte, 0, ising.PackedSpinBytes(e.Rows(), e.Cols()))
 	e.EachRow(func(_, _ int, words []uint64) {
@@ -36,7 +36,7 @@ func (e *Engine) Snapshot() (*ising.Snapshot, error) {
 }
 
 // Restore replaces the engine's chain state with a snapshot previously taken
-// from the same sharded variant at the same lattice size (any shard grid):
+// from the same backend at the same lattice size (any shard grid):
 // the global packed words are scattered back over the shards, and the step
 // counter (from which Counts derives the host Ops) is restored, so Counts
 // stays consistent with an uninterrupted run. The interconnect counters
