@@ -234,3 +234,34 @@ func TestQuenchOrdersLocally(t *testing.T) {
 		}
 	}
 }
+
+// newMultispin64 is the construction a small service job pays: a 64x64
+// multispin chain on one row band, so the allocation count does not depend
+// on GOMAXPROCS.
+func newMultispin64() (ising.Backend, error) {
+	return backend.New("multispin", backend.Config{Rows: 64, Cols: 64, Temperature: 2.5, Seed: 1, Workers: 1})
+}
+
+// TestNewMultispinAllocs bounds the allocations of a one-shard chain's
+// construction: the single core runs no pod exchange, so it must not pay
+// for a simulated pod (mesh, fabric, core models) up front.
+func TestNewMultispinAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := newMultispin64(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10 {
+		t.Errorf("backend.New(multispin, 64x64) made %v allocations, want at most 10", allocs)
+	}
+}
+
+// BenchmarkNewMultispin64 times the construction of a 64x64 multispin chain
+// (run with -benchmem for its allocations).
+func BenchmarkNewMultispin64(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := newMultispin64(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"tpuising/internal/device/metrics"
+	"tpuising/internal/interconnect"
 	"tpuising/internal/pod"
 )
 
@@ -79,7 +80,8 @@ type band struct {
 // A 1x1 grid is a single core, the paper's single-core program: it runs no
 // pod or fabric exchange, so it moves no interconnect traffic. Its
 // neighbours are its own rows, read live, and its wrap words are the row's
-// own end words. Its rows split into Geometry.Workers host bands instead.
+// own end words. Its rows split into Geometry.Workers host bands instead,
+// and it builds no pod unless Pod asks for one.
 type Driver struct {
 	rows, cols   int
 	gridR, gridC int
@@ -89,8 +91,9 @@ type Driver struct {
 	siteBits     uint
 	siteMask     uint64 // low siteBits bits
 	lanes        int64
-	pod          *pod.Pod
-	shards       []*shard // indexed by core ID (row-major over the mesh grid)
+	mesh         interconnect.Mesh // shard grid geometry only: no link model
+	pod          *pod.Pod          // nil on a one-shard grid until Pod is called
+	shards       []*shard          // indexed by core ID (row-major over the mesh grid)
 	kernel       RowKernel
 	step         uint64
 	bands        []band // one-shard grid only
@@ -129,13 +132,16 @@ func NewDriver(g Geometry, kernel RowKernel) (*Driver, error) {
 		kernel:    kernel,
 		// Mesh X axis = shard columns, Y axis = shard rows, matching the
 		// paper's mapping of the lattice onto the pod grid.
-		pod: pod.New(gridC, gridR),
+		mesh: interconnect.Mesh{NX: gridC, NY: gridR},
+	}
+	if gridR*gridC > 1 {
+		d.pod = pod.New(gridC, gridR)
 	}
 	d.rowWords = d.shardCols * g.SiteBits / WordBits
 	sitesPerWord := WordBits / g.SiteBits
-	d.shards = make([]*shard, d.pod.NumCores())
+	d.shards = make([]*shard, d.mesh.NumCores())
 	for id := range d.shards {
-		x, y := d.pod.Mesh().Coord(id)
+		x, y := d.mesh.Coord(id)
 		sh := &shard{
 			words:  make([]uint64, d.shardRows*d.rowWords),
 			rowOff: y * d.shardRows,
@@ -194,15 +200,24 @@ func (d *Driver) Step() uint64 { return d.step }
 // SetStep replaces the colour-step counter (for snapshot restores).
 func (d *Driver) SetStep(step uint64) { d.step = step }
 
-// Pod exposes the underlying simulated pod (for profiling and tests).
-func (d *Driver) Pod() *pod.Pod { return d.pod }
+// Pod exposes the underlying simulated pod (for profiling and tests). A
+// one-shard grid never exchanges, so its pod is built on the first call.
+func (d *Driver) Pod() *pod.Pod {
+	if d.pod == nil {
+		d.pod = pod.New(d.gridC, d.gridR)
+	}
+	return d.pod
+}
 
 // Counts reports the attempted spin updates of every chain in Ops (host
 // work, like the other host engines) plus the pod-total interconnect traffic
 // of the halo exchanges, which the perf package's traffic models mirror
-// analytically.
+// analytically. A one-shard grid moves none.
 func (d *Driver) Counts() metrics.Counts {
-	total := d.pod.TotalCounts()
+	var total metrics.Counts
+	if d.pod != nil {
+		total = d.pod.TotalCounts()
+	}
 	return metrics.Counts{
 		Ops:        int64(d.step) / 2 * int64(d.N()) * d.lanes,
 		CommBytes:  total.CommBytes,
@@ -341,10 +356,9 @@ func (d *Driver) Run(n int) {
 // word order of the single core — giving the global row and the global
 // column of the row's first site.
 func (d *Driver) EachRow(fn func(row, col int, words []uint64)) {
-	mesh := d.pod.Mesh()
 	for gr := 0; gr < d.rows; gr++ {
 		for x := 0; x < d.gridC; x++ {
-			sh := d.shards[mesh.ID(x, gr/d.shardRows)]
+			sh := d.shards[d.mesh.ID(x, gr/d.shardRows)]
 			fn(gr, sh.colOff, d.row(sh, gr-sh.rowOff))
 		}
 	}
@@ -356,11 +370,10 @@ func (d *Driver) EachRow(fn func(row, col int, words []uint64)) {
 // site. Between sweeps the shards are quiescent, so the walk reads the
 // neighbours directly rather than through the fabric.
 func (d *Driver) EachBond(fn func(row, south []uint64, eastWord uint64)) {
-	mesh := d.pod.Mesh()
 	for id, sh := range d.shards {
-		x, y := mesh.Coord(id)
-		eastSh := d.shards[mesh.ID(x+1, y)]
-		south := d.row(d.shards[mesh.ID(x, y+1)], 0)
+		x, y := d.mesh.Coord(id)
+		eastSh := d.shards[d.mesh.ID(x+1, y)]
+		south := d.row(d.shards[d.mesh.ID(x, y+1)], 0)
 		for r := d.shardRows - 1; r >= 0; r-- {
 			row := d.row(sh, r)
 			fn(row, south, d.row(eastSh, r)[0])
@@ -372,7 +385,7 @@ func (d *Driver) EachBond(fn func(row, south []uint64, eastWord uint64)) {
 // Segment returns the shard row holding global site (row, col) and the
 // site's column within it.
 func (d *Driver) Segment(row, col int) (words []uint64, localCol int) {
-	sh := d.shards[d.pod.Mesh().ID(col/d.shardCols, row/d.shardRows)]
+	sh := d.shards[d.mesh.ID(col/d.shardCols, row/d.shardRows)]
 	return d.row(sh, row-sh.rowOff), col - sh.colOff
 }
 

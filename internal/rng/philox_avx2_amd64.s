@@ -1,5 +1,5 @@
-// AVX2 Philox4x32-10 batch kernels. Eight independent blocks are advanced
-// per iteration in structure-of-arrays form: Y0..Y3 hold component c0..c3 of
+// AVX2 Philox4x32-10 batch kernels. Eight independent blocks form one state
+// in structure-of-arrays form: four ymm registers hold component c0..c3 of
 // all eight blocks. VPMULUDQ multiplies only the even 32-bit lanes, so each
 // round does the even lanes in place and the odd lanes through a 32-bit
 // shift, then recombines the hi/lo product halves with VPBLENDD. The final
@@ -7,31 +7,38 @@
 // the blocks in exactly Block's array-of-blocks output order, so the vector
 // path is bit-identical to the scalar generator by construction.
 //
-// PHILOX_ROUNDS runs the ten rounds on state Y0..Y3 with round keys Y12/Y13
-// (clobbered), Y8/Y9 = M0/M1, Y10/Y11 = W0/W1, Y4..Y7 and Y15 as
-// temporaries, CX as the round counter:
-//   Y4 = even-lane M0*c0, Y5 = odd-lane M0*c0 (then hi1), Y15 = hi0,
-//   Y6 = even-lane M1*c2 (then lo1), Y7 = odd-lane M1*c2,
-//   c0' = hi1^c1^k0, c1' = lo1, c2' = hi0^c3^k1, c3' = lo0.
-// PHILOX_STORE transposes Y0..Y3 into eight consecutive 16-byte blocks at
-// (DI) and advances DI, clobbering Y4..Y7.
+// One state's round is a latency-bound chain (multiply, shift, blend, xor),
+// so every kernel advances two independent states per loop iteration, A in
+// Y0..Y3 and B in Y4..Y7, and lets the out-of-order core overlap their
+// chains; an odd final group of eight blocks runs as one iteration on A
+// alone. PHILOX_ROUND is the only round body and serves both: it takes the
+// state and its two round keys as arguments and uses Y13..Y15 as
+// temporaries, which both states share because register renaming removes
+// the false dependencies. M0/M1 and W0/W1 are read as memory operands to
+// leave the registers to the states and keys:
+//   row kernels (blockRowAVX2, acceptRowAVX2): Y8/Y9 = broadcast round keys
+//     k0/k1 shared by A and B, Y10 = A's running c3 vector (B's is c3+8),
+//     Y11/Y12 = the accept kernel's biased thresholds t4/t8;
+//   lane kernels (blockLanesAVX2, acceptLanesAVX2): Y8/Y9 = A's per-lane
+//     round keys, Y10/Y11 = B's, Y12 = the accept kernel's VPERMD control.
+// PHILOX_STORE transposes one state into eight consecutive 16-byte blocks at
+// (DI) and advances DI, clobbering Y8 and Y13..Y15.
 //
 // The accept kernels (acceptRowAVX2, acceptLanesAVX2) run the same rounds and
 // then, instead of storing the blocks, compare them against the Metropolis
 // thresholds in registers: u < t for unsigned u is the signed compare
-// t^2^31 > u^2^31 (PHILOX_BIAS flips the sign bits of Y0..Y3), and a
+// t^2^31 > u^2^31 (PHILOX_BIAS flips the sign bits of a state), and a
 // threshold of 2^32 or more, which no 32-bit value can hold, becomes an
 // all-ones force mask OR'ed into the result.
 //
-// Scalar arguments reach the vectors through general registers (VMOVD, then
-// VPBROADCASTD from the xmm register), so every FP reference names one
-// 4-byte element and go vet's asmdecl check can verify it. The move must be
-// the VEX-encoded VMOVD: a legacy-SSE MOVD while the upper ymm halves are
-// dirty pays an SSE/AVX state transition on every loop iteration, which made
-// the kernels about 20x slower on a Xeon host. The accept kernels need their
-// general registers for thresholds, masks and pointers, so they broadcast
-// the counter and key words from memory through BX = &ctr (key follows ctr
-// in the argument frame); asmdecl checks the LEAQ, not those offsets.
+// Every kernel broadcasts the counter and key words from memory through
+// BX = &ctr (a row kernel's key follows ctr in the argument frame); asmdecl
+// checks the LEAQ, not those offsets. The accept row kernel's thresholds
+// reach the vectors through general registers, which must use the
+// VEX-encoded VMOVD: a legacy-SSE MOVD while the upper ymm halves are dirty
+// pays an SSE/AVX state transition on every loop iteration, which made the
+// kernels about 20x slower on a Xeon host.
+
 
 #include "textflag.h"
 
@@ -128,58 +135,99 @@ DATA ·philoxEvenOdd+24(SB)/4, $5
 DATA ·philoxEvenOdd+28(SB)/4, $7
 GLOBL ·philoxEvenOdd(SB), RODATA|NOPTR, $32
 
-#define PHILOX_ROUNDS(label)     \
-	MOVQ $10, CX                 \
-label:                           \
-	VPMULUDQ Y0, Y8, Y4          \
-	VPSRLQ $32, Y0, Y5           \
-	VPMULUDQ Y5, Y8, Y5          \
-	VPMULUDQ Y2, Y9, Y6          \
-	VPSRLQ $32, Y2, Y7           \
-	VPMULUDQ Y7, Y9, Y7          \
-	VPSRLQ $32, Y4, Y15          \
-	VPBLENDD $0xAA, Y5, Y15, Y15 \
-	VPSLLQ $32, Y5, Y5           \
-	VPBLENDD $0xAA, Y5, Y4, Y4   \
-	VPSRLQ $32, Y6, Y5           \
-	VPBLENDD $0xAA, Y7, Y5, Y5   \
-	VPSLLQ $32, Y7, Y7           \
-	VPBLENDD $0xAA, Y7, Y6, Y6   \
-	VPXOR Y5, Y1, Y0             \
-	VPXOR Y12, Y0, Y0            \
-	VPXOR Y15, Y3, Y2            \
-	VPXOR Y13, Y2, Y2            \
-	VMOVDQA Y6, Y1               \
-	VMOVDQA Y4, Y3               \
-	VPADDD Y10, Y12, Y12         \
-	VPADDD Y11, Y13, Y13         \
-	DECQ CX                      \
-	JNZ label
+// PHILOX_ROUND runs one round on the state c0..c3 under round keys k0/k1:
+// c0' = hi(M1*c2)^c1^k0, c1' = lo(M1*c2), c2' = hi(M0*c0)^c3^k1,
+// c3' = lo(M0*c0). The key XORs are taken off the multiply chain: Y15 =
+// c1^k0 first, and c2 = c3^k1 once c2 has fed the multiply; c1 and c3 then
+// serve as scratch for the product halves.
+#define PHILOX_ROUND(c0, c1, c2, c3, k0, k1) \
+	VPXOR k0, c1, Y15                       \
+	VPMULUDQ ·philoxM1v(SB), c2, Y13        \
+	VPSRLQ $32, c2, Y14                     \
+	VPMULUDQ ·philoxM1v(SB), Y14, Y14       \
+	VPXOR k1, c3, c2                        \
+	VPSLLQ $32, Y14, c1                     \
+	VPBLENDD $0xAA, c1, Y13, c1             \
+	VPSRLQ $32, Y13, Y13                    \
+	VPBLENDD $0xAA, Y14, Y13, Y13           \
+	VPMULUDQ ·philoxM0v(SB), c0, Y14        \
+	VPSRLQ $32, c0, c3                      \
+	VPMULUDQ ·philoxM0v(SB), c3, c3         \
+	VPXOR Y13, Y15, c0                      \
+	VPSRLQ $32, Y14, Y13                    \
+	VPBLENDD $0xAA, c3, Y13, Y13            \
+	VPXOR Y13, c2, c2                       \
+	VPSLLQ $32, c3, c3                      \
+	VPBLENDD $0xAA, c3, Y14, c3
 
-#define PHILOX_STORE             \
-	VPUNPCKLDQ Y1, Y0, Y4        \
-	VPUNPCKHDQ Y1, Y0, Y5        \
-	VPUNPCKLDQ Y3, Y2, Y6        \
-	VPUNPCKHDQ Y3, Y2, Y7        \
-	VPUNPCKLQDQ Y6, Y4, Y0       \
-	VPUNPCKHQDQ Y6, Y4, Y1       \
-	VPUNPCKLQDQ Y7, Y5, Y2       \
-	VPUNPCKHQDQ Y7, Y5, Y3       \
-	VPERM2I128 $0x20, Y1, Y0, Y4 \
-	VPERM2I128 $0x20, Y3, Y2, Y5 \
-	VPERM2I128 $0x31, Y1, Y0, Y6 \
-	VPERM2I128 $0x31, Y3, Y2, Y7 \
-	VMOVDQU Y4, (DI)             \
-	VMOVDQU Y5, 32(DI)           \
-	VMOVDQU Y6, 64(DI)           \
-	VMOVDQU Y7, 96(DI)           \
+// PHILOX_NEXT_KEY advances the round keys k0/k1 by W0/W1.
+#define PHILOX_NEXT_KEY(k0, k1)       \
+	VPADDD ·philoxW0v(SB), k0, k0     \
+	VPADDD ·philoxW1v(SB), k1, k1
+
+#define PHILOX_STORE(c0, c1, c2, c3) \
+	VPUNPCKLDQ c1, c0, Y13           \
+	VPUNPCKHDQ c1, c0, Y14           \
+	VPUNPCKLDQ c3, c2, Y15           \
+	VPUNPCKHDQ c3, c2, Y8            \
+	VPUNPCKLQDQ Y15, Y13, c0         \
+	VPUNPCKHQDQ Y15, Y13, c1         \
+	VPUNPCKLQDQ Y8, Y14, c2          \
+	VPUNPCKHQDQ Y8, Y14, c3          \
+	VPERM2I128 $0x20, c1, c0, Y13    \
+	VPERM2I128 $0x20, c3, c2, Y14    \
+	VPERM2I128 $0x31, c1, c0, Y15    \
+	VPERM2I128 $0x31, c3, c2, Y8     \
+	VMOVDQU Y13, (DI)                \
+	VMOVDQU Y14, 32(DI)              \
+	VMOVDQU Y15, 64(DI)              \
+	VMOVDQU Y8, 96(DI)               \
 	ADDQ $128, DI
 
-#define PHILOX_BIAS                        \
-	VPXOR ·philoxSignBias(SB), Y0, Y0      \
-	VPXOR ·philoxSignBias(SB), Y1, Y1      \
-	VPXOR ·philoxSignBias(SB), Y2, Y2      \
-	VPXOR ·philoxSignBias(SB), Y3, Y3
+#define PHILOX_BIAS(c0, c1, c2, c3)        \
+	VPXOR ·philoxSignBias(SB), c0, c0      \
+	VPXOR ·philoxSignBias(SB), c1, c1      \
+	VPXOR ·philoxSignBias(SB), c2, c2      \
+	VPXOR ·philoxSignBias(SB), c3, c3
+
+// ROW_STATE starts state A at the counter words of (BX) with Y3 = Y10 and
+// loads the round keys of 16(BX). ROW_STATE_PAIR also starts state B at
+// c3+8 and advances Y10 past both.
+#define ROW_STATE                \
+	VPBROADCASTD 0(BX), Y0       \
+	VPBROADCASTD 4(BX), Y1       \
+	VPBROADCASTD 8(BX), Y2       \
+	VMOVDQA Y10, Y3              \
+	VPBROADCASTD 16(BX), Y8      \
+	VPBROADCASTD 20(BX), Y9
+
+#define ROW_STATE_PAIR                      \
+	ROW_STATE                               \
+	VMOVDQA Y0, Y4                          \
+	VMOVDQA Y1, Y5                          \
+	VMOVDQA Y2, Y6                          \
+	VPADDD ·philoxEight(SB), Y10, Y7        \
+	VPADDD ·philoxEight(SB), Y7, Y10
+
+// LANE_STATE starts state A at the counter words of (BX) under the lane
+// keys at (R8)/(R9). LANE_STATE_PAIR also starts state B under the next
+// eight lanes' keys.
+#define LANE_STATE               \
+	VPBROADCASTD 0(BX), Y0       \
+	VPBROADCASTD 4(BX), Y1       \
+	VPBROADCASTD 8(BX), Y2       \
+	VPBROADCASTD 12(BX), Y3      \
+	VMOVDQU (R8), Y8             \
+	VMOVDQU (R9), Y9
+
+#define LANE_STATE_PAIR          \
+	LANE_STATE                   \
+	VMOVDQA Y0, Y4               \
+	VMOVDQA Y1, Y5               \
+	VMOVDQA Y2, Y6               \
+	VMOVDQA Y3, Y7               \
+	VMOVDQU 32(R8), Y10          \
+	VMOVDQU 32(R9), Y11
 
 // ROW_THRESHOLD splits a threshold t (clobbered) into its biased low word
 // and the force mask, all ones when t >= 2^32 (NEGQ sets the carry exactly
@@ -191,96 +239,120 @@ label:                           \
 	NEGQ t                              \
 	SBBL force, force
 
-// ROW_MASK compares the biased blocks Y0..Y3 (component c of block b in
+// ROW_MASK compares the biased blocks c0..c3 (component c of block b in
 // lane b) against the broadcast biased threshold t and stores the 32-bit
-// mask, bit 4b+c, OR force, at (dst). Two saturating packs gather the 32
+// mask, bit 4b+c, OR force, at dst. Two saturating packs gather the 32
 // compare results as bytes in order 4c+b per 128-bit lane, the transpose
 // reorders them to 4b+c and VPMOVMSKB collects their sign bits.
-#define ROW_MASK(t, force, dst)                   \
-	VPCMPGTD Y0, t, Y4                            \
-	VPCMPGTD Y1, t, Y5                            \
-	VPCMPGTD Y2, t, Y6                            \
-	VPCMPGTD Y3, t, Y7                            \
-	VPACKSSDW Y5, Y4, Y4                          \
-	VPACKSSDW Y7, Y6, Y6                          \
-	VPACKSSWB Y6, Y4, Y4                          \
-	VPSHUFB ·philoxAcceptTranspose(SB), Y4, Y4    \
-	VPMOVMSKB Y4, AX                              \
+#define ROW_MASK(c0, c1, c2, c3, t, force, dst)   \
+	VPCMPGTD c0, t, Y13                           \
+	VPCMPGTD c1, t, Y14                           \
+	VPACKSSDW Y14, Y13, Y13                       \
+	VPCMPGTD c2, t, Y14                           \
+	VPCMPGTD c3, t, Y15                           \
+	VPACKSSDW Y15, Y14, Y14                       \
+	VPACKSSWB Y14, Y13, Y13                       \
+	VPSHUFB ·philoxAcceptTranspose(SB), Y13, Y13  \
+	VPMOVMSKB Y13, AX                             \
 	ORL force, AX                                 \
-	MOVL AX, (dst)
+	MOVL AX, dst
 
-// LANE_THRESHOLDS loads the eight uint64 thresholds at (src) into Y6 =
-// biased low words and Y7 = force masks (high word > 0, i.e. t >= 2^32 for
-// any t < 2^63), clobbering Y4, Y5, Y12 and Y13.
+// ROW_ACCEPT stores the next word's accept masks of state c0..c3 under the
+// thresholds of acceptRowAVX2 and advances DI and SI.
+#define ROW_ACCEPT(c0, c1, c2, c3)            \
+	PHILOX_BIAS(c0, c1, c2, c3)               \
+	ROW_MASK(c0, c1, c2, c3, Y11, R10, (DI))  \
+	ROW_MASK(c0, c1, c2, c3, Y12, R11, (SI))  \
+	ADDQ $4, DI                               \
+	ADDQ $4, SI
+
+// LANE_THRESHOLDS loads the eight uint64 thresholds at (src) into Y15 =
+// biased low words and Y14 = force masks (high word > 0, i.e. t >= 2^32 for
+// any t < 2^63), with Y12 = philoxEvenOdd, clobbering Y13.
 #define LANE_THRESHOLDS(src)                \
-	VMOVDQU ·philoxEvenOdd(SB), Y12         \
-	VPERMD (src), Y12, Y4                   \
-	VPERMD 32(src), Y12, Y5                 \
-	VPERM2I128 $0x20, Y5, Y4, Y6            \
-	VPERM2I128 $0x31, Y5, Y4, Y7            \
-	VPXOR ·philoxSignBias(SB), Y6, Y6       \
+	VPERMD (src), Y12, Y13                  \
+	VPERMD 32(src), Y12, Y14                \
+	VPERM2I128 $0x20, Y14, Y13, Y15         \
+	VPERM2I128 $0x31, Y14, Y13, Y14         \
+	VPXOR ·philoxSignBias(SB), Y15, Y15     \
 	VPXOR Y13, Y13, Y13                     \
-	VPCMPGTD Y13, Y7, Y7
+	VPCMPGTD Y13, Y14, Y14
 
-// LANE_MASKS compares component c of the biased blocks (Y0..Y3, lane l in
-// lane l) against Y6, ORs the force mask Y7 and stores the eight lane bits
+// LANE_MASKS compares component c of the biased blocks (c0..c3, lane l in
+// lane l) against Y15, ORs the force mask Y14 and stores the eight lane bits
 // as byte 0 of the c-th uint64 at (dst).
-#define LANE_MASKS(dst)      \
-	VPCMPGTD Y0, Y6, Y4      \
-	VPOR Y7, Y4, Y4          \
-	VMOVMSKPS Y4, AX         \
-	MOVB AX, (dst)           \
-	VPCMPGTD Y1, Y6, Y4      \
-	VPOR Y7, Y4, Y4          \
-	VMOVMSKPS Y4, AX         \
-	MOVB AX, 8(dst)          \
-	VPCMPGTD Y2, Y6, Y4      \
-	VPOR Y7, Y4, Y4          \
-	VMOVMSKPS Y4, AX         \
-	MOVB AX, 16(dst)         \
-	VPCMPGTD Y3, Y6, Y4      \
-	VPOR Y7, Y4, Y4          \
-	VMOVMSKPS Y4, AX         \
+#define LANE_MASKS(c0, c1, c2, c3, dst) \
+	VPCMPGTD c0, Y15, Y13               \
+	VPOR Y14, Y13, Y13                  \
+	VMOVMSKPS Y13, AX                   \
+	MOVB AX, (dst)                      \
+	VPCMPGTD c1, Y15, Y13               \
+	VPOR Y14, Y13, Y13                  \
+	VMOVMSKPS Y13, AX                   \
+	MOVB AX, 8(dst)                     \
+	VPCMPGTD c2, Y15, Y13               \
+	VPOR Y14, Y13, Y13                  \
+	VMOVMSKPS Y13, AX                   \
+	MOVB AX, 16(dst)                    \
+	VPCMPGTD c3, Y15, Y13               \
+	VPOR Y14, Y13, Y13                  \
+	VMOVMSKPS Y13, AX                   \
 	MOVB AX, 24(dst)
+
+// LANE_ACCEPT stores the next eight lanes' masks of state c0..c3 under the
+// thresholds at (R10)/(R11) and advances DI, SI, R10 and R11.
+#define LANE_ACCEPT(c0, c1, c2, c3)    \
+	PHILOX_BIAS(c0, c1, c2, c3)        \
+	LANE_THRESHOLDS(R10)               \
+	LANE_MASKS(c0, c1, c2, c3, DI)     \
+	LANE_THRESHOLDS(R11)               \
+	LANE_MASKS(c0, c1, c2, c3, SI)     \
+	INCQ DI                            \
+	INCQ SI                            \
+	ADDQ $64, R10                      \
+	ADDQ $64, R11
 
 // func blockRowAVX2(dst *uint32, n uint64, ctr Counter, key Key)
 TEXT ·blockRowAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ n+8(FP), SI
-	MOVL ctr_0+16(FP), R10
-	MOVL ctr_1+20(FP), R11
-	MOVL ctr_2+24(FP), R12
-	MOVL key_0+32(FP), R13
-	MOVL key_1+36(FP), BX
-	VMOVDQU ·philoxM0v(SB), Y8
-	VMOVDQU ·philoxM1v(SB), Y9
-	VMOVDQU ·philoxW0v(SB), Y10
-	VMOVDQU ·philoxW1v(SB), Y11
+	LEAQ ctr+16(FP), BX
 
-	// Y14 = running c3 vector: broadcast ctr[3] + {0..7}, advanced by 8
-	// per iteration (wrapping mod 2^32 like the scalar counter walk).
-	MOVL ctr_3+28(FP), AX
-	VMOVD AX, X14
-	VPBROADCASTD X14, Y14
-	VPADDD ·philoxLaneIota(SB), Y14, Y14
+	// Y10 = running c3 vector: broadcast ctr[3] + {0..7}, advanced by 8
+	// per state (wrapping mod 2^32 like the scalar counter walk).
+	VPBROADCASTD 12(BX), Y10
+	VPADDD ·philoxLaneIota(SB), Y10, Y10
+	MOVQ SI, DX
+	SHRQ $4, DX
+	JZ rowtail
 
-rowloop:
-	VMOVD R10, X0
-	VPBROADCASTD X0, Y0
-	VMOVD R11, X1
-	VPBROADCASTD X1, Y1
-	VMOVD R12, X2
-	VPBROADCASTD X2, Y2
-	VMOVDQA Y14, Y3
-	VMOVD R13, X12
-	VPBROADCASTD X12, Y12
-	VMOVD BX, X13
-	VPBROADCASTD X13, Y13
-	PHILOX_ROUNDS(rowround)
-	PHILOX_STORE
-	VPADDD ·philoxEight(SB), Y14, Y14
-	SUBQ $8, SI
-	JNZ rowloop
+rowpair:
+	ROW_STATE_PAIR
+	MOVQ $10, CX
+rowpairround:
+	PHILOX_ROUND(Y0, Y1, Y2, Y3, Y8, Y9)
+	PHILOX_ROUND(Y4, Y5, Y6, Y7, Y8, Y9)
+	PHILOX_NEXT_KEY(Y8, Y9)
+	DECQ CX
+	JNZ rowpairround
+	PHILOX_STORE(Y0, Y1, Y2, Y3)
+	PHILOX_STORE(Y4, Y5, Y6, Y7)
+	DECQ DX
+	JNZ rowpair
+
+rowtail:
+	TESTQ $8, SI
+	JZ rowdone
+	ROW_STATE
+	MOVQ $10, CX
+rowtailround:
+	PHILOX_ROUND(Y0, Y1, Y2, Y3, Y8, Y9)
+	PHILOX_NEXT_KEY(Y8, Y9)
+	DECQ CX
+	JNZ rowtailround
+	PHILOX_STORE(Y0, Y1, Y2, Y3)
+
+rowdone:
 	VZEROUPPER
 	RET
 
@@ -288,34 +360,43 @@ rowloop:
 TEXT ·blockLanesAVX2(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ n+8(FP), SI
-	MOVL ctr_0+16(FP), R10
-	MOVL ctr_1+20(FP), R11
-	MOVL ctr_2+24(FP), R12
-	MOVL ctr_3+28(FP), R13
+	LEAQ ctr+16(FP), BX
 	MOVQ k0s+32(FP), R8
 	MOVQ k1s+40(FP), R9
-	VMOVDQU ·philoxM0v(SB), Y8
-	VMOVDQU ·philoxM1v(SB), Y9
-	VMOVDQU ·philoxW0v(SB), Y10
-	VMOVDQU ·philoxW1v(SB), Y11
+	MOVQ SI, DX
+	SHRQ $4, DX
+	JZ lanetail
 
-laneloop:
-	VMOVD R10, X0
-	VPBROADCASTD X0, Y0
-	VMOVD R11, X1
-	VPBROADCASTD X1, Y1
-	VMOVD R12, X2
-	VPBROADCASTD X2, Y2
-	VMOVD R13, X3
-	VPBROADCASTD X3, Y3
-	VMOVDQU (R8), Y12
-	VMOVDQU (R9), Y13
-	PHILOX_ROUNDS(laneround)
-	PHILOX_STORE
-	ADDQ $32, R8
-	ADDQ $32, R9
-	SUBQ $8, SI
-	JNZ laneloop
+lanepair:
+	LANE_STATE_PAIR
+	MOVQ $10, CX
+lanepairround:
+	PHILOX_ROUND(Y0, Y1, Y2, Y3, Y8, Y9)
+	PHILOX_ROUND(Y4, Y5, Y6, Y7, Y10, Y11)
+	PHILOX_NEXT_KEY(Y8, Y9)
+	PHILOX_NEXT_KEY(Y10, Y11)
+	DECQ CX
+	JNZ lanepairround
+	PHILOX_STORE(Y0, Y1, Y2, Y3)
+	PHILOX_STORE(Y4, Y5, Y6, Y7)
+	ADDQ $64, R8
+	ADDQ $64, R9
+	DECQ DX
+	JNZ lanepair
+
+lanetail:
+	TESTQ $8, SI
+	JZ lanedone
+	LANE_STATE
+	MOVQ $10, CX
+lanetailround:
+	PHILOX_ROUND(Y0, Y1, Y2, Y3, Y8, Y9)
+	PHILOX_NEXT_KEY(Y8, Y9)
+	DECQ CX
+	JNZ lanetailround
+	PHILOX_STORE(Y0, Y1, Y2, Y3)
+
+lanedone:
 	VZEROUPPER
 	RET
 
@@ -324,43 +405,51 @@ TEXT ·acceptRowAVX2(SB), NOSPLIT, $0-64
 	MOVQ a4+0(FP), DI
 	MOVQ a8+8(FP), SI
 	MOVQ n+16(FP), DX
-	LEAQ ctr+24(FP), BX // BX points at ctr, followed by key at 16(BX)
+	LEAQ ctr+24(FP), BX
 	MOVQ t4+48(FP), AX
 	ROW_THRESHOLD(AX, R8, R10)
 	MOVQ t8+56(FP), AX
 	ROW_THRESHOLD(AX, R9, R11)
-	VMOVDQU ·philoxM0v(SB), Y8
-	VMOVDQU ·philoxM1v(SB), Y9
-	VMOVDQU ·philoxW0v(SB), Y10
-	VMOVDQU ·philoxW1v(SB), Y11
-
-	// Y14 = running c3 vector: one word is the eight blocks at ctr[3] +
-	// {0..7}, advanced by 8 per word.
-	MOVL ctr_3+36(FP), AX
-	VMOVD AX, X14
-	VPBROADCASTD X14, Y14
-	VPADDD ·philoxLaneIota(SB), Y14, Y14
-
-acceptrowloop:
-	VPBROADCASTD 0(BX), Y0
-	VPBROADCASTD 4(BX), Y1
-	VPBROADCASTD 8(BX), Y2
-	VMOVDQA Y14, Y3
-	VPBROADCASTD 16(BX), Y12
-	VPBROADCASTD 20(BX), Y13
-	PHILOX_ROUNDS(acceptrowround)
-	PHILOX_BIAS
-	VMOVD R8, X12
+	VMOVD R8, X11
+	VPBROADCASTD X11, Y11
+	VMOVD R9, X12
 	VPBROADCASTD X12, Y12
-	VMOVD R9, X13
-	VPBROADCASTD X13, Y13
-	ROW_MASK(Y12, R10, DI)
-	ROW_MASK(Y13, R11, SI)
-	ADDQ $4, DI
-	ADDQ $4, SI
-	VPADDD ·philoxEight(SB), Y14, Y14
-	DECQ DX
-	JNZ acceptrowloop
+
+	// Y10 = running c3 vector: one word is the eight blocks at ctr[3] +
+	// {0..7}, advanced by 8 per word.
+	VPBROADCASTD 12(BX), Y10
+	VPADDD ·philoxLaneIota(SB), Y10, Y10
+	MOVQ DX, R12
+	SHRQ $1, R12
+	JZ acceptrowtail
+
+acceptrowpair:
+	ROW_STATE_PAIR
+	MOVQ $10, CX
+acceptrowpairround:
+	PHILOX_ROUND(Y0, Y1, Y2, Y3, Y8, Y9)
+	PHILOX_ROUND(Y4, Y5, Y6, Y7, Y8, Y9)
+	PHILOX_NEXT_KEY(Y8, Y9)
+	DECQ CX
+	JNZ acceptrowpairround
+	ROW_ACCEPT(Y0, Y1, Y2, Y3)
+	ROW_ACCEPT(Y4, Y5, Y6, Y7)
+	DECQ R12
+	JNZ acceptrowpair
+
+acceptrowtail:
+	TESTQ $1, DX
+	JZ acceptrowdone
+	ROW_STATE
+	MOVQ $10, CX
+acceptrowtailround:
+	PHILOX_ROUND(Y0, Y1, Y2, Y3, Y8, Y9)
+	PHILOX_NEXT_KEY(Y8, Y9)
+	DECQ CX
+	JNZ acceptrowtailround
+	ROW_ACCEPT(Y0, Y1, Y2, Y3)
+
+acceptrowdone:
 	VZEROUPPER
 	RET
 
@@ -374,32 +463,41 @@ TEXT ·acceptLanesAVX2(SB), NOSPLIT, $0-72
 	MOVQ k1s+48(FP), R9
 	MOVQ t4s+56(FP), R10
 	MOVQ t8s+64(FP), R11
-	VMOVDQU ·philoxM0v(SB), Y8
-	VMOVDQU ·philoxM1v(SB), Y9
-	VMOVDQU ·philoxW0v(SB), Y10
-	VMOVDQU ·philoxW1v(SB), Y11
+	VMOVDQU ·philoxEvenOdd(SB), Y12
+	MOVQ DX, R12
+	SHRQ $4, R12
+	JZ acceptlanetail
 
-acceptlaneloop:
-	VPBROADCASTD 0(BX), Y0
-	VPBROADCASTD 4(BX), Y1
-	VPBROADCASTD 8(BX), Y2
-	VPBROADCASTD 12(BX), Y3
-	VMOVDQU (R8), Y12
-	VMOVDQU (R9), Y13
-	PHILOX_ROUNDS(acceptlaneround)
-	PHILOX_BIAS
-	LANE_THRESHOLDS(R10)
-	LANE_MASKS(DI)
-	LANE_THRESHOLDS(R11)
-	LANE_MASKS(SI)
-	INCQ DI
-	INCQ SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $64, R10
-	ADDQ $64, R11
-	SUBQ $8, DX
-	JNZ acceptlaneloop
+acceptlanepair:
+	LANE_STATE_PAIR
+	MOVQ $10, CX
+acceptlanepairround:
+	PHILOX_ROUND(Y0, Y1, Y2, Y3, Y8, Y9)
+	PHILOX_ROUND(Y4, Y5, Y6, Y7, Y10, Y11)
+	PHILOX_NEXT_KEY(Y8, Y9)
+	PHILOX_NEXT_KEY(Y10, Y11)
+	DECQ CX
+	JNZ acceptlanepairround
+	LANE_ACCEPT(Y0, Y1, Y2, Y3)
+	LANE_ACCEPT(Y4, Y5, Y6, Y7)
+	ADDQ $64, R8
+	ADDQ $64, R9
+	DECQ R12
+	JNZ acceptlanepair
+
+acceptlanetail:
+	TESTQ $8, DX
+	JZ acceptlanedone
+	LANE_STATE
+	MOVQ $10, CX
+acceptlanetailround:
+	PHILOX_ROUND(Y0, Y1, Y2, Y3, Y8, Y9)
+	PHILOX_NEXT_KEY(Y8, Y9)
+	DECQ CX
+	JNZ acceptlanetailround
+	LANE_ACCEPT(Y0, Y1, Y2, Y3)
+
+acceptlanedone:
 	VZEROUPPER
 	RET
 

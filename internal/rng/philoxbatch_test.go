@@ -28,19 +28,24 @@ func forEachDispatch(t *testing.T, body func(t *testing.T)) {
 }
 
 // TestBlockRowMatchesBlock: BlockRow is Block evaluated at consecutive
-// counters — exactly, for every length that exercises the vector body, the
-// 4-way portable body and the scalar tail, including counter wraparound.
+// counters — exactly, for every length that exercises the vector body (two
+// interleaved 8-block states and a single-state tail), the 4-way portable
+// body and the scalar tail, including counter wraparound at a 16-block pair
+// boundary, between the two states and inside either one.
 func TestBlockRowMatchesBlock(t *testing.T) {
 	forEachDispatch(t, testBlockRowMatchesBlock)
 }
 
 func testBlockRowMatchesBlock(t *testing.T) {
 	key := Key{0xDEADBEEF, 0x1BD11BDA}
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 32, 100, 256} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 24, 31, 32, 40, 100, 256} {
 		for _, ctr := range []Counter{
 			{0, 0, 0, 0},
 			{1, 2, 3, 4},
 			{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFF0}, // c3 wraps mid-run
+			{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFF4}, // ... inside the second state
+			{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFF8}, // ... between the states
+			{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFFC}, // ... inside the first state
 		} {
 			dst := make([]uint32, 4*n)
 			BlockRow(dst, ctr, key)
@@ -76,14 +81,15 @@ func TestBlockRowGenericMatchesBlock(t *testing.T) {
 }
 
 // TestBlockLanesMatchesBlock: BlockLanes is Block evaluated under per-lane
-// keys — exactly, across vector/portable/tail lane counts.
+// keys — exactly, for every lane count 0..64 (vector pairs, a single-state
+// vector tail, the portable tail and their combinations).
 func TestBlockLanesMatchesBlock(t *testing.T) {
 	forEachDispatch(t, testBlockLanesMatchesBlock)
 }
 
 func testBlockLanesMatchesBlock(t *testing.T) {
 	ctr := Counter{101, 102, 103, 104}
-	for _, lanes := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 64} {
+	for lanes := 0; lanes <= 64; lanes++ {
 		k0s := make([]uint32, lanes)
 		k1s := make([]uint32, lanes)
 		for l := range k0s {
@@ -161,6 +167,15 @@ func BenchmarkAcceptRow(b *testing.B) {
 	}
 }
 
+// BenchmarkAcceptRow1 times a one-word row, the 64-column lattice of a
+// small service job, which runs only the vector kernel's single-state tail.
+func BenchmarkAcceptRow1(b *testing.B) {
+	a4, a8 := make([]uint32, 1), make([]uint32, 1)
+	for i := 0; i < b.N; i++ {
+		AcceptRow(a4, a8, Counter{0, 0, uint32(i), 0}, Key{1, 2}, 1<<31, 1<<29)
+	}
+}
+
 // BenchmarkAcceptLanes times the fused ensemble draw: one four-site group
 // of 64 lanes per call, the same Philox work as BenchmarkBlockLanes.
 func BenchmarkAcceptLanes(b *testing.B) {
@@ -187,7 +202,8 @@ var acceptEdges = []uint64{0, 1, 1 << 31, 1<<32 - 1, 1 << 32, 1<<33 + 5}
 // followed by u < t, for the edge thresholds, for thresholds equal to a
 // drawn value and one above it (the compare's exact boundary), for every
 // row length from one word to two vector-unfriendly tails, and across a
-// ctr[3] wrap.
+// ctr[3] wrap at a two-word pair boundary, between the two words of a pair
+// and inside either word.
 func TestAcceptRowMatchesBlock(t *testing.T) {
 	forEachDispatch(t, testAcceptRowMatchesBlock)
 }
@@ -198,6 +214,9 @@ func testAcceptRowMatchesBlock(t *testing.T) {
 		{0, 0, 0, 0},
 		{1, 2, 3, 4},
 		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFE0}, // c3 wraps after four words
+		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFF4}, // ... inside the second word
+		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFF8}, // ... between the first two words
+		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFFC}, // ... inside the first word
 	} {
 		for _, words := range []int{1, 2, 3, 7, 8, 9, 64} {
 			drawn := uint64(Block(Counter{ctr[0], ctr[1], ctr[2], ctr[3] + 5}, key)[2])
