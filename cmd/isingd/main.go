@@ -58,7 +58,6 @@ import (
 	"syscall"
 	"time"
 
-	"tpuising/internal/rng"
 	"tpuising/internal/service"
 )
 
@@ -144,7 +143,8 @@ func main() {
 		logger.Info("pprof listening", "addr", *debugAddr)
 	}
 
-	logger.Info("serving", "addr", *addr, "workers", srv.Workers(), "queue", *queue, "version", buildVersion(), "rng_avx2", rng.HasAVX2())
+	logger.Info("serving", append([]any{"addr", *addr, "workers", srv.Workers(), "queue", *queue, "version", buildVersion()},
+		service.KernelAttrs()...)...)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)

@@ -334,8 +334,8 @@ func (r *reference) hash() uint64 {
 // multispin/kernel_equiv_test.go). The random trials sweep the engine the
 // multispin batches run on; the threshold edges, which no temperature
 // reaches exactly, sweep the kernel directly. It runs on the host's dispatch
-// (the AVX2 lane kernel on an AVX2 machine); CI also runs it under -race and
-// under GOARCH=386, where the portable loop runs.
+// (the AVX-512 or AVX2 lane kernel where the CPU has it); CI also runs it
+// under -race and under GOARCH=386, where the portable loop runs.
 func TestUpdateRowGoldenEquivalence(t *testing.T) {
 	prng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {

@@ -131,8 +131,8 @@ func (k *Kernel) SetLaneKey(lane int, key rng.Key) {
 //
 // This is the optimized ΔE-class loop: one rng.AcceptLanes call per
 // four-site group draws every lane's block under the SoA key arrays and
-// compares it with the lane's thresholds in registers (the AVX2 kernel does 8
-// lanes per vector iteration), returning the group's lane masks directly. It
+// compares it with the lane's thresholds in registers (16 lanes per state
+// in the AVX-512 kernel, 8 in the AVX2 one), returning the group's lane masks directly. It
 // consumes exactly the blocks the retained reference loop (UpdateRowRef)
 // draws inline, and the golden-equivalence test pins the two bit-for-bit. sc
 // is unused (see Scratch) and may be nil.

@@ -170,8 +170,8 @@ func (k Kernel) UpdateRow(row, north, south []uint64, westWrap, eastWrap uint64,
 
 // UpdateRowScratch is UpdateRow with a caller-owned scratch buffer, the form
 // the engines' hot loops use. In per-site mode one fused Philox call per tile
-// (rng.AcceptRow — the AVX2 kernel on an amd64 CPU that has AVX2, the 4-way
-// portable loop otherwise) returns each word's 32 accept decisions as two
+// (rng.AcceptRow — the AVX-512 or AVX2 kernel on an amd64 CPU that has
+// them, the 4-way portable loop otherwise) returns each word's 32 accept decisions as two
 // compact masks, compared where the randoms are generated; shared mode draws
 // its one random per word with rng.BlockRow. The word loop then consumes the
 // masks with the wrap/select branches hoisted into explicit first/middle/last
@@ -280,7 +280,7 @@ func sharedAccept(u uint32, t4, t8 uint64) (a4, a8 uint64) {
 // word-at-a-time, branching wrap selection, randoms drawn two blocks at a
 // time inline. It is never called by the engines — it exists so the golden
 // equivalence property test can pin every optimized variant (portable tiled,
-// AVX2 where the CPU has it) to the exact spins this loop produces at any
+// AVX-512 or AVX2 where the CPU has it) to the exact spins this loop produces at any
 // (seed, step, geometry).
 func (k Kernel) UpdateRowRef(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64) {
 	W := len(row)

@@ -11,12 +11,13 @@ import (
 // TestUpdateRowGoldenEquivalence is the golden bit-equivalence property test
 // of the kernel variants: for random (rows, cols, seed, parity, shared,
 // temperature, step, wordOff) tuples, the optimized UpdateRow /
-// UpdateRowScratch paths (tiled + batched Philox; the AVX2 kernel on an AVX2
-// machine) must produce exactly the spins of UpdateRowRef, the retained naive
-// reference. It runs on the host's dispatch, which rng.HasAVX2 names; CI also
+// UpdateRowScratch paths (tiled + batched Philox; the AVX-512 or AVX2 kernel
+// where the CPU has it) must produce exactly the spins of UpdateRowRef, the
+// retained naive reference. It runs on the host's dispatch, which
+// rng.HasAVX512 and rng.HasAVX2 name; CI also
 // runs it under -race and under GOARCH=386, where the portable loop runs.
 func TestUpdateRowGoldenEquivalence(t *testing.T) {
-	t.Logf("avx2 kernels active: %v", rng.HasAVX2())
+	t.Logf("avx2 kernels active: %v, avx512 accept kernels active: %v", rng.HasAVX2(), rng.HasAVX512())
 	prng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 200; trial++ {
 		W := 1 + prng.Intn(tileWords*2+3) // 1..131 words: tails, tile boundaries, multi-tile

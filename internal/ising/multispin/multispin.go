@@ -14,8 +14,8 @@
 // thresholds, so the accept/reject of a site is a single unsigned compare of
 // a Philox random word -- no floating point in the hot loop. The optimized
 // row kernel does not even see the random words: rng.AcceptRow runs that
-// compare in the registers where each Philox block is generated (AVX2 on
-// amd64 CPUs that have it) and hands back one accept bit per site.
+// compare in the registers where each Philox block is generated (AVX-512 or
+// AVX2 on amd64 CPUs that have them) and hands back one accept bit per site.
 //
 // Randomness is site-keyed like the rest of the repository: the random for
 // lattice site (r, c) at colour-step t is a pure function of (seed, t, r, c),

@@ -1,28 +1,81 @@
 package rng
 
 // On amd64 the batch entry points dispatch to the vector kernels in
-// philox_avx2_amd64.s when the CPU supports them. The runtime check below is
-// the only gate: it keeps every amd64 binary correct on a pre-Haswell
-// machine or one whose OS does not save the ymm state, where the portable
-// loop runs instead.
+// philox_avx512_amd64.s and philox_avx2_amd64.s when the CPU supports them.
+// The runtime check below is the only gate: it keeps every amd64 binary
+// correct on a machine without AVX-512 or AVX2, or whose OS does not save
+// the zmm or ymm state, where the next narrower path runs instead.
 
-// useAVX2 gates the vector dispatch. It is computed once at init from CPUID
-// (the toolchain has no dependency on golang.org/x/sys/cpu, so the feature
-// test is hand-rolled in the assembly file): AVX2 needs CPUID.1 OSXSAVE+AVX,
-// XCR0 enabling xmm+ymm state, and CPUID.(7,0) EBX bit 5.
-var useAVX2 = detectAVX2()
+// kernelTier is the widest family of batch kernels a CPU and its OS allow.
+type kernelTier int
 
-func detectAVX2() bool {
-	_, _, cx, _ := cpuid(1, 0)
-	const osxsaveAVX = 1<<27 | 1<<28
-	if cx&osxsaveAVX != osxsaveAVX {
-		return false
+const (
+	tierPortable kernelTier = iota // the portable Go loops
+	tierAVX2                       // philox_avx2_amd64.s
+	tierAVX512                     // philox_avx512_amd64.s for the accept kernels, AVX2 for the rest
+)
+
+func (t kernelTier) String() string {
+	return [...]string{"portable", "avx2", "avx512"}[t]
+}
+
+// The tier is computed once at init from CPUID (the toolchain has no
+// dependency on golang.org/x/sys/cpu, so the feature test is hand-rolled in
+// the assembly file). useAVX2 and useAVX512 gate the dispatch; the tests
+// switch them to run every path on one host.
+var (
+	hostTier  = detectKernelTier()
+	useAVX2   = hostTier >= tierAVX2
+	useAVX512 = hostTier >= tierAVX512
+)
+
+// detectKernelTier reads the CPUID leaves and XCR0 that kernelTierFor
+// decides on. It reads XCR0 only when the OS has enabled XGETBV
+// (CPUID.1:ECX.OSXSAVE) and leaf 7 only when the CPU reports it.
+func detectKernelTier() kernelTier {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	var ecx1, ebx7 uint32
+	var xcr0 uint64
+	if maxLeaf >= 1 {
+		_, _, ecx1, _ = cpuid(1, 0)
 	}
-	if xgetbv0()&6 != 6 { // xmm and ymm state enabled by the OS
-		return false
+	if ecx1&cpuidOSXSAVE != 0 {
+		xcr0 = xgetbv0()
 	}
-	_, bx, _, _ := cpuid(7, 0)
-	return bx&(1<<5) != 0
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuid(7, 0)
+	}
+	return kernelTierFor(maxLeaf, ecx1, xcr0, ebx7)
+}
+
+const (
+	cpuidOSXSAVE = 1 << 27 // CPUID.1:ECX
+	cpuidAVX     = 1 << 28 // CPUID.1:ECX
+
+	cpuidAVX2     = 1 << 5  // CPUID.(7,0):EBX
+	cpuidBMI2     = 1 << 8  // CPUID.(7,0):EBX
+	cpuidAVX512F  = 1 << 16 // CPUID.(7,0):EBX
+	cpuidAVX512VL = 1 << 31 // CPUID.(7,0):EBX
+
+	xcr0YMM = 1<<1 | 1<<2                  // xmm and ymm state
+	xcr0ZMM = xcr0YMM | 1<<5 | 1<<6 | 1<<7 // ... plus opmask, zmm0-15 upper halves, zmm16-31
+)
+
+// kernelTierFor decides the kernel tier from the maximum basic CPUID leaf,
+// CPUID.1:ECX, XCR0 and CPUID.(7,0):EBX. AVX2 needs leaf 7, OSXSAVE+AVX and
+// an OS that saves the ymm state; the AVX-512 kernels also need every
+// feature their instructions use (AVX-512F, AVX-512VL for the ymm tails,
+// BMI2 for PDEP) and an OS that saves the opmask and full zmm state.
+func kernelTierFor(maxLeaf, ecx1 uint32, xcr0 uint64, ebx7 uint32) kernelTier {
+	const avx = cpuidOSXSAVE | cpuidAVX
+	if maxLeaf < 7 || ecx1&avx != avx || xcr0&xcr0YMM != xcr0YMM || ebx7&cpuidAVX2 == 0 {
+		return tierPortable
+	}
+	const avx512 = cpuidAVX512F | cpuidAVX512VL | cpuidBMI2
+	if ebx7&avx512 != avx512 || xcr0&xcr0ZMM != xcr0ZMM {
+		return tierAVX2
+	}
+	return tierAVX512
 }
 
 // cpuid executes the CPUID instruction (leaf in AX, subleaf in CX).

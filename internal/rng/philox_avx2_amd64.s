@@ -42,6 +42,9 @@
 
 #include "textflag.h"
 
+// Counter offsets {0..15}: the AVX2 row kernels read the first eight,
+// acceptRowAVX512 (philox_avx512_amd64.s) all sixteen. That file also reads
+// the M0/M1/W0/W1 vectors below, as embedded broadcasts.
 DATA ·philoxLaneIota+0(SB)/4, $0
 DATA ·philoxLaneIota+4(SB)/4, $1
 DATA ·philoxLaneIota+8(SB)/4, $2
@@ -50,7 +53,15 @@ DATA ·philoxLaneIota+16(SB)/4, $4
 DATA ·philoxLaneIota+20(SB)/4, $5
 DATA ·philoxLaneIota+24(SB)/4, $6
 DATA ·philoxLaneIota+28(SB)/4, $7
-GLOBL ·philoxLaneIota(SB), RODATA|NOPTR, $32
+DATA ·philoxLaneIota+32(SB)/4, $8
+DATA ·philoxLaneIota+36(SB)/4, $9
+DATA ·philoxLaneIota+40(SB)/4, $10
+DATA ·philoxLaneIota+44(SB)/4, $11
+DATA ·philoxLaneIota+48(SB)/4, $12
+DATA ·philoxLaneIota+52(SB)/4, $13
+DATA ·philoxLaneIota+56(SB)/4, $14
+DATA ·philoxLaneIota+60(SB)/4, $15
+GLOBL ·philoxLaneIota(SB), RODATA|NOPTR, $64
 
 DATA ·philoxEight+0(SB)/4, $8
 DATA ·philoxEight+4(SB)/4, $8

@@ -4,10 +4,11 @@ package rng
 
 // Portable platforms: the batch entry points never dispatch to vector code.
 // The stubs exist so philoxbatch.go compiles identically on every
-// architecture; they are unreachable because useAVX2 stays false. It is a
-// variable, as on amd64, so the tests' dispatch hook compiles everywhere.
+// architecture; they are unreachable because useAVX2 and useAVX512 stay
+// false. They are variables, as on amd64, so the tests' dispatch hooks
+// compile everywhere.
 
-var useAVX2 = false
+var useAVX2, useAVX512 = false, false
 
 func blockRowAVX2(dst *uint32, n uint64, ctr Counter, key Key) {
 	panic("rng: AVX2 kernel called on a non-amd64 build")
@@ -23,4 +24,12 @@ func acceptRowAVX2(a4, a8 *uint32, n uint64, ctr Counter, key Key, t4, t8 uint64
 
 func acceptLanesAVX2(a4, a8 *[4]uint64, n uint64, ctr Counter, k0s, k1s *uint32, t4s, t8s *uint64) {
 	panic("rng: AVX2 kernel called on a non-amd64 build")
+}
+
+func acceptRowAVX512(a4, a8 *uint32, n uint64, ctr Counter, key Key, t4, t8 uint64) {
+	panic("rng: AVX-512 kernel called on a non-amd64 build")
+}
+
+func acceptLanesAVX512(a4, a8 *[4]uint64, n uint64, ctr Counter, k0s, k1s *uint32, t4s, t8s *uint64) {
+	panic("rng: AVX-512 kernel called on a non-amd64 build")
 }

@@ -298,8 +298,9 @@ var philoxKATs = []struct {
 
 // TestPhiloxKnownAnswers pins the generator to the published vectors on
 // every dispatch path: Block, and BlockRow/BlockLanes at 8 blocks, the
-// width of one AVX2 iteration, run once on the portable loop and once on the
-// host's dispatch, which is the vector kernels on an AVX2 machine.
+// width of one AVX2 state, run on the portable loop, the AVX2 kernels and
+// the host's dispatch (BlockRow and BlockLanes run the AVX2 kernels on an
+// AVX-512 machine too).
 // The known answer sits at each of the 8 positions in turn (BlockRow starts
 // its counter run p blocks early; BlockLanes gives lane p the known key), so
 // every vector lane is pinned, lane 0 included.

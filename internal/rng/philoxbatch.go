@@ -5,8 +5,9 @@ package rng
 // keys (ensemble: one site across all lanes) are known up front. Generating
 // the whole run at once amortises the per-block setup, lets four independent
 // round chains overlap in the multiplier pipeline in portable Go, and on
-// amd64 CPUs with AVX2 (see philox_avx2_amd64.s; a CPUID check at start-up
-// picks the path) computes eight blocks per vector iteration.
+// amd64 computes sixteen blocks per vector state with AVX-512 (the accept
+// kernels, philox_avx512_amd64.s) or eight with AVX2 (philox_avx2_amd64.s);
+// a CPUID check at start-up picks the widest path the CPU and OS allow.
 //
 // Two forms share each draw pattern. BlockRow and BlockLanes return the raw
 // stream: they write exactly the words Block would. AcceptRow and
@@ -159,11 +160,14 @@ func AcceptRow(a4, a8 []uint32, ctr Counter, key Key, t4, t8 uint64) {
 	if len(a4) == 0 {
 		return
 	}
-	if useAVX2 {
+	switch {
+	case useAVX512:
+		acceptRowAVX512(&a4[0], &a8[0], uint64(len(a4)), ctr, key, t4, t8)
+	case useAVX2:
 		acceptRowAVX2(&a4[0], &a8[0], uint64(len(a4)), ctr, key, t4, t8)
-		return
+	default:
+		acceptRowGeneric(a4, a8, ctr, key, t4, t8)
 	}
-	acceptRowGeneric(a4, a8, ctr, key, t4, t8)
 }
 
 // acceptRowGeneric is the portable AcceptRow: blockRowGeneric one word at a
@@ -193,9 +197,12 @@ func AcceptLanes(a4, a8 *[4]uint64, ctr Counter, k0s, k1s []uint32, t4s, t8s []u
 	}
 	*a4, *a8 = [4]uint64{}, [4]uint64{}
 	i := 0
-	if useAVX2 && n >= 8 {
-		m := n &^ 7
-		acceptLanesAVX2(a4, a8, uint64(m), ctr, &k0s[0], &k1s[0], &t4s[0], &t8s[0])
+	if m := n &^ 7; m > 0 && useAVX2 {
+		if useAVX512 {
+			acceptLanesAVX512(a4, a8, uint64(m), ctr, &k0s[0], &k1s[0], &t4s[0], &t8s[0])
+		} else {
+			acceptLanesAVX2(a4, a8, uint64(m), ctr, &k0s[0], &k1s[0], &t4s[0], &t8s[0])
+		}
 		i = m
 	}
 	acceptLanesGeneric(a4, a8, ctr, k0s, k1s, t4s, t8s, i, n)
@@ -223,5 +230,12 @@ func acceptLanesGeneric(a4, a8 *[4]uint64, ctr Counter, k0s, k1s []uint32, t4s, 
 // HasAVX2 reports whether this binary runs the AVX2 batch kernels: built for
 // amd64 AND running on a CPU with OS-enabled AVX2. The isingbench report and
 // isingd's build-info metric record it, so a perf row always names the
-// kernel variant it measured.
+// kernel variant it measured. On an AVX-512 host it stays true: BlockRow and
+// BlockLanes run the AVX2 kernels there.
 func HasAVX2() bool { return useAVX2 }
+
+// HasAVX512 reports whether AcceptRow and AcceptLanes run the AVX-512
+// kernels: built for amd64 AND running on a CPU with OS-enabled AVX-512F,
+// AVX-512VL and BMI2. isingd's build-info metric and serving log line
+// record it beside HasAVX2.
+func HasAVX512() bool { return useAVX512 }

@@ -4,25 +4,35 @@ import (
 	"testing"
 )
 
-// disableAVX2 routes the batch entry points to the portable loop for the rest
-// of t and restores the CPUID-derived dispatch on cleanup. Tests that use it
-// must not run in parallel with other tests of this package.
-func disableAVX2(t testing.TB) {
-	saved := useAVX2
-	useAVX2 = false
-	t.Cleanup(func() { useAVX2 = saved })
+// useKernels restricts the batch entry points for the rest of t to the
+// vector kernels that avx2 and avx512 allow and the host supports, and
+// restores the CPUID-derived dispatch on cleanup. Tests that use it must not
+// run in parallel with other tests of this package.
+func useKernels(t testing.TB, avx2, avx512 bool) {
+	saved2, saved512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = saved2 && avx2, saved512 && avx512
+	t.Cleanup(func() { useAVX2, useAVX512 = saved2, saved512 })
 }
 
-// forEachDispatch runs body once on the portable loop (vector dispatch turned
-// off) and once on the host's dispatch (the AVX2 kernels where HasAVX2 is
-// true), so one test run checks both paths against the scalar reference.
+// forEachDispatch runs body on every dispatch path: the portable loop
+// (vector kernels off), the AVX2 kernels (AVX-512 off; skipped without
+// AVX2) and the host's dispatch (the AVX-512 accept kernels where HasAVX512
+// is true), so one test run checks each path against the scalar reference
+// and an AVX-512 host still tests the AVX2 kernels.
 func forEachDispatch(t *testing.T, body func(t *testing.T)) {
 	t.Run("portable", func(t *testing.T) {
-		disableAVX2(t)
+		useKernels(t, false, false)
+		body(t)
+	})
+	t.Run("avx2", func(t *testing.T) {
+		if !HasAVX2() {
+			t.Skip("CPU has no AVX2: only the portable path exists")
+		}
+		useKernels(t, true, false)
 		body(t)
 	})
 	t.Run("host", func(t *testing.T) {
-		t.Logf("avx2 kernels active: %v", HasAVX2())
+		t.Logf("avx2 kernels active: %v, avx512 accept kernels active: %v", HasAVX2(), HasAVX512())
 		body(t)
 	})
 }
@@ -168,7 +178,7 @@ func BenchmarkAcceptRow(b *testing.B) {
 }
 
 // BenchmarkAcceptRow1 times a one-word row, the 64-column lattice of a
-// small service job, which runs only the vector kernel's single-state tail.
+// small service job, which runs only the vector kernel's eight-block tail.
 func BenchmarkAcceptRow1(b *testing.B) {
 	a4, a8 := make([]uint32, 1), make([]uint32, 1)
 	for i := 0; i < b.N; i++ {
@@ -178,8 +188,13 @@ func BenchmarkAcceptRow1(b *testing.B) {
 
 // BenchmarkAcceptLanes times the fused ensemble draw: one four-site group
 // of 64 lanes per call, the same Philox work as BenchmarkBlockLanes.
-func BenchmarkAcceptLanes(b *testing.B) {
-	const lanes = 64
+func BenchmarkAcceptLanes(b *testing.B) { benchmarkAcceptLanes(b, 64) }
+
+// BenchmarkAcceptLanes8 times the eight-lane group of a small batch, which
+// runs only the vector kernel's eight-lane tail.
+func BenchmarkAcceptLanes8(b *testing.B) { benchmarkAcceptLanes(b, 8) }
+
+func benchmarkAcceptLanes(b *testing.B, lanes int) {
 	k0s, k1s := make([]uint32, lanes), make([]uint32, lanes)
 	t4s, t8s := make([]uint64, lanes), make([]uint64, lanes)
 	for l := range k0s {
@@ -201,24 +216,39 @@ var acceptEdges = []uint64{0, 1, 1 << 31, 1<<32 - 1, 1 << 32, 1<<33 + 5}
 // TestAcceptRowMatchesBlock: AcceptRow is Block at consecutive counters
 // followed by u < t, for the edge thresholds, for thresholds equal to a
 // drawn value and one above it (the compare's exact boundary), for every
-// row length from one word to two vector-unfriendly tails, and across a
-// ctr[3] wrap at a two-word pair boundary, between the two words of a pair
-// and inside either word.
+// row length that ends the AVX2 loop (two one-word states, then one) or the
+// AVX-512 loop (two two-word states, one two-word state, then a one-word
+// state) differently, across a ctr[3] wrap at each state boundary and
+// inside the states of either loop, and with a block of edgeDraws in each
+// state of the AVX-512 loop.
 func TestAcceptRowMatchesBlock(t *testing.T) {
 	forEachDispatch(t, testAcceptRowMatchesBlock)
 }
 
 func testAcceptRowMatchesBlock(t *testing.T) {
 	key := Key{0xDEADBEEF, 0x1BD11BDA}
-	for _, ctr := range []Counter{
+	ctrs := []Counter{
 		{0, 0, 0, 0},
 		{1, 2, 3, 4},
 		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFE0}, // c3 wraps after four words
 		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFF4}, // ... inside the second word
 		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFF8}, // ... between the first two words
 		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFFC}, // ... inside the first word
-	} {
-		for _, words := range []int{1, 2, 3, 7, 8, 9, 64} {
+		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFF0}, // ... after two words (between 16-block states)
+		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFEC}, // ... inside the third word
+		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFE8}, // ... between the third and fourth words
+		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFD4}, // ... inside the sixth word
+		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFCC}, // ... inside the seventh word
+	}
+	// The edge draws' block at block 5, 21, 37 and 52 of the row: in a
+	// seven-word AVX-512 row that is state A and state B of the pair, the
+	// lone sixteen-block state and the eight-block tail.
+	edge := edgeCounter(t, key)
+	for _, p := range []uint32{5, 21, 37, 52} {
+		ctrs = append(ctrs, Counter{edge[0], edge[1], edge[2], edge[3] - p})
+	}
+	for _, ctr := range ctrs {
+		for _, words := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
 			drawn := uint64(Block(Counter{ctr[0], ctr[1], ctr[2], ctr[3] + 5}, key)[2])
 			ths := append(append([]uint64(nil), acceptEdges...), drawn, drawn+1)
 			for _, t4 := range ths {
@@ -251,21 +281,29 @@ func testAcceptRowMatchesBlock(t *testing.T) {
 // TestAcceptLanesMatchesBlock: AcceptLanes is Block under per-lane keys
 // followed by u < t with per-lane thresholds, for every lane count 1..64
 // (vector body, portable tail and both together), with each lane's pair
-// drawn from the edge thresholds and from its own draws.
+// drawn from the edge thresholds and from its own draws, and with a block of
+// edgeDraws in a lane of each AVX-512 state.
 func TestAcceptLanesMatchesBlock(t *testing.T) {
 	forEachDispatch(t, testAcceptLanesMatchesBlock)
 }
 
 func testAcceptLanesMatchesBlock(t *testing.T) {
-	for _, ctr := range []Counter{{101, 102, 103, 104}, {0, 0xFFFFFFFF, 7, 0xFFFFFFFF}} {
+	ctrs := []Counter{{101, 102, 103, 104}, {0, 0xFFFFFFFF, 7, 0xFFFFFFFF}}
+	// The edge draws' block in lane 5, 21, 37 and 61: across the lane
+	// counts, a lane of each AVX-512 state shape (pair state A and B, the
+	// lone sixteen-lane state, the eight-lane tail).
+	for _, p := range []int{5, 21, 37, 61} {
+		ctrs = append(ctrs, edgeCounter(t, laneKey(p)))
+	}
+	for _, ctr := range ctrs {
 		for lanes := 1; lanes <= 64; lanes++ {
 			k0s := make([]uint32, lanes)
 			k1s := make([]uint32, lanes)
 			blks := make([][4]uint32, lanes)
 			for l := range k0s {
-				k0s[l] = uint32(l)*0x9E3779B9 + 1
-				k1s[l] = uint32(l)*0xBB67AE85 + 2
-				blks[l] = Block(ctr, Key{k0s[l], k1s[l]})
+				k := laneKey(l)
+				k0s[l], k1s[l] = k[0], k[1]
+				blks[l] = Block(ctr, k)
 			}
 			// Shift the lane-to-threshold assignment so every lane meets
 			// every case, including a threshold one above its own draw.
@@ -309,4 +347,47 @@ func laneThreshold(b [4]uint32, i int) uint64 {
 	default:
 		return acceptEdges[i]
 	}
+}
+
+// blockPreimage returns the counter whose block under key is out. Philox
+// rounds run backwards because M0 and M1 are odd, so invertible mod 2^32.
+func blockPreimage(out [4]uint32, key Key) Counter {
+	inverse := func(m uint32) uint32 {
+		x := m // correct to 3 bits; each Newton step doubles that
+		for i := 0; i < 4; i++ {
+			x *= 2 - m*x
+		}
+		return x
+	}
+	im0, im1 := inverse(philoxM0), inverse(philoxM1)
+	c0, c1, c2, c3 := out[0], out[1], out[2], out[3]
+	for r := rounds - 1; r >= 0; r-- {
+		k0, k1 := key[0]+uint32(r)*philoxW0, key[1]+uint32(r)*philoxW1
+		p0, p2 := c3*im0, c1*im1
+		hi0, _ := mulhilo(philoxM0, p0)
+		hi1, _ := mulhilo(philoxM1, p2)
+		c0, c1, c2, c3 = p0, c0^hi1^k0, p2, c2^hi0^k1
+	}
+	return Counter{c0, c1, c2, c3}
+}
+
+// edgeDraws are the draws an accept compare must classify exactly: the
+// extremes and the two sides of the sign boundary. Random draws almost never
+// reach 0xFFFFFFFF, the only draw that separates a threshold of 2^32 (accept
+// everything) from 2^32-1, so the accept tests run Philox backwards
+// (edgeCounter) to place a block of edge draws where they want one.
+var edgeDraws = [4]uint32{0xFFFFFFFF, 0, 0x7FFFFFFF, 0x80000000}
+
+// edgeCounter returns the counter whose block under key is edgeDraws.
+func edgeCounter(t *testing.T, key Key) Counter {
+	ctr := blockPreimage(edgeDraws, key)
+	if got := Block(ctr, key); got != edgeDraws {
+		t.Fatalf("Block(blockPreimage(%#x)) = %#x", edgeDraws, got)
+	}
+	return ctr
+}
+
+// laneKey is lane l's key in the lane tests.
+func laneKey(l int) Key {
+	return Key{uint32(l)*0x9E3779B9 + 1, uint32(l)*0xBB67AE85 + 2}
 }

@@ -400,6 +400,17 @@ func TestTerminalCountersVisibleAtDone(t *testing.T) {
 	}
 }
 
+// TestServingLogNamesKernels: isingd's serving log line carries the same
+// kernel variants as isingd_build_info.
+func TestServingLogNamesKernels(t *testing.T) {
+	var buf bytes.Buffer
+	slog.New(slog.NewTextHandler(&buf, nil)).Info("serving", KernelAttrs()...)
+	want := fmt.Sprintf("rng_avx2=%t rng_avx512=%t", rng.HasAVX2(), rng.HasAVX512())
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("serving line %q lacks %q", buf.String(), want)
+	}
+}
+
 // TestHTTPMetricsHistograms checks the histogram families, build-info gauge
 // and HEAD support of /metrics: after one job runs, every stage histogram is
 // declared with its bucket/sum/count series, the build labels surface, and a
@@ -439,7 +450,7 @@ func TestHTTPMetricsHistograms(t *testing.T) {
 		"isingd_queue_wait_seconds_count 1",
 		"isingd_run_seconds_count 1",
 		`isingd_build_info{version="v9-test",goversion="`,
-		fmt.Sprintf(`,rng_avx2="%t"} 1`, rng.HasAVX2()),
+		fmt.Sprintf(`,rng_avx2="%t",rng_avx512="%t"} 1`, rng.HasAVX2(), rng.HasAVX512()),
 		"# TYPE isingd_uptime_seconds gauge",
 	} {
 		if !strings.Contains(text, want) {

@@ -11,6 +11,13 @@ import (
 	"tpuising/internal/rng"
 )
 
+// KernelAttrs names the Philox kernels this binary runs as slog key-value
+// pairs, the labels isingd_build_info carries: isingd's serving log line
+// ends with them.
+func KernelAttrs() []any {
+	return []any{"rng_avx2", rng.HasAVX2(), "rng_avx512", rng.HasAVX512()}
+}
+
 // promMetric is one exposed scalar metric: its Prometheus name, type and help
 // text, plus how to read it from a Stats snapshot. The exposition is
 // hand-rolled (no client library dependency): unlabelled counters and gauges
@@ -85,9 +92,10 @@ func (s *Server) renderMetrics() string {
 		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, m.kind)
 		fmt.Fprintf(&b, "%s %d\n", m.name, m.value(st))
 	}
-	fmt.Fprintf(&b, "# HELP isingd_build_info Build metadata and the Philox kernel variant (rng_avx2); the value is always 1.\n")
+	fmt.Fprintf(&b, "# HELP isingd_build_info Build metadata and the Philox kernel variants (rng_avx2, rng_avx512); the value is always 1.\n")
 	fmt.Fprintf(&b, "# TYPE isingd_build_info gauge\n")
-	fmt.Fprintf(&b, "isingd_build_info{version=%q,goversion=%q,rng_avx2=\"%t\"} 1\n", s.cfg.Version, runtime.Version(), rng.HasAVX2())
+	fmt.Fprintf(&b, "isingd_build_info{version=%q,goversion=%q,rng_avx2=\"%t\",rng_avx512=\"%t\"} 1\n",
+		s.cfg.Version, runtime.Version(), rng.HasAVX2(), rng.HasAVX512())
 	fmt.Fprintf(&b, "# HELP isingd_uptime_seconds Server age on its own clock.\n")
 	fmt.Fprintf(&b, "# TYPE isingd_uptime_seconds gauge\n")
 	fmt.Fprintf(&b, "isingd_uptime_seconds %s\n", formatFloat(st.UptimeSeconds))
