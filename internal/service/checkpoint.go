@@ -236,6 +236,11 @@ func parseCheckpoint(blob []byte, path string) (*checkpointState, error) {
 		}
 		return &cs, nil
 	}
+	if spec.Replicas > 1 || len(spec.Temperatures) > 0 {
+		// Only single chains snapshot; no daemon writes one for a batch or
+		// a ladder, so resuming it would rerun the job behind a false trace.
+		return nil, fmt.Errorf("%s: engine snapshot for a batch or ladder job", path)
+	}
 	if _, err := ising.DecodeSnapshot(cs.Snapshot); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

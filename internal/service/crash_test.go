@@ -62,7 +62,9 @@ func harvestLiveCheckpoint(t *testing.T) []byte {
 // TestCorruptCheckpointMatrix is the crash-point matrix: one genuine mid-run
 // checkpoint, mutilated at every structural boundary — truncations on either
 // side of the header, doubled and trailing-garbage files, single bit flips in
-// header and payload — each restarted over in a fresh daemon. Every mutation
+// header and payload, and a well-formed file carrying an engine snapshot for a
+// batch or a ladder spec (only single chains snapshot) — each restarted over
+// in a fresh daemon. Every mutation
 // must take the same path: reported in the scan's skip list, counted in
 // checkpoint_corrupt, moved byte-for-byte into quarantine/ (evidence, never
 // deleted), its job answering ErrJobCorrupt, and its ID never reissued.
@@ -77,15 +79,33 @@ func TestCorruptCheckpointMatrix(t *testing.T) {
 		out[off] ^= 0x01
 		return out
 	}
+	// respec re-encodes the genuine checkpoint, checksum intact, under a
+	// changed spec: the file is well formed but claims what no daemon writes.
+	respec := func(f func(*JobSpec)) []byte {
+		cs, err := parseCheckpoint(blob, "job-000001"+checkpointExt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f(&cs.Spec)
+		out, err := encodeCheckpoint(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	mutations := map[string][]byte{
-		"empty":             {},
-		"truncated-header":  blob[:nl/2],
-		"truncated-payload": blob[:nl+1+(len(blob)-nl-1)/2],
-		"truncated-tail":    blob[:len(blob)-1],
-		"doubled":           append(append([]byte(nil), blob...), blob...),
-		"trailing-garbage":  append(append([]byte(nil), blob...), "garbage"...),
-		"bitflip-header":    flip(len(checkpointHeaderPrefix) + len("crc32c=")),
-		"bitflip-payload":   flip(nl + 1 + (len(blob)-nl-1)/2),
+		"empty":              {},
+		"truncated-header":   blob[:nl/2],
+		"truncated-payload":  blob[:nl+1+(len(blob)-nl-1)/2],
+		"truncated-tail":     blob[:len(blob)-1],
+		"doubled":            append(append([]byte(nil), blob...), blob...),
+		"trailing-garbage":   append(append([]byte(nil), blob...), "garbage"...),
+		"bitflip-header":     flip(len(checkpointHeaderPrefix) + len("crc32c=")),
+		"bitflip-payload":    flip(nl + 1 + (len(blob)-nl-1)/2),
+		"snapshot-for-batch": respec(func(s *JobSpec) { s.Replicas = 4 }),
+		"snapshot-for-ladder": respec(func(s *JobSpec) {
+			s.Temperature, s.Temperatures, s.SwapInterval = 0, []float64{2.0, 2.5}, 5
+		}),
 	}
 	for name, mutated := range mutations {
 		t.Run(name, func(t *testing.T) {

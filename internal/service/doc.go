@@ -33,9 +33,11 @@
 //	                              │miss
 //	                           queue (bounded) ─ worker pool
 //	                              │
-//	                           backend.New ─ sweep.Stream chunks
+//	                           one batch: chain (1 lane) | replicas | ladder
+//	                           one loop: Sweep chunks ≤ maxChunk
+//	                              ├─ ladder: swaps every SwapInterval sweeps
 //	                              ├─ samples → NDJSON /stream + accumulators
-//	                              ├─ checkpoint every K sweeps (Snapshotter)
+//	                              ├─ chain: checkpoint every K sweeps (Snapshotter)
 //	                              └─ encode.Result → cache + /result
 //
 // cmd/isingd exposes the Server over HTTP; examples/service drives it

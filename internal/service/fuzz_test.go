@@ -13,8 +13,10 @@ import (
 )
 
 // fuzzCheckpointBytes builds a genuine v2 checkpoint image (real engine
-// snapshot, valid checksum header) for the fuzz seed corpus.
-func fuzzCheckpointBytes(t interface{ Fatal(...any) }) []byte {
+// snapshot, valid checksum header) for the fuzz seed corpus. With replicas
+// > 1 the same chain snapshot is filed under a batch spec, a file no daemon
+// writes and the parser must refuse.
+func fuzzCheckpointBytes(t interface{ Fatal(...any) }, replicas int) []byte {
 	spec, err := (JobSpec{Backend: "checkerboard", Rows: 8, Sweeps: 40, Temperature: 2.5, Seed: 3}).Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -27,6 +29,7 @@ func fuzzCheckpointBytes(t interface{ Fatal(...any) }) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec.Replicas = max(replicas, 1)
 	blob, err := encodeCheckpoint(&checkpointState{
 		Job: "job-000001", Spec: spec, DoneSweeps: 0,
 		Snapshot: ising.EncodeSnapshot(snap), AdmittedAt: 1_700_000_000_000_000_000,
@@ -61,6 +64,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			t.Fatal("parser accepted progress without a snapshot")
 		}
 		if len(cs.Snapshot) > 0 {
+			if cs.Spec.Replicas > 1 || len(cs.Spec.Temperatures) > 0 {
+				t.Fatal("parser accepted an engine snapshot for a batch or ladder spec")
+			}
 			if _, err := ising.DecodeSnapshot(cs.Snapshot); err != nil {
 				t.Fatalf("parser accepted an undecodable snapshot: %v", err)
 			}
@@ -73,10 +79,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 
 // fuzzLoadCheckpointSeeds is the committed seed corpus for FuzzLoadCheckpoint
 // (mirrored into testdata/fuzz by TestWriteFuzzCorpus): a genuine v2 file,
-// its torn and doubled variants, a legacy v1 intent record, and headers
-// forged to claim absurd or unparseable lengths.
+// its torn and doubled variants, a legacy v1 intent record, headers forged
+// to claim absurd or unparseable lengths, and a well-formed file carrying a
+// snapshot for a batch spec.
 func fuzzLoadCheckpointSeeds(t interface{ Fatal(...any) }) [][]byte {
-	valid := fuzzCheckpointBytes(t)
+	valid := fuzzCheckpointBytes(t, 1)
 	return [][]byte{
 		valid,
 		valid[:len(valid)/2],
@@ -86,6 +93,7 @@ func fuzzLoadCheckpointSeeds(t interface{ Fatal(...any) }) [][]byte {
 		[]byte("ISCKPT2 crc32c=zz len=-1\n{}"),
 		[]byte("ISCKPT2 "),
 		[]byte("{"),
+		fuzzCheckpointBytes(t, 4),
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"tpuising/internal/ising/backend"
 	"tpuising/internal/service/encode"
 	"tpuising/internal/stats"
-	"tpuising/internal/sweep"
 	"tpuising/internal/tempering"
 )
 
@@ -163,7 +162,9 @@ var (
 	errClosing  = errors.New("service: server closing")
 )
 
-// maxChunk bounds the sweeps a worker runs between cancellation checks.
+// maxChunk bounds the sweeps a worker runs between cancellation checks, for
+// every job kind: a ladder notices a cancel within maxChunk sweeps, like a
+// chain or a batch, not once per swap round.
 const maxChunk = 256
 
 // Server is a long-running simulation service over the backend registry: a
@@ -847,7 +848,17 @@ func (s *Server) runProtected(j *Job) {
 	s.run(j)
 }
 
-// run executes one job on a worker goroutine.
+// run executes one job on a worker goroutine. Every job kind is one batch
+// swept by one loop: a single chain is its engine as a one-lane batch, a
+// replicated job Replicas lanes at one temperature (lane-packed for
+// multispin, the lane-parallel adapter otherwise; backend.NewBatch picks),
+// and a ladder one lane per rung, coupled by Metropolis swaps every
+// SwapInterval sweeps (internal/tempering) and sampled from its coldest rung
+// once per round. The loop sweeps in chunks of at most maxChunk, stopping at
+// checkpoint boundaries; only a chain whose engine is an ising.Snapshotter
+// checkpoints and resumes. Lane L of a replicated job is exactly the chain a
+// separate job with seed ising.LaneSeed(seed, L) runs, and a ladder is
+// bit-identical to the classic per-replica ladder.
 func (s *Server) run(j *Job) {
 	if j.ctx.Err() != nil {
 		// Canceled before it started. A shutdown leaves the job queued (its
@@ -858,15 +869,185 @@ func (s *Server) run(j *Job) {
 	if !j.setState(StateRunning, nil) {
 		return
 	}
-	if len(j.spec.Temperatures) > 0 {
-		s.runTempering(j)
+	spec := j.spec
+	var (
+		b   ising.BatchBackend
+		eng ising.Backend // a single chain's engine; nil for batches and ladders
+		ens *tempering.Ensemble
+		err error
+	)
+	switch {
+	case len(spec.Temperatures) > 0:
+		b, err = backend.NewBatchLadder(spec.Backend, backendConfig(spec, 0, spec.Seed), spec.Temperatures)
+		if err == nil {
+			ens, err = tempering.NewBatch(tempering.Config{
+				Temperatures: spec.Temperatures,
+				SwapInterval: spec.SwapInterval,
+				Seed:         spec.Seed,
+				Workers:      spec.Workers,
+			}, b)
+		}
+	case spec.Replicas > 1:
+		b, err = backend.NewBatch(spec.Backend, backendConfig(spec, spec.Temperature, spec.Seed), spec.Replicas)
+	default:
+		// Not backend.NewBatch(…, 1): that routes multispin to the
+		// lane-packed engine, which cannot snapshot.
+		eng, err = backend.New(spec.Backend, backendConfig(spec, spec.Temperature, spec.Seed))
+		if err == nil {
+			b, err = ising.NewBatchOf([]ising.Backend{eng}, 1)
+		}
+	}
+	if err != nil {
+		s.fail(j, err)
 		return
 	}
-	if j.spec.Replicas > 1 {
-		s.runBatch(j)
-		return
+	snapper, canSnap := eng.(ising.Snapshotter)
+	ckptEvery := spec.CheckpointInterval
+	if ckptEvery == 0 {
+		ckptEvery = s.cfg.CheckpointInterval
 	}
-	s.runSingle(j)
+	if spec.CheckpointInterval > 0 {
+		if !canSnap {
+			s.fail(j, fmt.Errorf("service: backend %q does not support checkpointing (no ising.Snapshotter); pick a snapshottable engine or drop checkpoint_interval", spec.Backend))
+			return
+		}
+		if s.cfg.CheckpointDir == "" {
+			s.fail(j, fmt.Errorf("service: job asks for checkpoints but the server has no checkpoint directory"))
+			return
+		}
+	}
+
+	lanes := b.Lanes()
+	absAcc := make([]stats.Accumulator, lanes)
+	eAcc := make([]stats.Accumulator, lanes)
+	var absAll stats.Accumulator
+	done := 0
+	if j.resume != nil {
+		if !canSnap {
+			s.fail(j, fmt.Errorf("service: checkpointed job %s uses backend %q, which cannot restore", j.id, spec.Backend))
+			return
+		}
+		snap, err := ising.DecodeSnapshot(j.resume.Snapshot)
+		if err == nil {
+			err = snapper.Restore(snap)
+		}
+		if err != nil {
+			s.fail(j, fmt.Errorf("service: resuming job %s: %w", j.id, err))
+			return
+		}
+		done = j.resume.DoneSweeps
+		absAll.SetState(j.resume.AbsM)
+		eAcc[0].SetState(j.resume.Energy)
+	}
+	var checkpoint func() error // nil: the job does not checkpoint
+	if canSnap && s.cfg.CheckpointDir != "" && ckptEvery > 0 {
+		checkpoint = func() error {
+			return s.writeCheckpoint(j, snapper, done, absAll.State(), eAcc[0].State())
+		}
+	}
+
+	// sample records one observation in measured-sweep coordinates, so a
+	// resumed chain keeps the emission schedule of an uninterrupted one.
+	sample := func(measured int) {
+		if ens != nil {
+			ens.Measure()
+			cold := ens.Backend(0)
+			m := cold.Magnetization()
+			j.appendSample(encode.Sample{
+				Job: j.id, Sweep: measured,
+				Magnetization: m, AbsMagnetization: math.Abs(m), Energy: cold.Energy(),
+			})
+			return
+		}
+		ms, es := b.Magnetizations(), b.Energies()
+		for lane := range lanes {
+			absM := math.Abs(ms[lane])
+			absAcc[lane].Add(absM)
+			eAcc[lane].Add(es[lane])
+			absAll.Add(absM)
+			j.appendSample(encode.Sample{
+				Job: j.id, Sweep: measured, Lane: lane,
+				Magnetization: ms[lane], AbsMagnetization: absM, Energy: es[lane],
+			})
+		}
+	}
+	burnIn, total, interval := spec.schedule()
+	start := time.Now()
+	ranHere := 0
+	for done < total {
+		if j.ctx.Err() != nil {
+			s.interrupted(j, checkpoint)
+			return
+		}
+		limit := total
+		if checkpoint != nil {
+			if next := (done/ckptEvery + 1) * ckptEvery; next < limit {
+				limit = next
+			}
+		}
+		n := min(limit-done, maxChunk)
+		for i := 0; i < n; i++ {
+			b.Sweep()
+			done++
+			if ens != nil && done%spec.SwapInterval == 0 {
+				ens.AttemptSwaps()
+			}
+			if measured := done - burnIn; measured > 0 && measured%interval == 0 {
+				sample(measured)
+			}
+		}
+		ranHere += n
+		s.sweepsRun.Add(int64(n) * int64(lanes))
+		j.setSweepsDone(done)
+		if checkpoint != nil && done < total && done%ckptEvery == 0 && j.ctx.Err() == nil {
+			if err := checkpoint(); err != nil {
+				s.fail(j, fmt.Errorf("service: checkpointing job %s: %w", j.id, err))
+				return
+			}
+		}
+	}
+
+	r := &encode.Result{
+		Backend: spec.Backend, Rows: spec.Rows, Cols: spec.Cols,
+		Temperature: spec.Temperature, Seed: spec.Seed,
+		Sweeps: spec.Sweeps, BurnIn: spec.BurnIn,
+	}
+	switch {
+	case ens != nil:
+		r.Temperature = spec.Temperatures[0]
+		encode.Observables(r, ens.Backend(0))
+		encode.Tempering(r, ens.Report())
+		r.Ops = ens.Counts().Ops
+	case eng != nil:
+		encode.Observables(r, eng)
+	default:
+		encode.BatchObservables(r, b, spec.Seed)
+	}
+	// Chains and batches pool every lane's samples at the top level (a
+	// ladder's sample means are its per-rung report); a batch also fills its
+	// lane rows. Every lane samples together, so all or none have samples.
+	if absAll.N() > 0 {
+		var eSum float64
+		for lane := range lanes {
+			eSum += eAcc[lane].Mean()
+			if r.Lanes != nil {
+				r.Lanes[lane].MeanAbsMagnetization = absAcc[lane].Mean()
+				r.Lanes[lane].MeanAbsMagnetizationErr = absAcc[lane].StdErr()
+				r.Lanes[lane].MeanEnergy = eAcc[lane].Mean()
+				r.Lanes[lane].Samples = absAcc[lane].N()
+			}
+		}
+		r.MeanAbsMagnetization = absAll.Mean()
+		r.MeanAbsMagnetizationErr = absAll.StdErr()
+		r.MeanEnergy = eSum / float64(lanes)
+		r.Samples = absAll.N()
+	}
+	elapsed := time.Since(start)
+	r.ElapsedSec = elapsed.Seconds()
+	if ns := float64(elapsed.Nanoseconds()); ns > 0 && ranHere > 0 {
+		r.FlipsPerNs = float64(spec.Rows) * float64(spec.Cols) * float64(ranHere) * float64(lanes) / ns
+	}
+	s.complete(j, r)
 }
 
 // countRun returns the terminal hook of a finished run: it bumps counter and
@@ -913,14 +1094,14 @@ func (s *Server) complete(j *Job, r *encode.Result) {
 	s.pruneJobs()
 }
 
-// interrupted handles a cancellation noticed mid-run. On shutdown a
-// checkpointable job writes a final checkpoint at the exact sweep it
-// stopped, so the next daemon resumes it bit-identically; a client cancel
-// discards the job.
-func (s *Server) interrupted(j *Job, snapper ising.Snapshotter, canCkpt bool, done int, absM, energy stats.AccumulatorState) {
+// interrupted handles a cancellation noticed mid-run. On shutdown a job
+// that checkpoints (checkpoint non-nil) writes a final checkpoint at the
+// exact sweep it stopped, so the next daemon resumes it bit-identically; a
+// client cancel discards the job.
+func (s *Server) interrupted(j *Job, checkpoint func() error) {
 	if context.Cause(j.ctx) == errClosing {
-		if canCkpt {
-			if err := s.writeCheckpoint(j, snapper, done, absM, energy); err == nil {
+		if checkpoint != nil {
+			if err := checkpoint(); err == nil {
 				j.setState(StateQueued, nil)
 				return
 			}
@@ -949,288 +1130,6 @@ func backendConfig(spec JobSpec, temperature float64, seed uint64) backend.Confi
 		Seed: seed, Workers: spec.Workers,
 		GridR: spec.GridR, GridC: spec.GridC, Hot: spec.Hot,
 	}
-}
-
-// runSingle runs a single-chain job: burn-in, then measured sweeps with
-// samples streamed every SampleInterval, checkpointing every
-// CheckpointInterval sweeps when enabled.
-func (s *Server) runSingle(j *Job) {
-	spec := j.spec
-	eng, err := backend.New(spec.Backend, backendConfig(spec, spec.Temperature, spec.Seed))
-	if err != nil {
-		s.fail(j, err)
-		return
-	}
-	snapper, canSnap := eng.(ising.Snapshotter)
-	ckptEvery := spec.CheckpointInterval
-	if ckptEvery == 0 {
-		ckptEvery = s.cfg.CheckpointInterval
-	}
-	if spec.CheckpointInterval > 0 {
-		if !canSnap {
-			s.fail(j, fmt.Errorf("service: backend %q does not support checkpointing (no ising.Snapshotter); pick a snapshottable engine or drop checkpoint_interval", spec.Backend))
-			return
-		}
-		if s.cfg.CheckpointDir == "" {
-			s.fail(j, fmt.Errorf("service: job asks for checkpoints but the server has no checkpoint directory"))
-			return
-		}
-	}
-	canCkpt := canSnap && s.cfg.CheckpointDir != "" && ckptEvery > 0
-
-	var absAcc, eAcc stats.Accumulator
-	done := 0
-	if j.resume != nil {
-		if !canSnap {
-			s.fail(j, fmt.Errorf("service: checkpointed job %s uses backend %q, which cannot restore", j.id, spec.Backend))
-			return
-		}
-		snap, err := ising.DecodeSnapshot(j.resume.Snapshot)
-		if err == nil {
-			err = snapper.Restore(snap)
-		}
-		if err != nil {
-			s.fail(j, fmt.Errorf("service: resuming job %s: %w", j.id, err))
-			return
-		}
-		done = j.resume.DoneSweeps
-		absAcc.SetState(j.resume.AbsM)
-		eAcc.SetState(j.resume.Energy)
-	}
-
-	total := spec.BurnIn + spec.Sweeps
-	emit := func(sm sweep.Sample) {
-		absM := math.Abs(sm.Magnetization)
-		absAcc.Add(absM)
-		eAcc.Add(sm.Energy)
-		j.appendSample(encode.Sample{
-			Job: j.id, Sweep: sm.Sweep,
-			Magnetization: sm.Magnetization, AbsMagnetization: absM, Energy: sm.Energy,
-		})
-	}
-	start := time.Now()
-	ranHere := 0
-	for done < total {
-		if j.ctx.Err() != nil {
-			s.interrupted(j, snapper, canCkpt, done, absAcc.State(), eAcc.State())
-			return
-		}
-		limit := total
-		if canCkpt {
-			if next := (done/ckptEvery + 1) * ckptEvery; next < limit {
-				limit = next
-			}
-		}
-		n := limit - done
-		if n > maxChunk {
-			n = maxChunk
-		}
-		// Burn-in advances without measuring; the measured phase streams in
-		// its own sweep coordinates so a resumed run keeps the emission
-		// schedule of an uninterrupted one.
-		chunk := n
-		if done < spec.BurnIn {
-			bn := spec.BurnIn - done
-			if bn > n {
-				bn = n
-			}
-			done = sweep.Stream(eng, done, bn, 1, nil)
-			n -= bn
-		}
-		if n > 0 {
-			done = spec.BurnIn + sweep.Stream(eng, done-spec.BurnIn, n, spec.SampleInterval, emit)
-		}
-		ranHere += chunk
-		s.sweepsRun.Add(int64(chunk))
-		j.setSweepsDone(done)
-		if canCkpt && done < total && done%ckptEvery == 0 && j.ctx.Err() == nil {
-			if err := s.writeCheckpoint(j, snapper, done, absAcc.State(), eAcc.State()); err != nil {
-				s.fail(j, fmt.Errorf("service: checkpointing job %s: %w", j.id, err))
-				return
-			}
-		}
-	}
-
-	elapsed := time.Since(start)
-	r := &encode.Result{
-		Backend: spec.Backend, Rows: spec.Rows, Cols: spec.Cols,
-		Temperature: spec.Temperature, Seed: spec.Seed,
-		Sweeps: spec.Sweeps, BurnIn: spec.BurnIn,
-	}
-	encode.Observables(r, eng)
-	if absAcc.N() > 0 {
-		r.MeanAbsMagnetization = absAcc.Mean()
-		r.MeanAbsMagnetizationErr = absAcc.StdErr()
-		r.MeanEnergy = eAcc.Mean()
-		r.Samples = absAcc.N()
-	}
-	r.ElapsedSec = elapsed.Seconds()
-	if ns := float64(elapsed.Nanoseconds()); ns > 0 && ranHere > 0 {
-		r.FlipsPerNs = float64(spec.Rows) * float64(spec.Cols) * float64(ranHere) / ns
-	}
-	s.complete(j, r)
-}
-
-// runBatch runs a batched-ensemble job: Replicas independent chains of the
-// spec's backend at one temperature, advanced together in this worker slot
-// (one lane-packed engine for multispin, the lane-parallel adapter
-// otherwise — backend.NewBatch picks). Every SampleInterval the job streams
-// one sample per lane, and the result fans out into per-lane rows; lane L is
-// exactly the single chain a separate job with seed ising.LaneSeed(seed, L)
-// would run. Batched jobs do not checkpoint.
-func (s *Server) runBatch(j *Job) {
-	spec := j.spec
-	b, err := backend.NewBatch(spec.Backend, backendConfig(spec, spec.Temperature, spec.Seed), spec.Replicas)
-	if err != nil {
-		s.fail(j, err)
-		return
-	}
-	lanes := b.Lanes()
-	absAcc := make([]stats.Accumulator, lanes)
-	eAcc := make([]stats.Accumulator, lanes)
-	var absAll stats.Accumulator
-	total := spec.BurnIn + spec.Sweeps
-	start := time.Now()
-	done := 0
-	for done < total {
-		if j.ctx.Err() != nil {
-			s.interrupted(j, nil, false, done, stats.AccumulatorState{}, stats.AccumulatorState{})
-			return
-		}
-		n := total - done
-		if n > maxChunk {
-			n = maxChunk
-		}
-		for i := 0; i < n; i++ {
-			b.Sweep()
-			done++
-			measured := done - spec.BurnIn
-			if measured > 0 && measured%spec.SampleInterval == 0 {
-				ms, es := b.Magnetizations(), b.Energies()
-				for lane := 0; lane < lanes; lane++ {
-					absM := math.Abs(ms[lane])
-					absAcc[lane].Add(absM)
-					eAcc[lane].Add(es[lane])
-					absAll.Add(absM)
-					j.appendSample(encode.Sample{
-						Job: j.id, Sweep: measured, Lane: lane,
-						Magnetization: ms[lane], AbsMagnetization: absM, Energy: es[lane],
-					})
-				}
-			}
-		}
-		s.sweepsRun.Add(int64(n) * int64(lanes))
-		j.setSweepsDone(done)
-	}
-	elapsed := time.Since(start)
-	r := &encode.Result{
-		Backend: spec.Backend, Rows: spec.Rows, Cols: spec.Cols,
-		Temperature: spec.Temperature, Seed: spec.Seed,
-		Sweeps: spec.Sweeps, BurnIn: spec.BurnIn,
-	}
-	encode.BatchObservables(r, b, spec.Seed)
-	var eAll float64
-	for lane := range r.Lanes {
-		if absAcc[lane].N() == 0 {
-			continue
-		}
-		r.Lanes[lane].MeanAbsMagnetization = absAcc[lane].Mean()
-		r.Lanes[lane].MeanAbsMagnetizationErr = absAcc[lane].StdErr()
-		r.Lanes[lane].MeanEnergy = eAcc[lane].Mean()
-		r.Lanes[lane].Samples = absAcc[lane].N()
-		eAll += eAcc[lane].Mean()
-	}
-	if absAll.N() > 0 {
-		r.MeanAbsMagnetization = absAll.Mean()
-		r.MeanAbsMagnetizationErr = absAll.StdErr()
-		r.MeanEnergy = eAll / float64(lanes)
-		r.Samples = absAll.N()
-	}
-	r.ElapsedSec = elapsed.Seconds()
-	if ns := float64(elapsed.Nanoseconds()); ns > 0 && done > 0 {
-		r.FlipsPerNs = float64(spec.Rows) * float64(spec.Cols) * float64(done) * float64(lanes) / ns
-	}
-	s.complete(j, r)
-}
-
-// runTempering runs a replica-exchange job: a ladder of replicas of the
-// spec's backend coupled by Metropolis swaps every SwapInterval sweeps
-// (internal/tempering), executed as one batched ensemble — one lane per rung
-// (lane-packed for multispin, lane-parallel otherwise), bit-identical to the
-// classic per-replica ladder. Samples stream from the coldest rung; the
-// result carries the full per-temperature report. Tempering jobs do not
-// checkpoint.
-func (s *Server) runTempering(j *Job) {
-	spec := j.spec
-	ladder, err := backend.NewBatchLadder(spec.Backend,
-		backendConfig(spec, 0, spec.Seed), spec.Temperatures)
-	if err != nil {
-		s.fail(j, err)
-		return
-	}
-	ens, err := tempering.NewBatch(tempering.Config{
-		Temperatures: spec.Temperatures,
-		SwapInterval: spec.SwapInterval,
-		Seed:         spec.Seed,
-		Workers:      spec.Workers,
-	}, ladder)
-	if err != nil {
-		s.fail(j, err)
-		return
-	}
-	burnRounds := (spec.BurnIn + spec.SwapInterval - 1) / spec.SwapInterval
-	rounds := spec.Sweeps / spec.SwapInterval
-	if rounds < 1 {
-		rounds = 1
-	}
-	start := time.Now()
-	sweepsPerRound := spec.SwapInterval
-	progress := 0
-	step := func(measure bool, round int) bool {
-		if j.ctx.Err() != nil {
-			s.interrupted(j, nil, false, progress, stats.AccumulatorState{}, stats.AccumulatorState{})
-			return false
-		}
-		ens.Round()
-		if measure {
-			ens.Measure()
-			cold := ens.Backend(0)
-			m := cold.Magnetization()
-			j.appendSample(encode.Sample{
-				Job: j.id, Sweep: (round + 1) * sweepsPerRound,
-				Magnetization: m, AbsMagnetization: math.Abs(m), Energy: cold.Energy(),
-			})
-		}
-		progress += sweepsPerRound
-		s.sweepsRun.Add(int64(sweepsPerRound) * int64(ens.Replicas()))
-		j.setSweepsDone(progress)
-		return true
-	}
-	for i := 0; i < burnRounds; i++ {
-		if !step(false, i) {
-			return
-		}
-	}
-	for i := 0; i < rounds; i++ {
-		if !step(true, i) {
-			return
-		}
-	}
-	rep := ens.Report()
-	elapsed := time.Since(start)
-	r := &encode.Result{
-		Backend: spec.Backend, Rows: spec.Rows, Cols: spec.Cols,
-		Temperature: spec.Temperatures[0], Seed: spec.Seed,
-		Sweeps: spec.Sweeps, BurnIn: spec.BurnIn,
-	}
-	encode.Observables(r, ens.Backend(0))
-	encode.Tempering(r, rep)
-	r.Ops = ens.Counts().Ops
-	r.ElapsedSec = elapsed.Seconds()
-	if ns := float64(elapsed.Nanoseconds()); ns > 0 {
-		r.FlipsPerNs = float64(spec.Rows) * float64(spec.Cols) * float64(progress) * float64(ens.Replicas()) / ns
-	}
-	s.complete(j, r)
 }
 
 // Workers returns the worker-pool size (for reporting).

@@ -15,7 +15,6 @@ import (
 	"tpuising/internal/ising/backend"
 	"tpuising/internal/service/encode"
 	"tpuising/internal/stats"
-	"tpuising/internal/sweep"
 	"tpuising/internal/tempering"
 )
 
@@ -356,45 +355,60 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCancelRemovesCheckpointAndStops cancels a running job of every kind
+// and checks that it ends canceled, that the worker stops sweeping it (the
+// next job runs) and that no checkpoint — snapshot or intent record — is left
+// on disk. The ladder swaps once per million sweeps, so it passes only if the
+// runner notices the cancel within a chunk rather than once per round.
 func TestCancelRemovesCheckpointAndStops(t *testing.T) {
-	dir := t.TempDir()
-	srv, _ := New(Config{Workers: 1, CheckpointDir: dir, CheckpointInterval: 256})
-	defer srv.Close()
-	spec := JobSpec{Backend: "checkerboard", Rows: 48, Cols: 48, Sweeps: 500000,
-		Temperature: 2.3, Seed: 1, SampleInterval: 100}
-	j, err := srv.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckptPath := srv.checkpointPath(j.ID())
-	deadline := time.Now().Add(55 * time.Second)
-	for {
-		if _, err := os.Stat(ckptPath); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no checkpoint appeared: %+v", j.Status())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := srv.Cancel(j.ID()); err != nil {
-		t.Fatal(err)
-	}
-	st := waitDone(t, j)
-	if st.State != StateCanceled {
-		t.Fatalf("state %q, want canceled", st.State)
-	}
-	// The worker has noticed the cancel once another submit can run.
-	j2, err := srv.Submit(JobSpec{Backend: "checkerboard", Rows: 4, Sweeps: 1, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j2)
-	if _, err := os.Stat(ckptPath); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("canceled job left a checkpoint: %v", err)
-	}
-	if srv.Stats().JobsCanceled != 1 {
-		t.Fatalf("jobs_canceled = %d, want 1", srv.Stats().JobsCanceled)
+	for name, spec := range map[string]JobSpec{
+		"chain": {Backend: "checkerboard", Rows: 48, Cols: 48, Sweeps: 500000,
+			Temperature: 2.3, Seed: 1, SampleInterval: 100},
+		"batch": {Backend: "checkerboard", Rows: 48, Cols: 48, Sweeps: 500000,
+			Temperature: 2.3, Seed: 1, SampleInterval: 100, Replicas: 4},
+		"ladder": {Backend: "checkerboard", Rows: 48, Cols: 48, Sweeps: 5_000_000,
+			Seed: 1, Temperatures: []float64{2.0, 2.5}, SwapInterval: 5_000_000},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, _ := New(Config{Workers: 1, CheckpointDir: dir, CheckpointInterval: 256})
+			defer srv.Close()
+			j, err := srv.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckptPath := srv.checkpointPath(j.ID())
+			deadline := time.Now().Add(55 * time.Second)
+			for {
+				_, err := os.Stat(ckptPath)
+				if err == nil && j.Status().SweepsDone > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("job never ran with a checkpoint on disk: %+v", j.Status())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if _, err := srv.Cancel(j.ID()); err != nil {
+				t.Fatal(err)
+			}
+			st := waitDone(t, j)
+			if st.State != StateCanceled {
+				t.Fatalf("state %q, want canceled", st.State)
+			}
+			// The worker has noticed the cancel once another submit can run.
+			j2, err := srv.Submit(JobSpec{Backend: "checkerboard", Rows: 4, Sweeps: 1, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, j2)
+			if _, err := os.Stat(ckptPath); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("canceled job left a checkpoint: %v", err)
+			}
+			if srv.Stats().JobsCanceled != 1 {
+				t.Fatalf("jobs_canceled = %d, want 1", srv.Stats().JobsCanceled)
+			}
+		})
 	}
 }
 
@@ -440,52 +454,90 @@ func TestCheckpointRequestOnUnsupportedBackendFails(t *testing.T) {
 	}
 }
 
-// TestTemperingJobMatchesDirectEnsemble runs a replica-exchange job through
-// the service and checks the per-temperature report equals a direct
-// tempering run of the same configuration (same seeds, same rounds).
+// TestTemperingJobMatchesDirectEnsemble runs replica-exchange jobs through
+// the service and checks each against a direct per-replica tempering ladder
+// of the same configuration, encoded the way isingbench's deep check encodes
+// one: the whole canonical result, every sample (the coldest rung after each
+// measured round, at sweep (round+1)*SwapInterval) and the progress counters
+// must agree. The schedules cover a burn-in of whole rounds, one that rounds
+// up, a run shorter than one round (which still measures one) and a swap
+// after every sweep.
 func TestTemperingJobMatchesDirectEnsemble(t *testing.T) {
-	spec := JobSpec{Backend: "checkerboard", Rows: 8, Sweeps: 20, BurnIn: 10,
-		Seed: 3, Temperatures: []float64{2.0, 2.4}, SwapInterval: 5}
-	srv, _ := New(Config{Workers: 1})
-	defer srv.Close()
-	j, err := srv.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitDone(t, j)
-	if st.State != StateDone {
-		t.Fatalf("tempering job: %+v", st)
-	}
-	r := st.Result
-	if len(r.Replicas) != 2 || r.Temperature != 2.0 {
-		t.Fatalf("tempering result: %+v", r)
-	}
+	for _, tc := range []struct {
+		burnIn, sweeps, swapInterval int
+		burnRounds, rounds           int
+	}{
+		{10, 20, 5, 2, 4},
+		{7, 20, 5, 2, 4},
+		{0, 3, 5, 0, 1},
+		{3, 3, 1, 3, 3},
+	} {
+		t.Run(fmt.Sprintf("burnin%d-sweeps%d-swap%d", tc.burnIn, tc.sweeps, tc.swapInterval), func(t *testing.T) {
+			spec := JobSpec{Backend: "checkerboard", Rows: 8, Sweeps: tc.sweeps, BurnIn: tc.burnIn,
+				Seed: 3, Temperatures: []float64{2.0, 2.4}, SwapInterval: tc.swapInterval}
+			srv, _ := New(Config{Workers: 1})
+			defer srv.Close()
+			j, err := srv.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := waitDone(t, j)
+			if st.State != StateDone {
+				t.Fatalf("tempering job: %+v", st)
+			}
+			total := (tc.burnRounds + tc.rounds) * tc.swapInterval
+			if st.SweepsDone != total || st.TotalSweeps != total {
+				t.Fatalf("progress %d of %d sweeps, want %d of %d", st.SweepsDone, st.TotalSweeps, total, total)
+			}
 
-	norm, err := spec.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ens, err := tempering.New(tempering.Config{
-		Temperatures: norm.Temperatures, SwapInterval: norm.SwapInterval, Seed: norm.Seed, Workers: 1,
-	}, func(slot int, temperature float64) (ising.Backend, error) {
-		return backend.New(norm.Backend, backendConfig(norm, temperature, tempering.ReplicaSeed(norm.Seed, slot)))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ens.RunRounds(2) // burnin 10 / swap 5
-	ens.Sample(4)    // sweeps 20 / swap 5
-	rep := ens.Report()
-	for i, rr := range rep.Replicas {
-		got := r.Replicas[i]
-		if got.AbsMagnetization != rr.AbsMagnetization || got.Energy != rr.Energy ||
-			got.Binder != rr.Binder || got.Samples != rr.Samples {
-			t.Fatalf("replica %d: service %+v, direct %+v", i, got, rr)
-		}
-	}
-	if r.RoundTrips != rep.RoundTrips || r.SwapAcceptance != rep.Acceptance() {
-		t.Fatalf("swap stats: service (%d, %g), direct (%d, %g)",
-			r.RoundTrips, r.SwapAcceptance, rep.RoundTrips, rep.Acceptance())
+			norm, err := spec.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ens, err := tempering.New(tempering.Config{
+				Temperatures: norm.Temperatures, SwapInterval: norm.SwapInterval, Seed: norm.Seed, Workers: 1,
+			}, func(slot int, temperature float64) (ising.Backend, error) {
+				return backend.New(norm.Backend, backendConfig(norm, temperature, tempering.ReplicaSeed(norm.Seed, slot)))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ens.RunRounds(tc.burnRounds)
+			var want []encode.Sample
+			for round := 0; round < tc.rounds; round++ {
+				ens.Round()
+				ens.Measure()
+				cold := ens.Backend(0)
+				m := cold.Magnetization()
+				want = append(want, encode.Sample{Job: j.ID(), Sweep: (round + 1) * tc.swapInterval,
+					Magnetization: m, AbsMagnetization: math.Abs(m), Energy: cold.Energy()})
+			}
+			direct := encode.Result{
+				Backend: norm.Backend, Rows: norm.Rows, Cols: norm.Cols,
+				Temperature: norm.Temperatures[0], Seed: norm.Seed,
+				Sweeps: norm.Sweeps, BurnIn: norm.BurnIn,
+			}
+			encode.Observables(&direct, ens.Backend(0))
+			encode.Tempering(&direct, ens.Report())
+			direct.Ops = ens.Counts().Ops
+
+			got := *st.Result
+			got.ElapsedSec, got.FlipsPerNs = 0, 0
+			gotBlob, _ := json.Marshal(got)
+			wantBlob, _ := json.Marshal(direct)
+			if string(gotBlob) != string(wantBlob) {
+				t.Fatalf("service result differs from the direct ladder:\n%s\n%s", gotBlob, wantBlob)
+			}
+			samples, _, _, _ := j.watch()
+			if len(samples) != len(want) {
+				t.Fatalf("streamed %d samples, direct ladder %d", len(samples), len(want))
+			}
+			for i := range want {
+				if samples[i] != want[i] {
+					t.Fatalf("sample %d: service %+v, direct %+v", i, samples[i], want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -544,10 +596,14 @@ func TestResumeBurstBeyondQueueDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 		var absAcc, eAcc stats.Accumulator
-		done := sweep.Stream(eng.(sweep.EnergyChain), 0, 10, spec.SampleInterval, func(sm sweep.Sample) {
-			absAcc.Add(math.Abs(sm.Magnetization))
-			eAcc.Add(sm.Energy)
-		})
+		const done = 10
+		for sweep := 1; sweep <= done; sweep++ {
+			eng.Sweep()
+			if sweep%spec.SampleInterval == 0 {
+				absAcc.Add(math.Abs(eng.Magnetization()))
+				eAcc.Add(eng.Energy())
+			}
+		}
 		snap, err := eng.(ising.Snapshotter).Snapshot()
 		if err != nil {
 			t.Fatal(err)
@@ -606,10 +662,14 @@ func TestRemovedBackendCheckpointFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var absAcc, eAcc stats.Accumulator
-	done := sweep.Stream(eng.(sweep.EnergyChain), 0, 10, spec.SampleInterval, func(sm sweep.Sample) {
-		absAcc.Add(math.Abs(sm.Magnetization))
-		eAcc.Add(sm.Energy)
-	})
+	const done = 10
+	for sweep := 1; sweep <= done; sweep++ {
+		eng.Sweep()
+		if sweep%spec.SampleInterval == 0 {
+			absAcc.Add(math.Abs(eng.Magnetization()))
+			eAcc.Add(eng.Energy())
+		}
+	}
 	snap, err := eng.(ising.Snapshotter).Snapshot()
 	if err != nil {
 		t.Fatal(err)

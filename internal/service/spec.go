@@ -228,16 +228,22 @@ func (s JobSpec) CacheKey() string {
 	return string(blob)
 }
 
-// totalSweeps is the whole-lattice updates a job performs end to end
-// (per replica, for tempering jobs).
-func (s JobSpec) totalSweeps() int {
-	if len(s.Temperatures) > 0 {
-		burnRounds := (s.BurnIn + s.SwapInterval - 1) / s.SwapInterval
-		rounds := s.Sweeps / s.SwapInterval
-		if rounds < 1 {
-			rounds = 1
-		}
-		return (burnRounds + rounds) * s.SwapInterval
+// schedule is a job's sweep plan: the burn-in sweeps, the total sweeps
+// (burn-in included; per lane) and the measured sweeps between samples. A
+// ladder samples once per swap round: its burn-in rounds up to whole rounds
+// and it measures at least one round, so every sample follows a swap.
+func (s JobSpec) schedule() (burnIn, total, interval int) {
+	if len(s.Temperatures) == 0 {
+		return s.BurnIn, s.BurnIn + s.Sweeps, s.SampleInterval
 	}
-	return s.BurnIn + s.Sweeps
+	k := s.SwapInterval
+	burnIn = (s.BurnIn + k - 1) / k * k
+	return burnIn, burnIn + max(s.Sweeps/k, 1)*k, k
+}
+
+// totalSweeps is the whole-lattice updates a job performs end to end
+// (per lane, for batches and ladders).
+func (s JobSpec) totalSweeps() int {
+	_, total, _ := s.schedule()
+	return total
 }

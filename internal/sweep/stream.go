@@ -1,40 +1,15 @@
 package sweep
 
-// Sample is one incremental observation of a running chain, emitted by
-// Stream while the chain advances. It is the in-library form of the NDJSON
-// sample lines the simulation service streams to clients
-// (internal/service/encode converts it to the wire type).
+// Sample is one observation of a running chain: the sweep count at which it
+// was taken and the per-spin observables there. It is the in-library form of
+// the NDJSON sample lines the simulation service streams to clients
+// (internal/service/encode holds the wire type).
 type Sample struct {
 	// Sweep is the number of whole-lattice updates completed when the sample
-	// was taken, counted in Stream's `done` coordinates.
+	// was taken.
 	Sweep int
-	// Magnetization and Energy are the per-spin observables at that sweep.
+	// Magnetization is the magnetisation per spin at that sweep.
 	Magnetization float64
 	// Energy is the energy per spin.
 	Energy float64
-}
-
-// Stream advances the chain by n whole-lattice updates, emitting a Sample
-// every interval sweeps (interval <= 0 means every sweep), and returns the
-// updated completion count. done is the number of sweeps the chain has
-// already performed in this measurement phase: emission happens when the
-// running count is a multiple of interval, so a run resumed from a
-// checkpoint (done > 0) keeps exactly the emission schedule of an
-// uninterrupted run — the service's resume tests assert the two sample
-// streams are identical.
-//
-// emit may be nil (advance without measuring, e.g. burn-in in checkpointable
-// chunks).
-func Stream(chain EnergyChain, done, n, interval int, emit func(Sample)) int {
-	if interval <= 0 {
-		interval = 1
-	}
-	for i := 0; i < n; i++ {
-		chain.Sweep()
-		done++
-		if emit != nil && done%interval == 0 {
-			emit(Sample{Sweep: done, Magnetization: chain.Magnetization(), Energy: chain.Energy()})
-		}
-	}
-	return done
 }
