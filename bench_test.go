@@ -272,9 +272,11 @@ func BenchmarkShardedEnsemble64_2x2_256(b *testing.B) {
 }
 
 // BenchmarkShardedBatch8_2x2_256 times the other side of NewBatch's sharded
-// route: an 8-lane batch, which runs on the lane-parallel adapter (one
-// bit-packed sharded pod per lane) because the lane-packed pod would keep a
-// whole 64-lane word per site for 8 lanes.
+// route: an 8-lane batch, below the 16 lanes from which a pod-grid batch runs
+// lane-packed, so it runs on the lane-parallel adapter (one bit-packed
+// sharded pod per lane). At 256² the adapter sweeps 8 lanes faster than the
+// lane-packed pod, which keeps a whole 64-lane word per site
+// (BenchmarkBatchRoute in internal/ising/backend times both sides).
 func BenchmarkShardedBatch8_2x2_256(b *testing.B) {
 	const size, lanes = 256, 8
 	cfg := hostConfig(size)
@@ -309,7 +311,9 @@ func BenchmarkEnsemble64_256(b *testing.B) {
 // phase) of a 4-replica parallel-tempering ladder of multispin replicas
 // across the default critical window. host_flips/ns is the aggregate over
 // all replicas; against BenchmarkHostMultispin1024 it shows the swap phases
-// (two 8-byte energy messages per pair) cost essentially nothing.
+// (two 8-byte energy messages per pair) cost essentially nothing. Its one
+// chain per rung is also how backend.NewBatchLadder runs a 4-rung multispin
+// ladder: below 32 lanes a one-shard batch runs on the adapter.
 func BenchmarkTempering4_1024(b *testing.B) {
 	const size, replicas, swapInterval = 1024, 4, 5
 	ens, err := tempering.New(tempering.Config{

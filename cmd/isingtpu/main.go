@@ -56,7 +56,7 @@ func main() {
 	temper := flag.String("temper", "",
 		"replica exchange: N temperature replicas of the selected -backend, as N or N:Tmin,Tmax (default window sized for healthy swap acceptance)")
 	replicas := flag.Int("replicas", 1,
-		"batched ensemble: B independent chains of the selected -backend at -temp, lane-packed for multispin (64 chains per machine word) and for sharded at B=64, lane-parallel otherwise; per-lane results are reported")
+		"batched ensemble: B independent chains of the selected -backend at -temp, lane-packed (64 chains per machine word) for multispin at B>=32 and for sharded on a pod grid at B>=16, lane-parallel otherwise; per-lane results are reported")
 	swapint := flag.Int("swapint", 10, "sweeps between replica-exchange swap attempts (with -temper)")
 	profile := flag.Bool("profile", false, "print the work counters and the modelled step breakdown")
 	estimate := flag.Bool("estimate", false, "do not run: report the modelled performance for this configuration")
@@ -239,9 +239,10 @@ func runBackend(name string, rows, cols, gridR, gridC int, temp float64, seed ui
 
 // runReplicas runs the batched-ensemble mode: B independent chains of the
 // selected backend at one temperature behind ising.BatchBackend — the
-// lane-packed internal/ising/shardedensemble engine on one shard for
-// multispin ("ensemble"), on sharded's grid for 64 sharded lanes, the generic
-// lane-parallel adapter for every other batch (backend.NewBatch picks).
+// lane-packed internal/ising/shardedensemble engine on one shard for 32 or
+// more multispin lanes ("ensemble"), on sharded's grid for 16 or more
+// sharded lanes, the generic lane-parallel adapter for every other batch
+// (backend.NewBatch picks).
 // Lane L is seeded ising.LaneSeed(seed, L), so its chain is exactly the
 // single-chain run `-backend <name> -seed <laneseed>` would produce; the
 // report fans out one row per lane plus the across-lane means.
@@ -256,9 +257,10 @@ func runReplicas(name string, rows, cols, gridR, gridC, tile int, dt tensor.DTyp
 	}
 	if !jsonOut {
 		// Named by the selected registry backend (like isingd's batch jobs);
-		// the executing batch engine — the lane-packed "ensemble" for
-		// multispin, "sharded-ensemble" for 64 sharded lanes, the
-		// lane-parallel adapter otherwise — is reported as an execution detail.
+		// the executing batch engine — the lane-packed "ensemble" or
+		// "sharded-ensemble" for a wide enough multispin or sharded batch,
+		// the lane-parallel adapter otherwise — is reported as an execution
+		// detail.
 		fmt.Printf("batched ensemble: %d lanes of backend %s (engine %s), %dx%d lattice, T=%.4f (T/Tc=%.3f)\n",
 			b.Lanes(), name, b.Name(), rows, cols, temp, temp/ising.CriticalTemperature())
 	}
@@ -334,9 +336,9 @@ func parseTemper(s string) (replicas int, tmin, tmax float64, err error) {
 
 // runTemper runs the replica-exchange mode: a ladder of `replicas` evenly
 // spaced temperatures in [tmin, tmax], one rung per lane of a batched
-// backend (backend.NewBatchLadder — the one-shard lane-packed engine for
-// multispin, the lane-packed pod for a 64-rung sharded ladder, the
-// lane-parallel adapter otherwise), coupled by Metropolis
+// backend (backend.NewBatchLadder — the one-shard lane-packed engine for a
+// multispin ladder of 32 or more rungs, the lane-packed pod for a sharded
+// ladder of 16 or more, the lane-parallel adapter otherwise), coupled by Metropolis
 // swaps every swapInterval sweeps (internal/tempering). Batched execution is
 // bit-identical to per-replica execution, and every printed number is a pure
 // function of the configuration and seed — no wall-clock measurements — so
@@ -370,7 +372,7 @@ func runTemper(name string, rows, cols, gridR, gridC, tile int, dt tensor.DType,
 	if !jsonOut {
 		// The report names the selected registry backend, not the batch
 		// engine executing the ladder (ladder.Name() — e.g. the lane-packed
-		// "ensemble" for multispin): batching is an execution strategy, and
+		// "ensemble" for a wide multispin ladder): batching is an execution strategy, and
 		// the CLI and isingd must name the same logical job identically.
 		fmt.Printf("parallel tempering: %d replicas of backend %s, %dx%d lattice, T in [%.4f, %.4f], swap attempt every %d sweeps\n",
 			replicas, name, rows, cols, tmin, tmax, swapInterval)

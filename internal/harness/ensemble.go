@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"tpuising/internal/ising"
-	"tpuising/internal/ising/backend"
+	"tpuising/internal/ising/shardedensemble"
 )
 
 // EnsembleOnsager runs the physics validation of the lane-packed engine: at
@@ -26,9 +26,11 @@ func EnsembleOnsager(size, lanes, burnIn, samples int, seed uint64) *Table {
 	}
 	tc := ising.CriticalTemperature()
 	for _, temp := range []float64{1.8, 2.0, 2.1} {
-		e, err := backend.NewBatch("multispin", backend.Config{
-			Rows: size, Cols: size, Temperature: temp, Seed: seed,
-		}, lanes)
+		// Built directly: backend.NewBatch routes fewer than 32 lanes to
+		// the adapter of separate chains.
+		e, err := shardedensemble.New(shardedensemble.Config{
+			Name: "ensemble", Rows: size, Cols: size, Lanes: lanes, Temperature: temp, Seed: seed,
+		})
 		if err != nil {
 			panic(fmt.Sprintf("harness: %v", err))
 		}

@@ -5,13 +5,13 @@
 // The bit-packed engines are one program on the pod Driver
 // (internal/ising/sharded): multispin and multispin-shared are its one-shard
 // grid, the single core, and sharded any grid. NewBatch serves the batch
-// axis: a multispin batch runs as the lane-packed pod engine
-// (internal/ising/shardedensemble) on one shard, reporting "ensemble", a
-// full 64-lane sharded batch as the same engine on sharded's grid (the name
-// "sharded-ensemble" is an alias of sharded), every other batch on the
-// generic adapter. The CLI's -backend flag, the service, the tempering
-// ladder and the repository benchmarks all go through this package, so
-// adding an engine here makes it available everywhere at once.
+// axis: a multispin or sharded batch of enough lanes runs as the lane-packed
+// pod engine (internal/ising/shardedensemble) — from 32 lanes on one shard,
+// reporting "ensemble" for multispin, and from 16 on a pod grid, reporting
+// "sharded-ensemble" (an alias of sharded) — and every other batch on the
+// generic adapter, one chain per lane. The CLI's -backend flag, the service,
+// the tempering ladder and the repository benchmarks all go through this
+// package, so adding an engine here makes it available everywhere at once.
 package backend
 
 import (
@@ -76,7 +76,8 @@ var aliases = map[string]string{
 	"parallel": "gpusim",
 	"gpu":      "gpusim",
 	// The lane-packed pod engine is the batch form of both sharded and
-	// multispin: NewBatch picks it for 64-lane sharded batches.
+	// multispin: NewBatch picks it for sharded batches of 16 or more lanes
+	// on a pod grid.
 	"sharded-ensemble": "sharded",
 }
 
@@ -124,15 +125,15 @@ func New(name string, cfg Config) (ising.Backend, error) {
 
 // NewBatch builds a batched ensemble of `lanes` independent chains of the
 // named engine, all at cfg.Temperature, with lane L seeded
-// ising.LaneSeed(cfg.Seed, L). When the engine is the per-site multispin
-// kernel (and the config fits its constraints), the lanes come back as one
-// one-shard lane-packed internal/ising/shardedensemble engine named
-// "ensemble" — bit-identical chains, one word pass per site for all of them;
-// a full 64-lane sharded batch likewise comes back as one lane-packed pod on
-// sharded's grid. Every other registered engine is lifted through the
-// generic adapter, so the batch axis works for the whole registry. Batching
-// is an execution strategy, never a physics change: lane L's chain is the
-// same chain either way.
+// ising.LaneSeed(cfg.Seed, L). A per-site bit-packed batch (multispin, or
+// sharded on its own grid) of 32 to 64 lanes on one shard, or 16 to 64 on a
+// pod grid, comes back as one lane-packed internal/ising/shardedensemble
+// engine: one word pass per site and one halo exchange per boundary for all
+// lanes, named "ensemble" for multispin and "sharded-ensemble" for sharded.
+// Every other batch, narrower ones included (they sweep faster one chain per
+// lane), is lifted through the generic adapter, so the batch axis works for
+// the whole registry. Batching is an execution strategy, never a physics
+// change: lane L's chain is the same chain either way.
 func NewBatch(name string, cfg Config, lanes int) (ising.BatchBackend, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("backend: batch needs at least 1 lane, got %d", lanes)
@@ -156,17 +157,8 @@ func NewBatchLadder(name string, cfg Config, temps []float64) (ising.BatchBacken
 	if len(temps) == 0 {
 		return nil, fmt.Errorf("backend: batch needs at least 1 lane temperature")
 	}
-	if packedBatchEligible(n, cfg, len(temps)) {
-		return shardedensemble.New(shardedensemble.Config{
-			Name: "ensemble", Rows: cfg.Rows, Cols: cfg.Cols, Lanes: len(temps),
-			Temperatures: temps, Seed: cfg.Seed, Workers: cfg.Workers, Hot: cfg.Hot,
-		})
-	}
-	if shardedBatchEligible(n, cfg, len(temps)) {
-		return shardedensemble.New(shardedensemble.Config{
-			Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
-			Lanes: len(temps), Temperatures: temps, Seed: cfg.Seed, Workers: cfg.Workers, Hot: cfg.Hot,
-		})
+	if sc, ok := packedConfig(n, cfg, temps); ok {
+		return shardedensemble.New(sc)
 	}
 	backends := make([]ising.Backend, len(temps))
 	for i, temp := range temps {
@@ -180,35 +172,36 @@ func NewBatchLadder(name string, cfg Config, temps []float64) (ising.BatchBacken
 	return ising.NewBatchOf(backends, cfg.Workers)
 }
 
-// packedBatchEligible reports whether a batch of the named engine can run on
-// the one-shard lane-packed engine: per-site multispin chains (the packed
-// lanes are bit-identical to those), a lattice satisfying the multispin
-// constraints, at most 64 lanes, and no shard grid.
-func packedBatchEligible(name string, cfg Config, lanes int) bool {
-	return name == "multispin" &&
-		lanes <= shardedensemble.MaxLanes &&
-		cfg.Rows >= 2 && cfg.Rows%2 == 0 &&
-		cfg.Cols > 0 && cfg.Cols%sharded.WordBits == 0 &&
-		cfg.GridR <= 1 && cfg.GridC <= 1
-}
+// The lane counts from which a batch runs lane-packed. The packed engine
+// sweeps and exchanges a whole 64-lane word per site whatever the lane
+// count; the adapter costs in proportion to its lanes. BenchmarkBatchRoute
+// on a 2-vCPU AVX-512 Xeon put the crossover near 32 lanes on one shard and
+// near 16 on a pod grid, where one halo exchange for all lanes pays sooner.
+const packedLanesOneShard, packedLanesPod = 32, 16
 
-// shardedBatchEligible reports whether a batch of the sharded backend runs
-// on the lane-packed pod engine — one word per site carrying every lane, one
-// halo exchange per boundary for all of them — instead of the adapter's one
-// bit-packed sharded pod per lane. Only a full 64-lane word goes packed: the
-// packed engine stores and exchanges a whole word per site whatever the lane
-// count, so a narrower batch pays 64/lanes times its lanes' state and halo
-// bytes, and on a 2-vCPU Xeon it swept 1.2-3x slower than the adapter at 1 to 8
-// lanes. The grid rule is sharded's own (whole 64-column words per shard), so
-// a batch accepts exactly the grids a single sharded chain does and lane L
-// is bit-identical to that chain seeded ising.LaneSeed; a config that breaks
-// it falls back to the adapter, which reports sharded's error.
-func shardedBatchEligible(name string, cfg Config, lanes int) bool {
-	gridR, gridC := max(cfg.GridR, 1), max(cfg.GridC, 1)
-	return name == "sharded" &&
-		lanes == shardedensemble.MaxLanes &&
-		cfg.Rows >= 2 && cfg.Rows%2 == 0 && cfg.Rows%gridR == 0 &&
-		cfg.Cols > 0 && cfg.Cols%(sharded.WordBits*gridC) == 0
+// packedConfig returns the lane-packed engine of a batch, and whether the
+// batch runs on it. Only per-site bit-packed chains qualify, because packed
+// lane L is bit-identical to the standalone chain seeded ising.LaneSeed:
+// multispin, which is the one-shard grid, and sharded on its own grid. The
+// grid rule is sharded's (whole 64-column words per shard), so a batch takes
+// exactly the grids a chain takes; a config that breaks it falls back to the
+// adapter, which reports the chain's error.
+func packedConfig(name string, cfg Config, temps []float64) (shardedensemble.Config, bool) {
+	sc := shardedensemble.Config{
+		Rows: cfg.Rows, Cols: cfg.Cols, GridR: max(cfg.GridR, 1), GridC: max(cfg.GridC, 1),
+		Lanes: len(temps), Temperatures: temps, Seed: cfg.Seed, Workers: cfg.Workers, Hot: cfg.Hot,
+	}
+	if name == "multispin" {
+		sc.Name, sc.GridR, sc.GridC = "ensemble", 1, 1
+	}
+	threshold := packedLanesPod
+	if sc.GridR*sc.GridC == 1 {
+		threshold = packedLanesOneShard
+	}
+	return sc, (name == "multispin" || name == "sharded") &&
+		sc.Lanes >= threshold && sc.Lanes <= shardedensemble.MaxLanes &&
+		sc.Rows >= 2 && sc.Rows%2 == 0 && sc.Rows%sc.GridR == 0 &&
+		sc.Cols > 0 && sc.Cols%(sharded.WordBits*sc.GridC) == 0
 }
 
 // hostLattice builds the starting configuration of the host engines.

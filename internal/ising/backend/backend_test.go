@@ -144,7 +144,9 @@ func latticeHash(l *ising.Lattice) uint64 {
 // must reproduce a fixed final-configuration hash on every host route a
 // refactor of the engines could move — single chains (cold, hot with a
 // band-splitting worker count, shared-random), a 2x2 pod grid, and
-// lane-packed batches of 64 and 8 lanes — at every GOMAXPROCS value. The
+// lane-packed batches of 64, 8 and 20 lanes (the last two built directly,
+// below NewBatch's packed threshold; 20 lanes pads the kernel to a vector
+// group) — at every GOMAXPROCS value. The
 // hashes are the engines' packed-word FNV-1a hashes, so a pinned value also
 // pins the snapshot spin bytes a checkpoint stores. The ParallelSweep
 // baseline is checked for GOMAXPROCS independence only.
@@ -158,16 +160,18 @@ func TestDeterminismGolden(t *testing.T) {
 	for _, tc := range []struct {
 		label, name string
 		cfg         backend.Config
-		lanes       int // 0 = one chain
+		lanes       int  // 0 = one chain
+		packed      bool // build the lane-packed engine directly
 		want        uint64
 	}{
-		{"multispin cold", "multispin", base, 0, 0x82f9ddbefd71bf73},
-		{"multispin hot, 3 workers", "multispin", with(func(c *backend.Config) { c.Hot, c.Workers = true, 3 }), 0, 0x9186f7c96dc3a9bd},
-		{"multispin-shared", "multispin-shared", with(func(c *backend.Config) { c.Hot = true }), 0, 0xdfff081bf36f615f},
-		{"sharded 2x2", "sharded", pod, 0, 0x9186f7c96dc3a9bd},
-		{"multispin batch, 64 lanes", "multispin", with(func(c *backend.Config) { c.Hot = true }), 64, 0xc12a749636ee720a},
-		{"multispin batch, 8 lanes", "multispin", base, 8, 0x9920243d8915802d},
-		{"sharded 2x2 batch, 64 lanes", "sharded", pod, 64, 0xc12a749636ee720a},
+		{"multispin cold", "multispin", base, 0, false, 0x82f9ddbefd71bf73},
+		{"multispin hot, 3 workers", "multispin", with(func(c *backend.Config) { c.Hot, c.Workers = true, 3 }), 0, false, 0x9186f7c96dc3a9bd},
+		{"multispin-shared", "multispin-shared", with(func(c *backend.Config) { c.Hot = true }), 0, false, 0xdfff081bf36f615f},
+		{"sharded 2x2", "sharded", pod, 0, false, 0x9186f7c96dc3a9bd},
+		{"multispin batch, 64 lanes", "multispin", with(func(c *backend.Config) { c.Hot = true }), 64, false, 0xc12a749636ee720a},
+		{"multispin batch, 8 lanes", "multispin", base, 8, true, 0x9920243d8915802d},
+		{"multispin batch, 20 lanes", "multispin", with(func(c *backend.Config) { c.Hot = true }), 20, true, 0x6df178eedde8e951},
+		{"sharded 2x2 batch, 64 lanes", "sharded", pod, 64, false, 0xc12a749636ee720a},
 	} {
 		for _, procs := range []int{1, 2, 4, 4} { // repeated value = repeated run
 			runtime.GOMAXPROCS(procs)
@@ -176,9 +180,12 @@ func TestDeterminismGolden(t *testing.T) {
 				Step() uint64
 			}
 			var err error
-			if tc.lanes == 0 {
+			switch {
+			case tc.lanes == 0:
 				eng, err = backend.New(tc.name, tc.cfg)
-			} else {
+			case tc.packed:
+				eng = packedBatch(t, tc.cfg, uniform(tc.lanes, tc.cfg.Temperature))
+			default:
 				eng, err = backend.NewBatch(tc.name, tc.cfg, tc.lanes)
 			}
 			if err != nil {

@@ -24,8 +24,9 @@
 //
 // The package holds the kernel only. The engine that runs it is
 // internal/ising/shardedensemble on the pod Driver: the multispin backend's
-// batches (backend.NewBatch, reporting "ensemble") are its one-shard grid,
-// and a full 64-lane sharded batch runs the same kernel on every shard.
+// batches of 32 to 64 lanes (backend.NewBatch, reporting "ensemble") are its
+// one-shard grid, and a sharded batch of 16 to 64 lanes on a pod grid runs
+// the same kernel on every shard.
 package ensemble
 
 // MaxLanes is the number of replicas packed per uint64 word.

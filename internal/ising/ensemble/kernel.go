@@ -35,7 +35,10 @@ type Kernel struct {
 
 	// Structure-of-arrays mirrors of the per-lane kernels, kept in sync by
 	// NewKernel and SetLaneTemperature: the hot loop hands the key and
-	// threshold arrays straight to rng.AcceptLanes.
+	// threshold arrays straight to rng.AcceptLanes. They are padded to a
+	// multiple of rng.LaneGroup, so AcceptLanes runs whole vector states
+	// only; a pad lane has threshold 0, accepts nothing, and its bit is
+	// outside laneMask anyway.
 	t4s, t8s   []uint64
 	k0s, k1s   []uint32
 	thresholds multispin.ThresholdCache // memoized acceptance pairs per rung
@@ -54,15 +57,17 @@ func NewKernel(seed uint64, temps []float64, shared bool) (*Kernel, error) {
 	if lanes < 1 || lanes > MaxLanes {
 		return nil, fmt.Errorf("ensemble: lanes must be 1..%d, got %d", MaxLanes, lanes)
 	}
+	g := rng.LaneGroup()
+	padded := (lanes + g - 1) / g * g
 	k := &Kernel{
 		lanes:    lanes,
 		laneMask: laneMask(lanes),
 		kerns:    make([]multispin.Kernel, lanes),
 		temps:    append([]float64(nil), temps...),
-		t4s:      make([]uint64, lanes),
-		t8s:      make([]uint64, lanes),
-		k0s:      make([]uint32, lanes),
-		k1s:      make([]uint32, lanes),
+		t4s:      make([]uint64, padded),
+		t8s:      make([]uint64, padded),
+		k0s:      make([]uint32, padded),
+		k1s:      make([]uint32, padded),
 	}
 	for l := range k.kerns {
 		if temps[l] <= 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tpuising/internal/ising"
+	"tpuising/internal/rng"
 )
 
 // uniform returns n copies of one temperature.
@@ -42,6 +43,30 @@ func TestSetLaneTemperatureKeepsSoAInSync(t *testing.T) {
 	}
 	if math.Abs(k.LaneTemperature(3)-3.7) > 0 {
 		t.Fatalf("lane temperature not recorded")
+	}
+}
+
+// TestKernelPadsToLaneGroup: the arrays the hot loop hands to
+// rng.AcceptLanes cover whole vector groups for every lane count, and a pad
+// lane's zero thresholds accept nothing (the equivalence tests pin the
+// flipped words to the unpadded reference loop).
+func TestKernelPadsToLaneGroup(t *testing.T) {
+	g := rng.LaneGroup()
+	for lanes := 1; lanes <= MaxLanes; lanes++ {
+		k, err := NewKernel(5, uniform(lanes, 2.3), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(k.k0s)
+		if n%g != 0 || n < lanes || n >= lanes+g || len(k.k1s) != n || len(k.t4s) != n || len(k.t8s) != n {
+			t.Fatalf("%d lanes: SoA lengths %d/%d/%d/%d, want the next multiple of %d",
+				lanes, len(k.k0s), len(k.k1s), len(k.t4s), len(k.t8s), g)
+		}
+		for l := lanes; l < n; l++ {
+			if k.t4s[l] != 0 || k.t8s[l] != 0 {
+				t.Fatalf("%d lanes: pad lane %d has thresholds (%d, %d), want 0", lanes, l, k.t4s[l], k.t8s[l])
+			}
+		}
 	}
 }
 

@@ -22,11 +22,12 @@
 //
 // The engine is the batch form of both bit-packed backends. On one shard,
 // the single core, it is the multispin backend's batch engine: backend.NewBatch
-// builds it, named "ensemble", for a batch or ladder of up to 64 multispin
+// builds it, named "ensemble", for a batch or ladder of 32 to 64 multispin
 // chains, and it exchanges no halos. On sharded's grid it is the sharded
-// backend's batch engine for a full 64-lane batch or ladder; a single sharded
-// chain, and a sharded batch of any other lane count, runs on
-// internal/ising/sharded's one-bit-per-site words.
+// backend's batch engine for a batch or ladder of 16 to 64 lanes. A single
+// chain, and a batch of fewer lanes, runs on internal/ising/sharded's
+// one-bit-per-site words, one chain per lane: this engine sweeps a whole
+// 64-lane word per site whatever the lane count.
 package shardedensemble
 
 import (
@@ -54,7 +55,7 @@ const groupCols = 8
 type Config struct {
 	// Name is the engine's name in Name and its validation errors ("" =
 	// "sharded-ensemble", whose errors read "shardedensemble"). The registry
-	// serves its multispin batches as one-shard engines named "ensemble".
+	// names the engines of its lane-packed multispin batches "ensemble".
 	Name string
 	// Rows and Cols are the per-lane lattice dimensions, with the ensemble
 	// constraints (even Rows >= 2, Cols a positive multiple of 64). Rows must
@@ -160,8 +161,8 @@ func (e *Engine) updateRow(_ int, row, north, south []uint64, westWrap, eastWrap
 }
 
 // Name identifies the engine: Config.Name, "sharded-ensemble" by default
-// (the batch engine a sharded batch reports) and "ensemble" for the
-// multispin backend's batches.
+// (the engine a lane-packed sharded batch reports) and "ensemble" for the
+// multispin backend's lane-packed batches.
 func (e *Engine) Name() string { return e.name }
 
 // Lanes returns the number of replicas.

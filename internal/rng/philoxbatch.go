@@ -208,6 +208,20 @@ func AcceptLanes(a4, a8 *[4]uint64, ctr Counter, k0s, k1s []uint32, t4s, t8s []u
 	acceptLanesGeneric(a4, a8, ctr, k0s, k1s, t4s, t8s, i, n)
 }
 
+// LaneGroup returns the lane count AcceptLanes draws per vector state: 16
+// where it runs the AVX-512 kernel, 8 where it runs the AVX2 one and 1 on the
+// portable loop. A call whose lane count is a multiple of it runs only whole
+// vector states: no half-filled state and no portable tail.
+func LaneGroup() int {
+	switch {
+	case useAVX512:
+		return 16
+	case useAVX2:
+		return 8
+	}
+	return 1
+}
+
 // acceptLanesGeneric is the portable AcceptLanes for lanes [i, n):
 // blockLanesGeneric eight lanes at a time, then the compare, OR'ed into
 // a4/a8.

@@ -171,7 +171,7 @@ func TestBatchJobShardedEnsemble(t *testing.T) {
 	defer srv.Close()
 	spec := JobSpec{
 		Backend: "sharded-ensemble", Rows: 8, Cols: 128, GridR: 2, GridC: 2,
-		Temperature: 2.4, Sweeps: 6, Seed: 11, Replicas: 3, Hot: true,
+		Temperature: 2.4, Sweeps: 6, Seed: 11, Replicas: 16, Hot: true,
 	}
 	j, err := srv.Submit(spec)
 	if err != nil {

@@ -10,8 +10,9 @@ import (
 // TestJobKindsGolden pins what every job kind serves: a fixed spec must
 // reproduce a fixed SHA-256 over its canonical result (wall-clock fields
 // zeroed), its sample stream (job IDs blanked) and the sweeps it added to
-// sweeps_run. It covers single chains, batches on every route (packed
-// multispin, the lane-parallel adapter, the 64-lane pod engine) and ladders,
+// sweeps_run. It covers single chains, batches on every route (the
+// lane-parallel adapter, the lane-packed engine on one shard and on a 2x2
+// pod grid) and ladders,
 // with burn-ins and sample intervals that do not divide the run, so a change
 // to the job runner that moves any served byte fails here by name.
 func TestJobKindsGolden(t *testing.T) {
@@ -26,8 +27,10 @@ func TestJobKindsGolden(t *testing.T) {
 			Sweeps: 300, BurnIn: 270, Seed: 8, SampleInterval: 7, Hot: true}, "68e77c6f7d017cdf"},
 		{"chain sharded 2x2", JobSpec{Backend: "sharded", Rows: 16, Cols: 128, GridR: 2, GridC: 2,
 			Temperature: 2.4, Sweeps: 30, BurnIn: 3, Seed: 9, SampleInterval: 5}, "c0ee88e6a07152c7"},
-		{"batch multispin packed, 3 lanes", JobSpec{Backend: "multispin", Rows: 8, Cols: 64, Temperature: 2.4,
+		{"batch multispin adapter, 3 lanes", JobSpec{Backend: "multispin", Rows: 8, Cols: 64, Temperature: 2.4,
 			Sweeps: 20, BurnIn: 3, Seed: 10, SampleInterval: 3, Replicas: 3}, "33d8890673b31a5f"},
+		{"batch multispin packed, 64 lanes", JobSpec{Backend: "multispin", Rows: 8, Cols: 64, Temperature: 2.2,
+			Sweeps: 12, BurnIn: 2, Seed: 15, SampleInterval: 5, Replicas: 64}, "2568dec74c6af1ba"},
 		{"batch checkerboard adapter, 2 lanes", JobSpec{Backend: "checkerboard", Rows: 12, Temperature: 2.2,
 			Sweeps: 15, BurnIn: 2, Seed: 11, SampleInterval: 2, Replicas: 2, Workers: 1}, "6730ce6ef7210908"},
 		{"batch sharded 2x2, 64 lanes", JobSpec{Backend: "sharded", Rows: 16, Cols: 128, GridR: 2, GridC: 2,

@@ -850,8 +850,9 @@ func (s *Server) runProtected(j *Job) {
 
 // run executes one job on a worker goroutine. Every job kind is one batch
 // swept by one loop: a single chain is its engine as a one-lane batch, a
-// replicated job Replicas lanes at one temperature (lane-packed for
-// multispin, the lane-parallel adapter otherwise; backend.NewBatch picks),
+// replicated job Replicas lanes at one temperature (lane-packed for a wide
+// multispin or sharded batch, the lane-parallel adapter otherwise;
+// backend.NewBatch picks),
 // and a ladder one lane per rung, coupled by Metropolis swaps every
 // SwapInterval sweeps (internal/tempering) and sampled from its coldest rung
 // once per round. The loop sweeps in chunks of at most maxChunk, stopping at
@@ -890,8 +891,8 @@ func (s *Server) run(j *Job) {
 	case spec.Replicas > 1:
 		b, err = backend.NewBatch(spec.Backend, backendConfig(spec, spec.Temperature, spec.Seed), spec.Replicas)
 	default:
-		// Not backend.NewBatch(…, 1): that routes multispin to the
-		// lane-packed engine, which cannot snapshot.
+		// The one-lane adapter backend.NewBatch(…, 1) would build, with
+		// the chain's engine kept at hand: checkpoints snapshot it.
 		eng, err = backend.New(spec.Backend, backendConfig(spec, spec.Temperature, spec.Seed))
 		if err == nil {
 			b, err = ising.NewBatchOf([]ising.Backend{eng}, 1)

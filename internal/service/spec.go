@@ -56,8 +56,8 @@ type JobSpec struct {
 	// Replicas, when > 1, makes the job a batched ensemble: B independent
 	// chains of the backend at the job's single temperature, lane L seeded
 	// ising.LaneSeed(seed, L), advanced together in one worker slot
-	// (lane-packed for multispin, and for sharded at 64 replicas;
-	// lane-parallel otherwise). The result carries one row per lane and the stream one
+	// (lane-packed from 32 replicas for multispin and from 16 for sharded
+	// on a pod grid; lane-parallel otherwise). The result carries one row per lane and the stream one
 	// sample per lane per interval. At most MaxReplicas; 0 and 1 both mean a single chain.
 	// Mutually exclusive with Temperatures (a ladder already defines its
 	// replica count) and with checkpointing (no batch snapshot support).
@@ -82,7 +82,8 @@ type JobSpec struct {
 }
 
 // MaxReplicas bounds JobSpec.Replicas: the word width of the lane-packed
-// ensemble engine, so a multispin batch job always fits one packed engine.
+// ensemble engine, so a wide multispin batch job always fits one packed
+// engine.
 const MaxReplicas = 64
 
 // MaxPriority bounds JobSpec.Priority (0..MaxPriority, higher runs sooner).

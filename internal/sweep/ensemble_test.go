@@ -5,6 +5,7 @@ import (
 
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/backend"
+	"tpuising/internal/ising/shardedensemble"
 	"tpuising/internal/sweep"
 )
 
@@ -12,7 +13,8 @@ import (
 // backend (lane i at temperature i, seeded ising.LaneSeed(seed, i)) must
 // produce exactly the points of Run over standalone chains with the same
 // seeds and schedule — batching a scan is an execution strategy, never a
-// physics change.
+// physics change. The batch is the lane-packed engine, built directly: a
+// 4-lane multispin scan from backend.NewBatchLadder runs on the adapter.
 func TestRunEnsembleMatchesRun(t *testing.T) {
 	const rows, cols, seed = 8, 64, 17
 	temps := []float64{2.0, 2.3, 2.6, 3.0}
@@ -34,7 +36,9 @@ func TestRunEnsembleMatchesRun(t *testing.T) {
 	})
 
 	got, err := sweep.RunEnsemble(cfg, func(temperatures []float64) (ising.BatchBackend, error) {
-		return backend.NewBatchLadder("multispin", backend.Config{Rows: rows, Cols: cols, Seed: seed}, temperatures)
+		return shardedensemble.New(shardedensemble.Config{
+			Rows: rows, Cols: cols, Lanes: len(temperatures), Temperatures: temperatures, Seed: seed,
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

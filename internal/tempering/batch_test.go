@@ -6,6 +6,7 @@ import (
 
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/backend"
+	"tpuising/internal/ising/shardedensemble"
 )
 
 // ladderOf returns a small ascending ladder for the batch tests.
@@ -33,7 +34,8 @@ func runBoth(a, b *Ensemble, burn, sample int) (Report, Report) {
 // same swap decisions, permutation, per-rung observables, swap counters and
 // work counters — because lane L and replica L are the same chain
 // (ReplicaSeed == ising.LaneSeed) and the swap stream is keyed by (seed,
-// round, pair) either way.
+// round, pair) either way. The packed ladder is built directly: a 4-rung
+// multispin ladder from backend.NewBatchLadder runs on the adapter.
 func TestBatchLadderBitIdenticalToClassic(t *testing.T) {
 	const rows, cols, seed = 8, 64, 21
 	temps := ladderOf(4)
@@ -46,7 +48,9 @@ func TestBatchLadderBitIdenticalToClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := backend.NewBatchLadder("multispin", backend.Config{Rows: rows, Cols: cols, Seed: seed}, temps)
+	packed, err := shardedensemble.New(shardedensemble.Config{
+		Name: "ensemble", Rows: rows, Cols: cols, Lanes: len(temps), Temperatures: temps, Seed: seed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
