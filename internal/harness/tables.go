@@ -312,7 +312,7 @@ func TableHBM(m perf.Model) *Table {
 		t.AddRow(name, side, fmt.Sprintf("%dx128", side/128), util)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("the paper reports (656x128)^2 = 83968^2 for bfloat16 at 96%% utilisation; see EXPERIMENTS.md"),
+		fmt.Sprintf("the paper reports (656x128)^2 = 83968^2 for bfloat16 at 96%% utilisation; docs/PHYSICS.md records the deviation"),
 		fmt.Sprintf("TPU v3 core HBM capacity: %d GiB", spec.TPUv3Core().HBMBytes>>30))
 	return t
 }

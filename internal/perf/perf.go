@@ -205,7 +205,7 @@ func (m Model) RooflineAnalysis(c metrics.Counts, stepSec float64) Roofline {
 // two planes being updated; the acceptance/flip chain is assumed fused, as
 // XLA does). This backs the paper's claim that a single core holds a lattice
 // of order (656x128)^2 in bfloat16 — our slightly more conservative working
-// set gives (590x128)^2, recorded as a deviation in EXPERIMENTS.md.
+// set gives (590x128)^2, recorded as a deviation in docs/PHYSICS.md.
 func HBMFootprintBytes(rows, cols, tile int, dtype tensor.DType) int64 {
 	mp, np := rows/(2*tile), cols/(2*tile)
 	plane := tb(dtype, mp, np, tile, tile)

@@ -859,7 +859,7 @@ func (s *Server) runProtected(j *Job) {
 // checkpoint boundaries; only a chain whose engine is an ising.Snapshotter
 // checkpoints and resumes. Lane L of a replicated job is exactly the chain a
 // separate job with seed ising.LaneSeed(seed, L) runs, and a ladder is
-// bit-identical to the classic per-replica ladder.
+// bit-identical to a tempering.New ladder of separate chains.
 func (s *Server) run(j *Job) {
 	if j.ctx.Err() != nil {
 		// Canceled before it started. A shutdown leaves the job queued (its

@@ -4,12 +4,9 @@
 // over a grid of temperatures around the critical point, for several lattice
 // sizes and both precisions.
 //
-// Two drivers are provided. Run simulates every temperature as an
-// independent chain (one engine per grid point, embarrassingly parallel).
-// RunTempering couples the same grid into one parallel-tempering ensemble
-// (internal/tempering), whose replica-exchange swaps decorrelate the chains
-// near Tc far faster than independent sampling; both return the same Point
-// rows, so a caller can switch drivers without touching its analysis.
-// BinderCrossing locates the Tc estimate where two lattice sizes' U4(T)
-// curves intersect — the validation described in docs/PHYSICS.md.
+// Run simulates every temperature as an independent chain (one engine per
+// grid point, embarrassingly parallel); internal/tempering couples a grid
+// into a replica-exchange ladder instead. BinderCrossing locates the Tc
+// estimate where two lattice sizes' U4(T) curves intersect — the validation
+// described in docs/PHYSICS.md.
 package sweep

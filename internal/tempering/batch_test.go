@@ -79,42 +79,6 @@ func TestBatchLadderBitIdenticalToClassic(t *testing.T) {
 	}
 }
 
-// TestBatchLadderOverAdapter: the generic batch adapter (separate backends
-// behind the BatchBackend interface) must also reproduce the classic ladder
-// exactly — batching is an execution strategy at every layer.
-func TestBatchLadderOverAdapter(t *testing.T) {
-	const rows, cols, seed = 8, 8, 5
-	temps := ladderOf(3)
-	cfg := Config{Temperatures: temps, SwapInterval: 1, Seed: seed}
-	build := func(slot int, temperature float64) (ising.Backend, error) {
-		return backend.New("checkerboard", backend.Config{
-			Rows: rows, Cols: cols, Temperature: temperature, Seed: ReplicaSeed(seed, slot),
-		})
-	}
-	classic, err := New(cfg, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lanes := make([]ising.Backend, len(temps))
-	for slot, temp := range temps {
-		if lanes[slot], err = build(slot, temp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	adapter, err := ising.NewBatchOf(lanes, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := NewBatch(cfg, adapter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repA, repB := runBoth(classic, batched, 2, 6)
-	if !reflect.DeepEqual(repA, repB) {
-		t.Fatalf("adapter ladder report differs from classic:\nclassic: %+v\nbatched: %+v", repA, repB)
-	}
-}
-
 // TestNewBatchValidation: lane-count mismatches and already-swept batches
 // are refused.
 func TestNewBatchValidation(t *testing.T) {

@@ -13,9 +13,13 @@
 // This is the first subsystem that composes backends instead of selecting
 // one: each replica is any ising.Backend that implements ising.Tempered —
 // every registered engine does (checkerboard, gpusim, multispin,
-// multispin-shared, sharded, tpu) — and different replicas may even use
-// different engines. The orchestrator drives the replicas' sweeps through a
-// worker pool and runs the swap phases serially between them.
+// multispin-shared, sharded, tpu). The ladder always runs as one
+// ising.BatchTempered whose lane i is walker i: New puts one engine per rung
+// (all of one engine type) behind the ising.NewBatchOf adapter, and NewBatch
+// takes any batch directly, such as the lane-packed engine that
+// backend.NewBatchLadder picks for wide multispin ladders. One batch Sweep
+// advances every rung; the orchestrator runs the swap phases serially
+// between sweeps.
 //
 // # The swap move
 //

@@ -3,8 +3,6 @@ package tempering
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"tpuising/internal/device/metrics"
 	"tpuising/internal/ising"
@@ -58,8 +56,10 @@ type Config struct {
 	// Seed seeds the pair/round-keyed swap-decision stream (the replicas'
 	// own streams are seeded by their constructors).
 	Seed uint64
-	// Workers is the number of replicas swept concurrently (0 = GOMAXPROCS).
-	// It only changes wall-clock time, never any result.
+	// Workers bounds how many rungs New's batch adapter sweeps at once
+	// (0 = GOMAXPROCS); NewBatch ignores it, since the batch it is given
+	// brings its own concurrency. It only changes wall-clock time, never any
+	// result.
 	Workers int
 }
 
@@ -67,9 +67,6 @@ func (c Config) withDefaults() Config {
 	out := c
 	if out.SwapInterval <= 0 {
 		out.SwapInterval = 1
-	}
-	if out.Workers <= 0 {
-		out.Workers = runtime.GOMAXPROCS(0)
 	}
 	return out
 }
@@ -81,15 +78,11 @@ type Ensemble struct {
 	cfg   Config
 	betas []float64
 
-	// Exactly one execution strategy is set. replicas[i] is the i-th
-	// configuration walker as its own backend (New); batch is one
-	// ising.BatchTempered whose lane i is walker i (NewBatch) — the ladder
-	// then runs as a single batched ensemble, one Sweep advancing every rung.
-	// Either way a walker's lattice stays put for the whole run while its
-	// temperature label moves.
-	replicas []ising.Tempered
-	batch    ising.BatchTempered
-	spins    int
+	// batch is the ladder as one batched ensemble: lane i is walker i, and
+	// one Sweep advances every rung. A walker's lattice stays put for the
+	// whole run while its temperature label moves.
+	batch ising.BatchTempered
+	spins int
 	// slot[t] is the replica currently at temperature index t; tempOf is the
 	// inverse permutation.
 	slot, tempOf []int
@@ -111,13 +104,30 @@ type Ensemble struct {
 	ms, abs, energies [][]float64
 }
 
-// newEnsemble validates the ladder and builds the walker bookkeeping shared
-// by both execution strategies.
-func newEnsemble(c Config) (*Ensemble, error) {
-	n := len(c.Temperatures)
-	if n < 2 {
-		return nil, fmt.Errorf("tempering: need at least 2 temperatures, got %d", n)
+// checkLadder refuses a ladder of fewer than two rungs, or one that is not
+// positive and strictly ascending.
+func checkLadder(temps []float64) error {
+	if len(temps) < 2 {
+		return fmt.Errorf("tempering: need at least 2 temperatures, got %d", len(temps))
 	}
+	for t, temp := range temps {
+		if temp <= 0 {
+			return fmt.Errorf("tempering: temperature %d is %g, must be positive", t, temp)
+		}
+		if t > 0 && temp <= temps[t-1] {
+			return fmt.Errorf("tempering: ladder must be strictly ascending, got %g after %g",
+				temp, temps[t-1])
+		}
+	}
+	return nil
+}
+
+// newEnsemble validates the ladder and builds the walker bookkeeping.
+func newEnsemble(c Config) (*Ensemble, error) {
+	if err := checkLadder(c.Temperatures); err != nil {
+		return nil, err
+	}
+	n := len(c.Temperatures)
 	e := &Ensemble{
 		cfg:          c,
 		betas:        make([]float64, n),
@@ -132,13 +142,6 @@ func newEnsemble(c Config) (*Ensemble, error) {
 		energies:     make([][]float64, n),
 	}
 	for t, temp := range c.Temperatures {
-		if temp <= 0 {
-			return nil, fmt.Errorf("tempering: temperature %d is %g, must be positive", t, temp)
-		}
-		if t > 0 && temp <= c.Temperatures[t-1] {
-			return nil, fmt.Errorf("tempering: ladder must be strictly ascending, got %g after %g",
-				temp, c.Temperatures[t-1])
-		}
 		e.betas[t] = ising.Beta(temp)
 		e.slot[t] = t
 		e.tempOf[t] = t
@@ -153,34 +156,28 @@ func newEnsemble(c Config) (*Ensemble, error) {
 
 // New builds an ensemble of separate backends. newBackend is called once per
 // ladder slot, in ascending temperature order, and must return an engine
-// equilibrated from scratch at that temperature; every returned engine must
-// implement ising.Tempered (all host backends do) and all must share one
-// lattice size.
+// equilibrated from scratch at that temperature; the engines become the
+// lanes of one ising.NewBatchOf adapter (Config.Workers of them sweeping at
+// once), so every one must implement ising.Tempered (all host backends do)
+// and all must share one engine and one lattice size. The ensemble is then
+// NewBatch over that adapter.
 func New(cfg Config, newBackend func(slot int, temperature float64) (ising.Backend, error)) (*Ensemble, error) {
-	e, err := newEnsemble(cfg.withDefaults())
-	if err != nil {
+	if err := checkLadder(cfg.Temperatures); err != nil {
 		return nil, err
 	}
-	e.replicas = make([]ising.Tempered, len(e.betas))
-	for t, temp := range e.cfg.Temperatures {
+	rungs := make([]ising.Backend, len(cfg.Temperatures))
+	for t, temp := range cfg.Temperatures {
 		b, err := newBackend(t, temp)
 		if err != nil {
 			return nil, fmt.Errorf("tempering: building replica %d (T=%g): %w", t, temp, err)
 		}
-		rep, ok := b.(ising.Tempered)
-		if !ok {
-			return nil, fmt.Errorf("tempering: backend %s cannot change temperature (does not implement ising.Tempered)",
-				b.Name())
-		}
-		if t == 0 {
-			e.spins = rep.N()
-		} else if rep.N() != e.spins {
-			return nil, fmt.Errorf("tempering: replica %d has %d spins, replica 0 has %d (all replicas must share one lattice size)",
-				t, rep.N(), e.spins)
-		}
-		e.replicas[t] = rep
+		rungs[t] = b
 	}
-	return e, nil
+	batch, err := ising.NewBatchOf(rungs, cfg.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("tempering: %w", err)
+	}
+	return NewBatch(cfg, batch)
 }
 
 // NewBatch builds an ensemble over one batched backend: lane t of the batch
@@ -244,56 +241,20 @@ func (e *Ensemble) Rounds() uint64 { return e.round }
 // currently holding temperature t.
 func (e *Ensemble) Permutation() []int { return append([]int(nil), e.slot...) }
 
-// Backend returns the engine currently holding temperature slot t. For a
-// batched ensemble it is a read-only lane view (observables and identity
-// read through; it cannot sweep a single rung).
+// Backend returns a read-only lane view of the walker currently holding
+// temperature slot t (observables and identity read through; it cannot
+// sweep a single rung).
 func (e *Ensemble) Backend(t int) ising.Backend {
-	if e.batch != nil {
-		return ising.LaneView(e.batch, e.slot[t])
-	}
-	return e.replicas[e.slot[t]]
+	return ising.LaneView(e.batch, e.slot[t])
 }
 
-// SweepReplicas advances every replica by k sweeps — for a batched ensemble
-// one batch Sweep per step advances all rungs, otherwise up to Config.Workers
-// separate replicas run concurrently. The chains are independent between
-// swap phases, so the concurrency never changes any result.
+// SweepReplicas advances every replica by k sweeps: one batch Sweep per step
+// advances all rungs. The chains are independent between swap phases, so
+// however the batch spreads its lanes over cores, no result changes.
 func (e *Ensemble) SweepReplicas(k int) {
-	if k <= 0 {
-		return
+	for i := 0; i < k; i++ {
+		e.batch.Sweep()
 	}
-	if e.batch != nil {
-		for i := 0; i < k; i++ {
-			e.batch.Sweep()
-		}
-		return
-	}
-	workers := e.cfg.Workers
-	if workers > len(e.replicas) {
-		workers = len(e.replicas)
-	}
-	if workers <= 1 {
-		for _, r := range e.replicas {
-			for i := 0; i < k; i++ {
-				r.Sweep()
-			}
-		}
-		return
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, r := range e.replicas {
-		wg.Add(1)
-		go func(r ising.Tempered) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			for i := 0; i < k; i++ {
-				r.Sweep()
-			}
-		}(r)
-	}
-	wg.Wait()
 }
 
 // AttemptSwaps performs one swap phase: every active adjacent pair (even
@@ -303,23 +264,14 @@ func (e *Ensemble) SweepReplicas(k int) {
 // of (seed, round, pair) — independent of workers and timing.
 func (e *Ensemble) AttemptSwaps() {
 	n := len(e.betas)
-	// For a batched ensemble one pass yields every walker's energy (the
-	// packed engine computes all lanes in one sweep over the words).
-	var laneEnergies []float64
-	if e.batch != nil {
-		laneEnergies = e.batch.Energies()
-	}
-	walkerEnergy := func(w int) float64 {
-		if laneEnergies != nil {
-			return laneEnergies[w]
-		}
-		return e.replicas[w].Energy()
-	}
+	// One call yields every walker's energy (the packed engine computes all
+	// lanes in one pass over the words).
+	energies := e.batch.Energies()
 	parity := int(e.round & 1)
 	for t := parity; t+1 < n; t += 2 {
 		a, b := e.slot[t], e.slot[t+1]
-		ea := walkerEnergy(a) * float64(e.spins)
-		eb := walkerEnergy(b) * float64(e.spins)
+		ea := energies[a] * float64(e.spins)
+		eb := energies[b] * float64(e.spins)
 		// The two replicas exchange their extensive energies; the decision is
 		// then a shared pure function, needing no further communication.
 		e.swapComm.CommBytes += 2 * perf.EnergyMessageBytes
@@ -332,13 +284,8 @@ func (e *Ensemble) AttemptSwaps() {
 			e.pairAccepts[t]++
 			e.slot[t], e.slot[t+1] = b, a
 			e.tempOf[a], e.tempOf[b] = t+1, t
-			if e.batch != nil {
-				e.batch.SetLaneTemperature(a, e.cfg.Temperatures[t+1])
-				e.batch.SetLaneTemperature(b, e.cfg.Temperatures[t])
-			} else {
-				e.replicas[a].SetTemperature(e.cfg.Temperatures[t+1])
-				e.replicas[b].SetTemperature(e.cfg.Temperatures[t])
-			}
+			e.batch.SetLaneTemperature(a, e.cfg.Temperatures[t+1])
+			e.batch.SetLaneTemperature(b, e.cfg.Temperatures[t])
 		}
 	}
 	e.round++
@@ -378,22 +325,12 @@ func (e *Ensemble) RunRounds(n int) {
 // Measure records one sample per temperature slot from whichever replica
 // currently holds it.
 func (e *Ensemble) Measure() {
-	if e.batch != nil {
-		ms, es := e.batch.Magnetizations(), e.batch.Energies()
-		for t := range e.betas {
-			m := ms[e.slot[t]]
-			e.ms[t] = append(e.ms[t], m)
-			e.abs[t] = append(e.abs[t], math.Abs(m))
-			e.energies[t] = append(e.energies[t], es[e.slot[t]])
-		}
-		return
-	}
+	ms, es := e.batch.Magnetizations(), e.batch.Energies()
 	for t := range e.betas {
-		r := e.replicas[e.slot[t]]
-		m := r.Magnetization()
+		m := ms[e.slot[t]]
 		e.ms[t] = append(e.ms[t], m)
 		e.abs[t] = append(e.abs[t], math.Abs(m))
-		e.energies[t] = append(e.energies[t], r.Energy())
+		e.energies[t] = append(e.energies[t], es[e.slot[t]])
 	}
 }
 
@@ -414,13 +351,7 @@ func (e *Ensemble) SwapCounts() metrics.Counts { return e.swapComm }
 // layer's swap traffic.
 func (e *Ensemble) Counts() metrics.Counts {
 	total := e.swapComm
-	if e.batch != nil {
-		total.Add(e.batch.Counts())
-		return total
-	}
-	for _, r := range e.replicas {
-		total.Add(r.Counts())
-	}
+	total.Add(e.batch.Counts())
 	return total
 }
 

@@ -11,6 +11,7 @@ import (
 	"tpuising/internal/ising/sharded"
 	"tpuising/internal/perf"
 	"tpuising/internal/stats"
+	"tpuising/internal/sweep"
 )
 
 // multispinLadder returns a newBackend callback building multispin replicas
@@ -26,17 +27,9 @@ func multispinLadder(t *testing.T, rows, cols int, seed uint64, workers int) fun
 }
 
 // ladder returns n evenly spaced temperatures across the default critical
-// window of a rows x cols lattice (sweep.CriticalWindow cannot be used here:
-// sweep imports tempering).
+// window of a rows x cols lattice.
 func ladder(rows, cols, n int) []float64 {
-	tc := ising.CriticalTemperature()
-	w := DefaultWindow(rows*cols, n)
-	lo, hi := tc*(1-w), tc*(1+w)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + float64(i)*(hi-lo)/float64(n-1)
-	}
-	return out
+	return sweep.CriticalWindow(DefaultWindow(rows*cols, n), n)
 }
 
 // TestSwapAcceptanceMatchesAnalyticProbability freezes two replicas (no
@@ -285,6 +278,53 @@ func TestNewValidation(t *testing.T) {
 		})
 	if err == nil {
 		t.Error("mismatched replica sizes should fail")
+	}
+}
+
+// TestLadderMatchesIndependentChainsAwayFromTc: far from the critical point
+// replica exchange must agree with independent chains within error bars (the
+// swap move preserves each temperature's stationary distribution).
+func TestLadderMatchesIndependentChainsAwayFromTc(t *testing.T) {
+	const rows, cols, seed, swapInterval, burnIn, samples = 32, 64, 11, 3, 60, 120
+	temps := []float64{1.9, 3.4}
+	indep := sweep.Run(sweep.Config{Temperatures: temps, BurnIn: burnIn, Samples: samples},
+		func(temperature float64) sweep.Chain {
+			b, err := backend.New("multispin", backend.Config{
+				Rows: rows, Cols: cols, Temperature: temperature, Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		})
+	ens, err := New(Config{Temperatures: temps, SwapInterval: swapInterval, Seed: 5},
+		multispinLadder(t, rows, cols, seed, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens.RunRounds(burnIn / swapInterval)
+	ens.Sample(samples)
+	tempered := ens.Report().Replicas
+	for i := range temps {
+		diff := math.Abs(indep[i].AbsMagnetization - tempered[i].AbsMagnetization)
+		tol := 5*(indep[i].AbsMagnetizationErr+tempered[i].AbsMagnetizationErr) + 0.02
+		if diff > tol {
+			t.Errorf("T=%g: independent |m|=%.4f vs tempered |m|=%.4f (diff %.4f > tol %.4f)",
+				temps[i], indep[i].AbsMagnetization, tempered[i].AbsMagnetization, diff, tol)
+		}
+	}
+}
+
+// TestReplicaSeedDistinct guards the per-slot seed derivation of tempering
+// ladders.
+func TestReplicaSeedDistinct(t *testing.T) {
+	seen := map[uint64]bool{}
+	for slot := 0; slot < 64; slot++ {
+		s := ReplicaSeed(9, slot)
+		if seen[s] {
+			t.Fatalf("slot %d reuses seed %d", slot, s)
+		}
+		seen[s] = true
 	}
 }
 
