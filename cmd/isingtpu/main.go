@@ -3,6 +3,12 @@
 // observables, step-time profile and (for the TPU backend) modelled
 // performance. It is the general-purpose CLI over the library.
 //
+// A chain on a host engine, a -replicas batch and a -temper ladder run on
+// service.Run, the job runner of the isingd daemon, so `-json` prints the
+// encode.Result isingd serves for the same spec. The tpu backend's single
+// chain (-pod, -estimate and the plain run) goes through the simulated-TPU
+// model paths instead.
+//
 // Examples:
 //
 //	isingtpu -size 256 -temp 2.269 -sweeps 2000
@@ -30,6 +36,7 @@ import (
 	"tpuising/internal/ising/backend"
 	"tpuising/internal/ising/tpu"
 	"tpuising/internal/perf"
+	"tpuising/internal/service"
 	"tpuising/internal/service/encode"
 	"tpuising/internal/sweep"
 	"tpuising/internal/tempering"
@@ -123,6 +130,20 @@ func main() {
 	if *replicas < 1 {
 		log.Fatalf("-replicas needs at least 1 chain, got %d", *replicas)
 	}
+	// -estimate models one sweep; every other mode runs -burnin + -sweeps.
+	if !*estimate {
+		if *sweeps < 0 {
+			log.Fatalf("-sweeps must not be negative, got %d", *sweeps)
+		}
+		if *burnin < 0 {
+			log.Fatalf("-burnin must not be negative, got %d", *burnin)
+		}
+	}
+	// The CLI samples once, at the last sweep: sampling costs a measurable
+	// share of a small sweep, and the prose and JSON report the final state.
+	spec := service.JobSpec{Backend: name, Rows: rows, Cols: cols, Temperature: *temp,
+		Sweeps: *sweeps, BurnIn: *burnin, Seed: *seed, SampleInterval: max(*sweeps, 1),
+		Workers: *workers, GridR: gridR, GridC: gridC, Replicas: *replicas}
 	if *temper != "" {
 		rungs, tmin, tmax, err := parseTemper(*temper)
 		if err != nil {
@@ -137,8 +158,16 @@ func main() {
 		if set["replicas"] {
 			log.Fatal("-replicas runs B chains at one temperature; the -temper ladder already defines its replica count")
 		}
-		runTemper(name, rows, cols, gridR, gridC, tileSize, dt, alg, rungs, tmin, tmax,
-			*swapint, *seed, *workers, *sweeps, *burnin, *profile, *jsonOut)
+		if *swapint < 1 {
+			log.Fatalf("-swapint must be at least 1 sweep, got %d", *swapint)
+		}
+		if tmin == 0 && tmax == 0 {
+			spec.Temperatures = sweep.CriticalWindow(tempering.DefaultWindow(rows*cols, rungs), rungs)
+		} else {
+			spec.Temperatures = sweep.TemperatureGrid(tmin, tmax, rungs)
+		}
+		spec.Temperature, spec.SwapInterval = 0, *swapint
+		runHost(spec, tileSize, dt, alg, *profile, *jsonOut)
 		return
 	}
 	if set["swapint"] {
@@ -151,8 +180,7 @@ func main() {
 		if *estimate || podX*podY > 1 {
 			log.Fatal("-estimate and -pod model a single TPU chain; they do not apply to -replicas")
 		}
-		runReplicas(name, rows, cols, gridR, gridC, tileSize, dt, alg, *replicas,
-			*temp, *seed, *workers, *sweeps, *burnin, *profile, *jsonOut)
+		runHost(spec, tileSize, dt, alg, *profile, *jsonOut)
 		return
 	}
 	if name != "tpu" {
@@ -160,7 +188,7 @@ func main() {
 			log.Fatalf("-estimate and -pod model the TPU; they do not apply to the %s backend (valid backends: %s)",
 				name, backend.List())
 		}
-		runBackend(name, rows, cols, gridR, gridC, *temp, *seed, *workers, *sweeps, *burnin, *profile, *jsonOut)
+		runHost(spec, tileSize, dt, alg, *profile, *jsonOut)
 		return
 	}
 	if set["workers"] {
@@ -177,141 +205,114 @@ func main() {
 	runSingle(rows, cols, tileSize, dt, alg, perfAlg, *temp, *seed, *sweeps, *burnin, *profile, *jsonOut)
 }
 
-// runBackend runs a host engine selected through the backend factory and
-// reports its observables and measured wall-clock throughput (as prose, or
-// as one encode.Result JSON line with -json — the isingd wire format).
-func runBackend(name string, rows, cols, gridR, gridC int, temp float64, seed uint64, workers, sweeps, burnin int, profile, jsonOut bool) {
-	eng, err := backend.New(name, backend.Config{
-		Rows: rows, Cols: cols, Temperature: temp, Seed: seed, Workers: workers,
-		GridR: gridR, GridC: gridC,
-	})
+// runHost runs a host job — a chain on a host engine, a -replicas batch or a
+// -temper ladder — on service.Run, the job runner isingd's workers use, so
+// both print the same encode.Result for the same spec: one JSON line with
+// -json, prose otherwise. Lane L of a batch is seeded ising.LaneSeed(seed, L),
+// so its chain is exactly the single-chain run `-backend <name> -seed
+// <laneseed>` would produce. The throughput counts every sweep, burn-in
+// included, as isingd's does. tile, dt and alg are the tpu backend's kernel
+// options.
+func runHost(spec service.JobSpec, tile int, dt tensor.DType, alg tpu.Algorithm, profile, jsonOut bool) {
+	engine := service.EngineConfig(spec)
+	engine.TileSize, engine.DType, engine.Algorithm = tile, dt, alg
+	run, err := service.NewRun(spec, engine)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ladder, chain := run.Ladder(), run.Chain()
+	tc := ising.CriticalTemperature()
 	if !jsonOut {
-		if name == "sharded" {
+		// Batches and ladders are named by the selected registry backend,
+		// like isingd's jobs; the executing batch engine (the lane-packed
+		// "ensemble" for a wide multispin batch, say) is an execution detail.
+		switch {
+		case ladder != nil:
+			fmt.Printf("parallel tempering: %d replicas of backend %s, %dx%d lattice, T in [%.4f, %.4f], swap attempt every %d sweeps\n",
+				len(spec.Temperatures), spec.Backend, spec.Rows, spec.Cols,
+				spec.Temperatures[0], spec.Temperatures[len(spec.Temperatures)-1], spec.SwapInterval)
+		case chain == nil:
+			fmt.Printf("batched ensemble: %d lanes of backend %s (engine %s), %dx%d lattice, T=%.4f (T/Tc=%.3f)\n",
+				spec.Replicas, spec.Backend, run.Batch().Name(), spec.Rows, spec.Cols, spec.Temperature, spec.Temperature/tc)
+		case spec.Backend == "sharded":
 			fmt.Printf("backend %s: %dx%d lattice over a %dx%d shard mesh (%d cores), T=%.4f (T/Tc=%.3f)\n",
-				eng.Name(), rows, cols, gridR, gridC, gridR*gridC, temp, temp/ising.CriticalTemperature())
-		} else {
+				chain.Name(), spec.Rows, spec.Cols, spec.GridR, spec.GridC, spec.GridR*spec.GridC, spec.Temperature, spec.Temperature/tc)
+		default:
 			fmt.Printf("backend %s: %dx%d lattice, T=%.4f (T/Tc=%.3f)\n",
-				eng.Name(), rows, cols, temp, temp/ising.CriticalTemperature())
+				chain.Name(), spec.Rows, spec.Cols, spec.Temperature, spec.Temperature/tc)
 		}
 	}
-	for i := 0; i < burnin; i++ {
-		eng.Sweep()
-	}
-	start := time.Now()
-	for i := 0; i < sweeps; i++ {
-		eng.Sweep()
-	}
-	elapsed := time.Since(start)
+	run.Sweep(run.Total(), nil)
+	r := run.Result()
 	if jsonOut {
-		r := encode.Result{Backend: eng.Name(), Rows: rows, Cols: cols,
-			Temperature: temp, Seed: seed, Sweeps: sweeps, BurnIn: burnin}
-		encode.Observables(&r, eng)
-		r.ElapsedSec = elapsed.Seconds()
-		if sweeps > 0 && elapsed > 0 {
-			r.FlipsPerNs = float64(rows) * float64(cols) * float64(sweeps) / float64(elapsed.Nanoseconds())
+		if ladder != nil {
+			// A ladder's output carries no wall-clock numbers, so it is
+			// byte-identical for every -workers value (README's -json
+			// contract, asserted by TestTemperOutputDeterministicAcrossWorkers).
+			r.ElapsedSec, r.FlipsPerNs = 0, 0
 		}
 		if err := encode.WriteLine(os.Stdout, r); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
-	fmt.Printf("after %d sweeps: m = %+.5f, |m| = %.5f, E/spin = %.5f\n",
-		burnin+sweeps, eng.Magnetization(), abs(eng.Magnetization()), eng.Energy())
-	if sweeps > 0 && elapsed > 0 {
-		spins := float64(rows) * float64(cols) * float64(sweeps)
-		fmt.Printf("measured host throughput: %.4f flips/ns (%.3f ms/sweep)\n",
-			spins/float64(elapsed.Nanoseconds()),
-			elapsed.Seconds()*1e3/float64(sweeps))
-	}
-	if profile {
-		fmt.Printf("work counters: %v\n", eng.Counts())
-		if name == "sharded" {
-			rep := perf.ShardTraffic(perf.ShardSpec{Rows: rows, Cols: cols, GridR: gridR, GridC: gridC},
+	msPerSweep := r.ElapsedSec * 1e3 / float64(max(run.Done(), 1))
+	switch {
+	case ladder != nil:
+		rep := ladder.Report()
+		fmt.Printf("after %d burn-in + %d measured rounds: %d round trips, overall swap acceptance %.3f (%d/%d)\n",
+			rep.SwapRounds-uint64(rep.Samples), rep.Samples, rep.RoundTrips, rep.Acceptance(), rep.SwapAccepts, rep.SwapAttempts)
+		fmt.Println("slot  T        T/Tc    |m|       +-        U4        E/spin    tau     swap acc")
+		for t, rr := range rep.Replicas {
+			acc := "    -"
+			if t < len(rep.Replicas)-1 {
+				acc = fmt.Sprintf("%.3f", rr.PairAcceptance)
+			}
+			fmt.Printf("%4d  %.4f  %.4f  %.5f  %.5f  %+.5f  %+.5f  %6.2f  %s\n",
+				t, rr.Temperature, rr.Temperature/tc, rr.AbsMagnetization, rr.AbsMagnetizationErr,
+				rr.Binder, rr.Energy, rr.AutocorrTime, acc)
+		}
+		if profile {
+			counts := ladder.SwapCounts()
+			model := perf.ExchangeTraffic(perf.ExchangeSpec{Replicas: ladder.Replicas(), Rounds: int(ladder.Rounds())},
 				interconnect.DefaultLinkParams())
-			fmt.Printf("modelled interconnect: %d B/link/sweep (rows), %d B/link/sweep (cols), permute %.2f us/sweep\n",
-				rep.RowLinkBytes, rep.ColLinkBytes, rep.PermuteSec*1e6)
+			fmt.Printf("swap traffic: %d B in %d messages (model: %d B, %d messages, %.2f us total exchange time)\n",
+				counts.CommBytes, counts.CommEvents, model.TotalBytes, model.Events, model.ExchangeSec*1e6)
+			fmt.Printf("ensemble work counters: %v\n", ladder.Counts())
 		}
-	}
-}
-
-// runReplicas runs the batched-ensemble mode: B independent chains of the
-// selected backend at one temperature behind ising.BatchBackend — the
-// lane-packed internal/ising/shardedensemble engine on one shard for 32 or
-// more multispin lanes ("ensemble"), on sharded's grid for 16 or more
-// sharded lanes, the generic lane-parallel adapter for every other batch
-// (backend.NewBatch picks).
-// Lane L is seeded ising.LaneSeed(seed, L), so its chain is exactly the
-// single-chain run `-backend <name> -seed <laneseed>` would produce; the
-// report fans out one row per lane plus the across-lane means.
-func runReplicas(name string, rows, cols, gridR, gridC, tile int, dt tensor.DType, alg tpu.Algorithm,
-	lanes int, temp float64, seed uint64, workers, sweeps, burnin int, profile, jsonOut bool) {
-	b, err := backend.NewBatch(name, backend.Config{
-		Rows: rows, Cols: cols, Temperature: temp, Seed: seed, Workers: workers,
-		GridR: gridR, GridC: gridC, TileSize: tile, DType: dt, Algorithm: alg,
-	}, lanes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !jsonOut {
-		// Named by the selected registry backend (like isingd's batch jobs);
-		// the executing batch engine — the lane-packed "ensemble" or
-		// "sharded-ensemble" for a wide enough multispin or sharded batch,
-		// the lane-parallel adapter otherwise — is reported as an execution
-		// detail.
-		fmt.Printf("batched ensemble: %d lanes of backend %s (engine %s), %dx%d lattice, T=%.4f (T/Tc=%.3f)\n",
-			b.Lanes(), name, b.Name(), rows, cols, temp, temp/ising.CriticalTemperature())
-	}
-	for i := 0; i < burnin; i++ {
-		b.Sweep()
-	}
-	start := time.Now()
-	for i := 0; i < sweeps; i++ {
-		b.Sweep()
-	}
-	elapsed := time.Since(start)
-	if jsonOut {
-		r := encode.Result{Backend: name, Rows: rows, Cols: cols,
-			Temperature: temp, Seed: seed, Sweeps: sweeps, BurnIn: burnin}
-		encode.BatchObservables(&r, b, seed)
-		r.ElapsedSec = elapsed.Seconds()
-		if sweeps > 0 && elapsed > 0 {
-			r.FlipsPerNs = float64(rows) * float64(cols) * float64(sweeps) * float64(b.Lanes()) /
-				float64(elapsed.Nanoseconds())
+	case chain == nil:
+		fmt.Println("lane  seed                  m         |m|       E/spin")
+		for _, l := range r.Lanes {
+			fmt.Printf("%4d  %-20d  %+.5f  %.5f  %+.5f\n", l.Lane, l.Seed, l.Magnetization, l.AbsMagnetization, l.Energy)
 		}
-		if err := encode.WriteLine(os.Stdout, r); err != nil {
-			log.Fatal(err)
+		fmt.Printf("after %d sweeps over %d lanes: mean m = %+.5f, mean |m| = %.5f, mean E/spin = %.5f\n",
+			run.Done(), len(r.Lanes), r.Magnetization, r.AbsMagnetization, r.Energy)
+		if r.FlipsPerNs > 0 {
+			fmt.Printf("measured aggregate host throughput: %.4f flips/ns (%.3f ms/sweep for all lanes)\n", r.FlipsPerNs, msPerSweep)
 		}
-		return
-	}
-	ms, es := b.Magnetizations(), b.Energies()
-	var mSum, absSum, eSum float64
-	fmt.Println("lane  seed                  m         |m|       E/spin")
-	for lane := range ms {
-		fmt.Printf("%4d  %-20d  %+.5f  %.5f  %+.5f\n",
-			lane, ising.LaneSeed(seed, lane), ms[lane], abs(ms[lane]), es[lane])
-		mSum += ms[lane]
-		absSum += abs(ms[lane])
-		eSum += es[lane]
-	}
-	n := float64(len(ms))
-	fmt.Printf("after %d sweeps over %d lanes: mean m = %+.5f, mean |m| = %.5f, mean E/spin = %.5f\n",
-		burnin+sweeps, b.Lanes(), mSum/n, absSum/n, eSum/n)
-	if sweeps > 0 && elapsed > 0 {
-		spins := float64(rows) * float64(cols) * float64(sweeps) * n
-		fmt.Printf("measured aggregate host throughput: %.4f flips/ns (%.3f ms/sweep for all lanes)\n",
-			spins/float64(elapsed.Nanoseconds()),
-			elapsed.Seconds()*1e3/float64(sweeps))
-	}
-	if profile {
-		fmt.Printf("ensemble work counters: %v\n", b.Counts())
+		if profile {
+			fmt.Printf("ensemble work counters: %v\n", run.Batch().Counts())
+		}
+	default:
+		fmt.Printf("after %d sweeps: m = %+.5f, |m| = %.5f, E/spin = %.5f\n",
+			run.Done(), r.Magnetization, r.AbsMagnetization, r.Energy)
+		if r.FlipsPerNs > 0 {
+			fmt.Printf("measured host throughput: %.4f flips/ns (%.3f ms/sweep)\n", r.FlipsPerNs, msPerSweep)
+		}
+		if profile {
+			fmt.Printf("work counters: %v\n", run.Batch().Counts())
+			if spec.Backend == "sharded" {
+				rep := perf.ShardTraffic(perf.ShardSpec{Rows: spec.Rows, Cols: spec.Cols, GridR: spec.GridR, GridC: spec.GridC},
+					interconnect.DefaultLinkParams())
+				fmt.Printf("modelled interconnect: %d B/link/sweep (rows), %d B/link/sweep (cols), permute %.2f us/sweep\n",
+					rep.RowLinkBytes, rep.ColLinkBytes, rep.PermuteSec*1e6)
+			}
+		}
 	}
 }
 
 // parseTemper parses the -temper value: "N" or "N:Tmin,Tmax". With no
-// explicit window it returns tmin = tmax = 0, and runTemper sizes the window
+// explicit window it returns tmin = tmax = 0, and main sizes the window
 // around Tc for healthy swap acceptance (tempering.DefaultWindow).
 func parseTemper(s string) (replicas int, tmin, tmax float64, err error) {
 	spec, window, hasWindow := strings.Cut(s, ":")
@@ -332,93 +333,6 @@ func parseTemper(s string) (replicas int, tmin, tmax float64, err error) {
 		}
 	}
 	return replicas, tmin, tmax, nil
-}
-
-// runTemper runs the replica-exchange mode: a ladder of `replicas` evenly
-// spaced temperatures in [tmin, tmax], one rung per lane of a batched
-// backend (backend.NewBatchLadder — the one-shard lane-packed engine for a
-// multispin ladder of 32 or more rungs, the lane-packed pod for a sharded
-// ladder of 16 or more, the lane-parallel adapter otherwise), coupled by Metropolis
-// swaps every swapInterval sweeps (internal/tempering). Batched execution is
-// bit-identical to per-replica execution, and every printed number is a pure
-// function of the configuration and seed — no wall-clock measurements — so
-// the output is identical for every -workers value (asserted by tests).
-func runTemper(name string, rows, cols, gridR, gridC, tile int, dt tensor.DType, alg tpu.Algorithm,
-	replicas int, tmin, tmax float64,
-	swapInterval int, seed uint64, workers, sweeps, burnin int, profile, jsonOut bool) {
-	if tmin == 0 && tmax == 0 {
-		tc := ising.CriticalTemperature()
-		w := tempering.DefaultWindow(rows*cols, replicas)
-		tmin, tmax = tc*(1-w), tc*(1+w)
-	}
-	ladder, err := backend.NewBatchLadder(name, backend.Config{
-		Rows: rows, Cols: cols, Seed: seed, Workers: workers,
-		GridR: gridR, GridC: gridC,
-		TileSize: tile, DType: dt, Algorithm: alg,
-	}, sweep.TemperatureGrid(tmin, tmax, replicas))
-	if err != nil {
-		log.Fatal(err)
-	}
-	ens, err := tempering.NewBatch(tempering.Config{
-		Temperatures: sweep.TemperatureGrid(tmin, tmax, replicas),
-		SwapInterval: swapInterval,
-		Seed:         seed,
-		Workers:      workers,
-	}, ladder)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tc := ising.CriticalTemperature()
-	if !jsonOut {
-		// The report names the selected registry backend, not the batch
-		// engine executing the ladder (ladder.Name() — e.g. the lane-packed
-		// "ensemble" for a wide multispin ladder): batching is an execution strategy, and
-		// the CLI and isingd must name the same logical job identically.
-		fmt.Printf("parallel tempering: %d replicas of backend %s, %dx%d lattice, T in [%.4f, %.4f], swap attempt every %d sweeps\n",
-			replicas, name, rows, cols, tmin, tmax, swapInterval)
-	}
-	burnRounds := (burnin + swapInterval - 1) / swapInterval
-	rounds := sweeps / swapInterval
-	if rounds < 1 {
-		rounds = 1
-	}
-	ens.RunRounds(burnRounds)
-	ens.Sample(rounds)
-	rep := ens.Report()
-	if jsonOut {
-		// Deliberately no elapsed_sec/flips_per_ns here: temper output stays
-		// free of wall-clock numbers so it is byte-identical for every
-		// -workers value, matching the prose report's contract.
-		r := encode.Result{Backend: name, Rows: rows, Cols: cols,
-			Temperature: tmin, Seed: seed, Sweeps: sweeps, BurnIn: burnin}
-		encode.Observables(&r, ens.Backend(0))
-		encode.Tempering(&r, rep)
-		r.Ops = ens.Counts().Ops
-		if err := encode.WriteLine(os.Stdout, r); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	fmt.Printf("after %d burn-in + %d measured rounds: %d round trips, overall swap acceptance %.3f (%d/%d)\n",
-		burnRounds, rounds, rep.RoundTrips, rep.Acceptance(), rep.SwapAccepts, rep.SwapAttempts)
-	fmt.Println("slot  T        T/Tc    |m|       +-        U4        E/spin    tau     swap acc")
-	for t, rr := range rep.Replicas {
-		acc := "    -"
-		if t < len(rep.Replicas)-1 {
-			acc = fmt.Sprintf("%.3f", rr.PairAcceptance)
-		}
-		fmt.Printf("%4d  %.4f  %.4f  %.5f  %.5f  %+.5f  %+.5f  %6.2f  %s\n",
-			t, rr.Temperature, rr.Temperature/tc, rr.AbsMagnetization, rr.AbsMagnetizationErr,
-			rr.Binder, rr.Energy, rr.AutocorrTime, acc)
-	}
-	if profile {
-		counts := ens.SwapCounts()
-		model := perf.ExchangeTraffic(perf.ExchangeSpec{Replicas: replicas, Rounds: int(ens.Rounds())},
-			interconnect.DefaultLinkParams())
-		fmt.Printf("swap traffic: %d B in %d messages (model: %d B, %d messages, %.2f us total exchange time)\n",
-			counts.CommBytes, counts.CommEvents, model.TotalBytes, model.Events, model.ExchangeSec*1e6)
-		fmt.Printf("ensemble work counters: %v\n", ens.Counts())
-	}
 }
 
 func parseSize(s string) (rows, cols int, err error) {

@@ -14,6 +14,7 @@ import (
 	"tpuising/internal/perf"
 	"tpuising/internal/service"
 	"tpuising/internal/service/encode"
+	"tpuising/internal/sweep"
 	"tpuising/internal/tensor"
 )
 
@@ -140,10 +141,49 @@ func TestTemperOutputDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestJSONOutputSharesServiceEncoding builds the CLI and checks that -json
-// emits one internal/service/encode.Result line whose deterministic fields
-// are byte-identical to what the simulation service computes for the same
-// spec — the CLI and isingd share a single machine-readable encoding.
+// emits one internal/service/encode.Result line equal, field for field, to
+// what the simulation service serves for the same spec sampled once at its
+// last sweep — the CLI and isingd run one job runner (service.Run). Only the
+// wall-clock fields are zeroed before comparing.
 func TestJSONOutputSharesServiceEncoding(t *testing.T) {
+	bin := buildCLI(t)
+
+	// A chain, with a burn-in.
+	r := cliResult(t, bin, "-json", "-backend", "multispin",
+		"-size", "16x64", "-temp", "2.4", "-sweeps", "50", "-burnin", "10", "-seed", "3")
+	if r.Backend != "multispin" || r.Rows != 16 || r.Cols != 64 || r.Seed != 3 ||
+		r.Sweeps != 50 || r.BurnIn != 10 || r.Step != 120 || r.Samples != 1 {
+		t.Fatalf("-json result: %+v", r)
+	}
+	sameResult(t, "chain", r, daemonResult(t, service.JobSpec{Backend: "multispin", Rows: 16, Cols: 64,
+		Temperature: 2.4, Sweeps: 50, BurnIn: 10, Seed: 3}))
+
+	// -json also covers replica exchange, with the per-temperature rows; the
+	// burn-in of 15 rounds up to two whole swap rounds of 10.
+	tr := cliResult(t, bin, "-json", "-temper", "4:2.0,2.6", "-backend", "checkerboard",
+		"-size", "16", "-sweeps", "40", "-burnin", "15", "-seed", "2")
+	if len(tr.Replicas) != 4 || tr.Backend != "checkerboard" {
+		t.Fatalf("-json -temper result: %+v", tr)
+	}
+	if tr.ElapsedSec != 0 || tr.FlipsPerNs != 0 {
+		t.Fatalf("-json -temper carries wall-clock fields: %+v", tr)
+	}
+	sameResult(t, "ladder", tr, daemonResult(t, service.JobSpec{Backend: "checkerboard", Rows: 16,
+		Sweeps: 40, BurnIn: 15, Seed: 2, Temperatures: sweep.TemperatureGrid(2.0, 2.6, 4), SwapInterval: 10}))
+
+	// -json refuses the prose-only modes.
+	if out, err := exec.Command(bin, "-json", "-profile", "-backend", "multispin", "-size", "16x64", "-sweeps", "1").CombinedOutput(); err == nil {
+		t.Fatalf("-json -profile should fail:\n%s", out)
+	}
+	if out, err := exec.Command(bin, "-json", "-estimate", "-size", "256").CombinedOutput(); err == nil {
+		t.Fatalf("-json -estimate should fail:\n%s", out)
+	}
+}
+
+// buildCLI builds isingtpu into a test temp directory, skipping the test in
+// -short mode or without a go toolchain.
+func buildCLI(t *testing.T) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("skipping CLI build in -short mode")
 	}
@@ -157,58 +197,58 @@ func TestJSONOutputSharesServiceEncoding(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building isingtpu: %v\n%s", err, out)
 	}
+	return bin
+}
 
-	out, err := exec.Command(bin, "-json", "-backend", "multispin",
-		"-size", "16x64", "-temp", "2.4", "-sweeps", "50", "-burnin", "10", "-seed", "3").CombinedOutput()
+// cliResult runs the CLI and decodes its one -json line.
+func cliResult(t *testing.T, bin string, args ...string) encode.Result {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
 	if err != nil {
-		t.Fatalf("isingtpu -json: %v\n%s", err, out)
+		t.Fatalf("isingtpu %v: %v\n%s", args, err, out)
 	}
 	var r encode.Result
 	if err := json.Unmarshal(out, &r); err != nil {
-		t.Fatalf("-json output is not one JSON line: %v\n%s", err, out)
+		t.Fatalf("isingtpu %v output is not one JSON line: %v\n%s", args, err, out)
 	}
-	if r.Backend != "multispin" || r.Rows != 16 || r.Cols != 64 || r.Seed != 3 ||
-		r.Sweeps != 50 || r.BurnIn != 10 || r.Step != 120 {
-		t.Fatalf("-json result: %+v", r)
-	}
+	return r
+}
 
+// daemonResult runs spec on an in-process service, sampled once at its last
+// sweep as the CLI samples, and returns the served result.
+func daemonResult(t *testing.T, spec service.JobSpec) encode.Result {
+	t.Helper()
+	spec.SampleInterval = spec.Sweeps
 	srv, _ := service.New(service.Config{Workers: 1})
 	defer srv.Close()
-	j, err := srv.Submit(service.JobSpec{Backend: "multispin", Rows: 16, Cols: 64,
-		Temperature: 2.4, Sweeps: 50, BurnIn: 10, Seed: 3})
+	j, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-j.Done()
-	sr, err := j.Result()
-	if err != nil || sr == nil {
-		t.Fatalf("service job: %v", err)
+	r, err := j.Result()
+	if err != nil || r == nil {
+		t.Fatalf("service job %+v: %v", spec, err)
 	}
-	if r.Magnetization != sr.Magnetization || r.AbsMagnetization != sr.AbsMagnetization ||
-		r.Energy != sr.Energy || r.Step != sr.Step || r.Ops != sr.Ops {
-		t.Fatalf("CLI result %+v and service result %+v disagree on deterministic fields", r, sr)
-	}
+	return *r
+}
 
-	// -json also covers replica exchange, with the per-temperature rows.
-	out, err = exec.Command(bin, "-json", "-temper", "4", "-backend", "checkerboard",
-		"-size", "16", "-sweeps", "40", "-seed", "2").CombinedOutput()
+// sameResult fails unless the CLI's and the daemon's results encode to the
+// same bytes once their wall-clock fields are zeroed.
+func sameResult(t *testing.T, kind string, cli, daemon encode.Result) {
+	t.Helper()
+	cli.ElapsedSec, cli.FlipsPerNs = 0, 0
+	daemon.ElapsedSec, daemon.FlipsPerNs = 0, 0
+	cb, err := json.Marshal(cli)
 	if err != nil {
-		t.Fatalf("isingtpu -json -temper: %v\n%s", err, out)
+		t.Fatal(err)
 	}
-	var tr encode.Result
-	if err := json.Unmarshal(out, &tr); err != nil {
-		t.Fatalf("-json -temper output: %v\n%s", err, out)
+	db, err := json.Marshal(daemon)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(tr.Replicas) != 4 || tr.Backend != "checkerboard" {
-		t.Fatalf("-json -temper result: %+v", tr)
-	}
-
-	// -json refuses the prose-only modes.
-	if out, err := exec.Command(bin, "-json", "-profile", "-backend", "multispin", "-size", "16x64", "-sweeps", "1").CombinedOutput(); err == nil {
-		t.Fatalf("-json -profile should fail:\n%s", out)
-	}
-	if out, err := exec.Command(bin, "-json", "-estimate", "-size", "256").CombinedOutput(); err == nil {
-		t.Fatalf("-json -estimate should fail:\n%s", out)
+	if string(cb) != string(db) {
+		t.Fatalf("%s: CLI and service results differ:\ncli    %s\nservice %s", kind, cb, db)
 	}
 }
 
@@ -263,88 +303,51 @@ func TestHelpers(t *testing.T) {
 
 // TestReplicasModeSharesServiceEncoding builds the CLI and checks the
 // batched-ensemble mode end to end: -replicas B -json emits one
-// encode.Result with B per-lane rows whose deterministic fields match what a
-// service batch job of the same spec computes, and the flag conflicts are
-// refused with clear errors.
+// encode.Result with B per-lane rows, equal field for field (wall clock
+// zeroed) to what a service batch job of the same spec serves, and the flag
+// conflicts and invalid values are refused with errors naming the flag.
 func TestReplicasModeSharesServiceEncoding(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping CLI build in -short mode")
-	}
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
-	bin := filepath.Join(t.TempDir(), "isingtpu")
-	build := exec.Command(goBin, "build", "-o", bin, ".")
-	build.Env = append(os.Environ(), "CGO_ENABLED=0")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building isingtpu: %v\n%s", err, out)
-	}
+	bin := buildCLI(t)
 
-	out, err := exec.Command(bin, "-json", "-replicas", "3", "-backend", "multispin",
-		"-size", "16x64", "-temp", "2.4", "-sweeps", "30", "-seed", "7").CombinedOutput()
-	if err != nil {
-		t.Fatalf("isingtpu -replicas -json: %v\n%s", err, out)
-	}
-	var r encode.Result
-	if err := json.Unmarshal(out, &r); err != nil {
-		t.Fatalf("-replicas -json output is not one JSON line: %v\n%s", err, out)
-	}
+	r := cliResult(t, bin, "-json", "-replicas", "3", "-backend", "multispin",
+		"-size", "16x64", "-temp", "2.4", "-sweeps", "30", "-burnin", "4", "-seed", "7")
 	// The result names the selected registry backend, exactly like the
 	// service's batch jobs — the lane-packed execution engine is invisible.
-	if len(r.Lanes) != 3 || r.Backend != "multispin" || r.Step != 60 {
+	if len(r.Lanes) != 3 || r.Backend != "multispin" || r.Step != 68 {
 		t.Fatalf("-replicas result: %+v", r)
 	}
+	sameResult(t, "batch", r, daemonResult(t, service.JobSpec{Backend: "multispin", Rows: 16, Cols: 64,
+		Temperature: 2.4, Sweeps: 30, BurnIn: 4, Seed: 7, Replicas: 3}))
 
-	srv, _ := service.New(service.Config{Workers: 1})
-	defer srv.Close()
-	j, err := srv.Submit(service.JobSpec{Backend: "multispin", Rows: 16, Cols: 64,
-		Temperature: 2.4, Sweeps: 30, Seed: 7, Replicas: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j.Done()
-	sr, err := j.Result()
-	if err != nil || sr == nil {
-		t.Fatalf("service batch job: %v", err)
-	}
-	if len(sr.Lanes) != len(r.Lanes) {
-		t.Fatalf("CLI has %d lanes, service %d", len(r.Lanes), len(sr.Lanes))
-	}
-	for i := range r.Lanes {
-		cl, sl := r.Lanes[i], sr.Lanes[i]
-		if cl.Seed != sl.Seed || cl.Magnetization != sl.Magnetization || cl.Energy != sl.Energy {
-			t.Fatalf("lane %d: CLI %+v and service %+v disagree on deterministic fields", i, cl, sl)
-		}
-	}
-	if r.Magnetization != sr.Magnetization || r.Energy != sr.Energy || r.Ops != sr.Ops ||
-		r.Backend != sr.Backend {
-		t.Fatalf("CLI batch result %+v and service result %+v disagree", r, sr)
-	}
-
-	// The batched temper ladder also keeps the registry backend name.
-	out, err = exec.Command(bin, "-json", "-temper", "4", "-backend", "multispin",
-		"-size", "16x64", "-sweeps", "20", "-seed", "2").CombinedOutput()
-	if err != nil {
-		t.Fatalf("isingtpu -json -temper multispin: %v\n%s", err, out)
-	}
-	var tr encode.Result
-	if err := json.Unmarshal(out, &tr); err != nil {
-		t.Fatalf("-json -temper output: %v\n%s", err, out)
-	}
+	// The batched temper ladder also keeps the registry backend name; the
+	// burn-in of 7 rounds up to three whole swap rounds of 3.
+	tr := cliResult(t, bin, "-json", "-temper", "4:1.9,2.6", "-backend", "multispin",
+		"-size", "16x64", "-sweeps", "20", "-burnin", "7", "-swapint", "3", "-seed", "2")
 	if tr.Backend != "multispin" || len(tr.Replicas) != 4 {
 		t.Fatalf("-json -temper multispin result names backend %q with %d replicas", tr.Backend, len(tr.Replicas))
 	}
+	sameResult(t, "ladder", tr, daemonResult(t, service.JobSpec{Backend: "multispin", Rows: 16, Cols: 64,
+		Sweeps: 20, BurnIn: 7, Seed: 2, Temperatures: sweep.TemperatureGrid(1.9, 2.6, 4), SwapInterval: 3}))
 
-	// Conflicting and invalid flag combinations are refused.
-	if out, err := exec.Command(bin, "-replicas", "4", "-temper", "4", "-backend", "multispin",
-		"-size", "16x64", "-sweeps", "1").CombinedOutput(); err == nil {
-		t.Fatalf("-replicas with -temper should fail:\n%s", out)
-	}
-	if out, err := exec.Command(bin, "-replicas", "0", "-size", "16x64", "-sweeps", "1").CombinedOutput(); err == nil {
-		t.Fatalf("-replicas 0 should fail:\n%s", out)
-	}
-	if out, err := exec.Command(bin, "-replicas", "2", "-estimate", "-size", "256").CombinedOutput(); err == nil {
-		t.Fatalf("-replicas with -estimate should fail:\n%s", out)
+	// Conflicting and invalid flag combinations are refused, naming the flag.
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-replicas", []string{"-replicas", "4", "-temper", "4", "-backend", "multispin", "-size", "16x64", "-sweeps", "1"}},
+		{"-replicas", []string{"-replicas", "0", "-size", "16x64", "-sweeps", "1"}},
+		{"-replicas", []string{"-replicas", "2", "-estimate", "-size", "256"}},
+		{"-swapint", []string{"-temper", "3", "-backend", "multispin", "-size", "16x64", "-swapint", "0"}},
+		{"-swapint", []string{"-temper", "3", "-backend", "multispin", "-size", "16x64", "-swapint", "-2"}},
+		{"-sweeps", []string{"-backend", "multispin", "-size", "16x64", "-sweeps", "-5", "-burnin", "-3"}},
+		{"-burnin", []string{"-backend", "multispin", "-size", "16x64", "-burnin", "-3"}},
+		{"-sweeps", []string{"-replicas", "2", "-backend", "multispin", "-size", "16x64", "-sweeps", "-1"}},
+		{"-burnin", []string{"-temper", "3", "-backend", "checkerboard", "-size", "16", "-burnin", "-1"}},
+		{"-sweeps", []string{"-size", "16", "-sweeps", "-1"}},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), tc.flag) {
+			t.Errorf("isingtpu %v should fail naming %s, got err=%v:\n%s", tc.args, tc.flag, err, out)
+		}
 	}
 }

@@ -29,19 +29,6 @@ type CorrectnessConfig struct {
 	Seed uint64
 }
 
-// DefaultCorrectnessConfig returns the configuration used by the
-// cmd/correctness binary: three lattice sizes, 13 temperatures around Tc.
-func DefaultCorrectnessConfig() CorrectnessConfig {
-	return CorrectnessConfig{
-		Sizes:        []int{32, 64, 128},
-		TileSize:     16,
-		Temperatures: sweep.CriticalWindow(0.2, 13),
-		BurnIn:       1000,
-		Samples:      2000,
-		Seed:         2019,
-	}
-}
-
 func (c CorrectnessConfig) withDefaults() CorrectnessConfig {
 	out := c
 	if len(out.Sizes) == 0 {

@@ -69,11 +69,11 @@ func TestAliasesAndErrors(t *testing.T) {
 // and the energy per spin.
 func measureBackend(t *testing.T, name string, temp float64, burnIn, samples int) (absM, energy float64) {
 	t.Helper()
-	points := sweep.RunBackends(sweep.Config{
+	points := sweep.Run(sweep.Config{
 		Temperatures: []float64{temp},
 		BurnIn:       burnIn,
 		Samples:      samples,
-	}, func(temperature float64) ising.Backend {
+	}, func(temperature float64) sweep.Chain {
 		eng, err := backend.New(name, backend.Config{
 			Rows: 64, Cols: 64, Temperature: temperature, Seed: 2026,
 		})

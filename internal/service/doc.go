@@ -33,6 +33,7 @@
 //	                              │miss
 //	                           queue (bounded) ─ worker pool
 //	                              │
+//	                           Run (run.go, shared with isingtpu)
 //	                           one batch: chain (1 lane) | replicas | ladder
 //	                           one loop: Sweep chunks ≤ maxChunk
 //	                              ├─ ladder: swaps every SwapInterval sweeps

@@ -2,8 +2,10 @@
 // by the isingd simulation service and `isingtpu -json`: one run, one
 // Result; one streamed observation, one Sample NDJSON line. Keeping the CLI
 // and the daemon on a single wire type means a script that parses one parses
-// the other, and the service's result cache stores exactly what the CLI
-// would have printed.
+// the other. Both also run one job runner (service.Run), and the CLI samples
+// once, at its last sweep: the service's result cache holds, for a spec
+// whose sample interval is its sweep count, exactly what the CLI prints
+// (wall-clock fields aside).
 package encode
 
 import (
@@ -135,9 +137,9 @@ func Observables(r *Result, b ising.Backend) {
 }
 
 // BatchObservables fills r's final-state observable fields — top-level and
-// per-lane rows — from a batched backend: the single conversion both
-// `isingtpu -replicas` and the service's batched jobs go through, so the two
-// emit identical lane rows. The top-level final-state observables are the
+// per-lane rows — from a batched backend: the single conversion the job
+// runner (service.Run, behind both `isingtpu -replicas` and the service's
+// batched jobs) goes through. The top-level final-state observables are the
 // means over lanes; seed is the run seed the lane seeds derive from.
 func BatchObservables(r *Result, b ising.BatchBackend, seed uint64) {
 	ms, es := b.Magnetizations(), b.Energies()
@@ -166,8 +168,8 @@ func BatchObservables(r *Result, b ising.BatchBackend, seed uint64) {
 }
 
 // Tempering fills r's replica-exchange fields from a tempering report — the
-// single conversion both `isingtpu -json -temper` and the service's
-// tempering jobs go through, so the two emit identical replica rows.
+// single conversion the job runner (service.Run, behind both `isingtpu -json
+// -temper` and the service's tempering jobs) goes through.
 func Tempering(r *Result, rep tempering.Report) {
 	r.RoundTrips = rep.RoundTrips
 	r.SwapAcceptance = rep.Acceptance()

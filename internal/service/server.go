@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,10 +13,7 @@ import (
 
 	"tpuising/internal/hist"
 	"tpuising/internal/ising"
-	"tpuising/internal/ising/backend"
 	"tpuising/internal/service/encode"
-	"tpuising/internal/stats"
-	"tpuising/internal/tempering"
 )
 
 // Config describes a simulation server.
@@ -848,18 +844,11 @@ func (s *Server) runProtected(j *Job) {
 	s.run(j)
 }
 
-// run executes one job on a worker goroutine. Every job kind is one batch
-// swept by one loop: a single chain is its engine as a one-lane batch, a
-// replicated job Replicas lanes at one temperature (lane-packed for a wide
-// multispin or sharded batch, the lane-parallel adapter otherwise;
-// backend.NewBatch picks),
-// and a ladder one lane per rung, coupled by Metropolis swaps every
-// SwapInterval sweeps (internal/tempering) and sampled from its coldest rung
-// once per round. The loop sweeps in chunks of at most maxChunk, stopping at
-// checkpoint boundaries; only a chain whose engine is an ising.Snapshotter
-// checkpoints and resumes. Lane L of a replicated job is exactly the chain a
-// separate job with seed ising.LaneSeed(seed, L) runs, and a ladder is
-// bit-identical to a tempering.New ladder of separate chains.
+// run executes one job on a worker goroutine: it builds the job's Run (the
+// runner isingtpu shares, see run.go) and keeps what is about time and
+// durability. It sweeps in chunks of at most maxChunk, stopping at
+// checkpoint boundaries and checking for a cancel between chunks; only a
+// chain whose engine is an ising.Snapshotter checkpoints and resumes.
 func (s *Server) run(j *Job) {
 	if j.ctx.Err() != nil {
 		// Canceled before it started. A shutdown leaves the job queued (its
@@ -871,38 +860,12 @@ func (s *Server) run(j *Job) {
 		return
 	}
 	spec := j.spec
-	var (
-		b   ising.BatchBackend
-		eng ising.Backend // a single chain's engine; nil for batches and ladders
-		ens *tempering.Ensemble
-		err error
-	)
-	switch {
-	case len(spec.Temperatures) > 0:
-		b, err = backend.NewBatchLadder(spec.Backend, backendConfig(spec, 0, spec.Seed), spec.Temperatures)
-		if err == nil {
-			ens, err = tempering.NewBatch(tempering.Config{
-				Temperatures: spec.Temperatures,
-				SwapInterval: spec.SwapInterval,
-				Seed:         spec.Seed,
-				Workers:      spec.Workers,
-			}, b)
-		}
-	case spec.Replicas > 1:
-		b, err = backend.NewBatch(spec.Backend, backendConfig(spec, spec.Temperature, spec.Seed), spec.Replicas)
-	default:
-		// The one-lane adapter backend.NewBatch(…, 1) would build, with
-		// the chain's engine kept at hand: checkpoints snapshot it.
-		eng, err = backend.New(spec.Backend, backendConfig(spec, spec.Temperature, spec.Seed))
-		if err == nil {
-			b, err = ising.NewBatchOf([]ising.Backend{eng}, 1)
-		}
-	}
+	run, err := NewRun(spec, EngineConfig(spec))
 	if err != nil {
 		s.fail(j, err)
 		return
 	}
-	snapper, canSnap := eng.(ising.Snapshotter)
+	snapper, canSnap := run.Chain().(ising.Snapshotter)
 	ckptEvery := spec.CheckpointInterval
 	if ckptEvery == 0 {
 		ckptEvery = s.cfg.CheckpointInterval
@@ -917,12 +880,6 @@ func (s *Server) run(j *Job) {
 			return
 		}
 	}
-
-	lanes := b.Lanes()
-	absAcc := make([]stats.Accumulator, lanes)
-	eAcc := make([]stats.Accumulator, lanes)
-	var absAll stats.Accumulator
-	done := 0
 	if j.resume != nil {
 		if !canSnap {
 			s.fail(j, fmt.Errorf("service: checkpointed job %s uses backend %q, which cannot restore", j.id, spec.Backend))
@@ -936,46 +893,22 @@ func (s *Server) run(j *Job) {
 			s.fail(j, fmt.Errorf("service: resuming job %s: %w", j.id, err))
 			return
 		}
-		done = j.resume.DoneSweeps
-		absAll.SetState(j.resume.AbsM)
-		eAcc[0].SetState(j.resume.Energy)
+		run.Resume(j.resume.DoneSweeps, j.resume.AbsM, j.resume.Energy)
 	}
 	var checkpoint func() error // nil: the job does not checkpoint
 	if canSnap && s.cfg.CheckpointDir != "" && ckptEvery > 0 {
 		checkpoint = func() error {
-			return s.writeCheckpoint(j, snapper, done, absAll.State(), eAcc[0].State())
+			done, absM, energy := run.Progress()
+			return s.writeCheckpoint(j, snapper, done, absM, energy)
 		}
 	}
-
-	// sample records one observation in measured-sweep coordinates, so a
-	// resumed chain keeps the emission schedule of an uninterrupted one.
-	sample := func(measured int) {
-		if ens != nil {
-			ens.Measure()
-			cold := ens.Backend(0)
-			m := cold.Magnetization()
-			j.appendSample(encode.Sample{
-				Job: j.id, Sweep: measured,
-				Magnetization: m, AbsMagnetization: math.Abs(m), Energy: cold.Energy(),
-			})
-			return
-		}
-		ms, es := b.Magnetizations(), b.Energies()
-		for lane := range lanes {
-			absM := math.Abs(ms[lane])
-			absAcc[lane].Add(absM)
-			eAcc[lane].Add(es[lane])
-			absAll.Add(absM)
-			j.appendSample(encode.Sample{
-				Job: j.id, Sweep: measured, Lane: lane,
-				Magnetization: ms[lane], AbsMagnetization: absM, Energy: es[lane],
-			})
-		}
+	emit := func(sm encode.Sample) {
+		sm.Job = j.id
+		j.appendSample(sm)
 	}
-	burnIn, total, interval := spec.schedule()
-	start := time.Now()
-	ranHere := 0
-	for done < total {
+	lanes := int64(run.Batch().Lanes())
+	total := run.Total()
+	for done := run.Done(); done < total; done = run.Done() {
 		if j.ctx.Err() != nil {
 			s.interrupted(j, checkpoint)
 			return
@@ -987,18 +920,9 @@ func (s *Server) run(j *Job) {
 			}
 		}
 		n := min(limit-done, maxChunk)
-		for i := 0; i < n; i++ {
-			b.Sweep()
-			done++
-			if ens != nil && done%spec.SwapInterval == 0 {
-				ens.AttemptSwaps()
-			}
-			if measured := done - burnIn; measured > 0 && measured%interval == 0 {
-				sample(measured)
-			}
-		}
-		ranHere += n
-		s.sweepsRun.Add(int64(n) * int64(lanes))
+		run.Sweep(n, emit)
+		done += n
+		s.sweepsRun.Add(int64(n) * lanes)
 		j.setSweepsDone(done)
 		if checkpoint != nil && done < total && done%ckptEvery == 0 && j.ctx.Err() == nil {
 			if err := checkpoint(); err != nil {
@@ -1007,48 +931,7 @@ func (s *Server) run(j *Job) {
 			}
 		}
 	}
-
-	r := &encode.Result{
-		Backend: spec.Backend, Rows: spec.Rows, Cols: spec.Cols,
-		Temperature: spec.Temperature, Seed: spec.Seed,
-		Sweeps: spec.Sweeps, BurnIn: spec.BurnIn,
-	}
-	switch {
-	case ens != nil:
-		r.Temperature = spec.Temperatures[0]
-		encode.Observables(r, ens.Backend(0))
-		encode.Tempering(r, ens.Report())
-		r.Ops = ens.Counts().Ops
-	case eng != nil:
-		encode.Observables(r, eng)
-	default:
-		encode.BatchObservables(r, b, spec.Seed)
-	}
-	// Chains and batches pool every lane's samples at the top level (a
-	// ladder's sample means are its per-rung report); a batch also fills its
-	// lane rows. Every lane samples together, so all or none have samples.
-	if absAll.N() > 0 {
-		var eSum float64
-		for lane := range lanes {
-			eSum += eAcc[lane].Mean()
-			if r.Lanes != nil {
-				r.Lanes[lane].MeanAbsMagnetization = absAcc[lane].Mean()
-				r.Lanes[lane].MeanAbsMagnetizationErr = absAcc[lane].StdErr()
-				r.Lanes[lane].MeanEnergy = eAcc[lane].Mean()
-				r.Lanes[lane].Samples = absAcc[lane].N()
-			}
-		}
-		r.MeanAbsMagnetization = absAll.Mean()
-		r.MeanAbsMagnetizationErr = absAll.StdErr()
-		r.MeanEnergy = eSum / float64(lanes)
-		r.Samples = absAll.N()
-	}
-	elapsed := time.Since(start)
-	r.ElapsedSec = elapsed.Seconds()
-	if ns := float64(elapsed.Nanoseconds()); ns > 0 && ranHere > 0 {
-		r.FlipsPerNs = float64(spec.Rows) * float64(spec.Cols) * float64(ranHere) * float64(lanes) / ns
-	}
-	s.complete(j, r)
+	s.complete(j, run.Result())
 }
 
 // countRun returns the terminal hook of a finished run: it bumps counter and
@@ -1122,15 +1005,6 @@ func (s *Server) interrupted(j *Job, checkpoint func() error) {
 	// survives (the worker may have written one after Cancel removed it).
 	s.removeCheckpoint(j)
 	j.setStateThen(StateCanceled, errCanceled, countOnly(&s.jobsCanceled))
-}
-
-// backendConfig maps a job spec onto the registry's engine configuration.
-func backendConfig(spec JobSpec, temperature float64, seed uint64) backend.Config {
-	return backend.Config{
-		Rows: spec.Rows, Cols: spec.Cols, Temperature: temperature,
-		Seed: seed, Workers: spec.Workers,
-		GridR: spec.GridR, GridC: spec.GridC, Hot: spec.Hot,
-	}
 }
 
 // Workers returns the worker-pool size (for reporting).

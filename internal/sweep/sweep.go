@@ -100,15 +100,6 @@ func Run(cfg Config, newChain func(temperature float64) Chain) []Point {
 	return points
 }
 
-// RunBackends is Run for engines selected through the ising.Backend
-// interface (every Backend reports energy, so the points always carry the
-// mean energy per spin). newBackend must return an independent engine for
-// the given temperature; it is called once per temperature, possibly from
-// different goroutines.
-func RunBackends(cfg Config, newBackend func(temperature float64) ising.Backend) []Point {
-	return Run(cfg, func(temperature float64) Chain { return newBackend(temperature) })
-}
-
 // measure runs one chain and collects its observables.
 func measure(c Config, temp float64, chain Chain) Point {
 	for i := 0; i < c.BurnIn; i++ {

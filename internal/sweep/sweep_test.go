@@ -143,16 +143,16 @@ func TestRunEdgeCases(t *testing.T) {
 	Run(Config{Temperatures: []float64{2.0}}, newCPUChain(8, 1))
 }
 
-// TestRunBackendsSharded drives the mesh-sharded multispin engine through
-// RunBackends across the phase transition: the sweep layer must see it as
-// just another Backend, and its physics must order below Tc and disorder
-// above (each temperature runs its own independent pod).
-func TestRunBackendsSharded(t *testing.T) {
-	points := RunBackends(Config{
+// TestRunShardedBackend drives the mesh-sharded multispin engine through
+// Run across the phase transition: the sweep layer must see it as just
+// another chain, and its physics must order below Tc and disorder above
+// (each temperature runs its own independent pod).
+func TestRunShardedBackend(t *testing.T) {
+	points := Run(Config{
 		Temperatures: []float64{1.8, 3.6},
 		BurnIn:       150,
 		Samples:      150,
-	}, func(temperature float64) ising.Backend {
+	}, func(temperature float64) Chain {
 		e, err := sharded.New(sharded.Config{
 			Rows: 64, Cols: 64, GridR: 2, GridC: 1, Temperature: temperature, Seed: 9,
 		})
