@@ -3,11 +3,10 @@
 // observables, step-time profile and (for the TPU backend) modelled
 // performance. It is the general-purpose CLI over the library.
 //
-// A chain on a host engine, a -replicas batch and a -temper ladder run on
+// A chain on any backend, a -replicas batch and a -temper ladder run on
 // service.Run, the job runner of the isingd daemon, so `-json` prints the
-// encode.Result isingd serves for the same spec. The tpu backend's single
-// chain (-pod, -estimate and the plain run) goes through the simulated-TPU
-// model paths instead.
+// encode.Result isingd serves for the same spec. Only -pod and -estimate,
+// which model the TPU and have no registry engine, leave the runner.
 //
 // Examples:
 //
@@ -28,7 +27,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"tpuising/internal/device/metrics"
 	"tpuising/internal/interconnect"
@@ -202,10 +200,10 @@ func main() {
 		runPod(rows, cols, tileSize, dt, podX, podY, *temp, *seed, *sweeps, *burnin, *profile)
 		return
 	}
-	runSingle(rows, cols, tileSize, dt, alg, perfAlg, *temp, *seed, *sweeps, *burnin, *profile, *jsonOut)
+	runHost(spec, tileSize, dt, alg, *profile, *jsonOut)
 }
 
-// runHost runs a host job — a chain on a host engine, a -replicas batch or a
+// runHost runs a job — a chain on any backend, a -replicas batch or a
 // -temper ladder — on service.Run, the job runner isingd's workers use, so
 // both print the same encode.Result for the same spec: one JSON line with
 // -json, prose otherwise. Lane L of a batch is seeded ising.LaneSeed(seed, L),
@@ -234,6 +232,9 @@ func runHost(spec service.JobSpec, tile int, dt tensor.DType, alg tpu.Algorithm,
 		case chain == nil:
 			fmt.Printf("batched ensemble: %d lanes of backend %s (engine %s), %dx%d lattice, T=%.4f (T/Tc=%.3f)\n",
 				spec.Replicas, spec.Backend, run.Batch().Name(), spec.Rows, spec.Cols, spec.Temperature, spec.Temperature/tc)
+		case spec.Backend == "tpu":
+			fmt.Printf("single core: %dx%d lattice, T=%.4f (T/Tc=%.3f), %v, tile %d\n",
+				spec.Rows, spec.Cols, spec.Temperature, spec.Temperature/tc, alg, tile)
 		case spec.Backend == "sharded":
 			fmt.Printf("backend %s: %dx%d lattice over a %dx%d shard mesh (%d cores), T=%.4f (T/Tc=%.3f)\n",
 				chain.Name(), spec.Rows, spec.Cols, spec.GridR, spec.GridC, spec.GridR*spec.GridC, spec.Temperature, spec.Temperature/tc)
@@ -299,7 +300,22 @@ func runHost(spec service.JobSpec, tile int, dt tensor.DType, alg tpu.Algorithm,
 		if r.FlipsPerNs > 0 {
 			fmt.Printf("measured host throughput: %.4f flips/ns (%.3f ms/sweep)\n", r.FlipsPerNs, msPerSweep)
 		}
-		if profile {
+		switch {
+		case profile && spec.Backend == "tpu":
+			// Every sweep does the same device work, so the per-sweep
+			// counters of the whole run, burn-in included, feed the model.
+			perSweep := perSweepCounts(run.Batch().Counts(), run.Done())
+			model := perf.DefaultModel()
+			if alg == tpu.AlgConv {
+				model = model.ForConv()
+			}
+			b := model.StepBreakdown(perSweep, 1)
+			fmt.Printf("device work per sweep: %v\n", perSweep)
+			fmt.Printf("modelled TPU v3 step: %.3f ms (MXU %.1f%%, VPU %.1f%%, format %.1f%%)\n",
+				b.StepSec()*1e3, pct(b.MXUSec, b.StepSec()), pct(b.VPUSec, b.StepSec()), pct(b.FormatSec, b.StepSec()))
+			fmt.Printf("modelled throughput: %.2f flips/ns\n",
+				perf.Throughput(float64(spec.Rows)*float64(spec.Cols), b.StepSec()))
+		case profile:
 			fmt.Printf("work counters: %v\n", run.Batch().Counts())
 			if spec.Backend == "sharded" {
 				rep := perf.ShardTraffic(perf.ShardSpec{Rows: spec.Rows, Cols: spec.Cols, GridR: spec.GridR, GridC: spec.GridC},
@@ -411,54 +427,6 @@ func parseShards(s string) (gridR, gridC int, err error) {
 	return gridR, gridC, nil
 }
 
-func runSingle(rows, cols, tile int, dt tensor.DType, alg tpu.Algorithm, perfAlg perf.Algorithm,
-	temp float64, seed uint64, sweeps, burnin int, profile, jsonOut bool) {
-	sim := tpu.NewSimulator(tpu.Config{
-		Rows: rows, Cols: cols, Temperature: temp, TileSize: tile,
-		DType: dt, Algorithm: alg, Seed: seed,
-	})
-	if !jsonOut {
-		fmt.Printf("single core: %dx%d lattice, T=%.4f (T/Tc=%.3f), %v, tile %d\n",
-			rows, cols, temp, temp/ising.CriticalTemperature(), alg, tile)
-	}
-	sim.Run(burnin)
-	sim.ResetCounts()
-	start := time.Now()
-	sim.Run(sweeps)
-	if jsonOut {
-		r := encode.Result{Backend: sim.Name(), Rows: rows, Cols: cols,
-			Temperature: temp, Seed: seed, Sweeps: sweeps, BurnIn: burnin}
-		encode.Observables(&r, sim)
-		elapsed := time.Since(start)
-		r.ElapsedSec = elapsed.Seconds()
-		if sweeps > 0 && elapsed > 0 {
-			// Wall-clock speed of the simulator on this host, like the other
-			// backends — NOT the modelled TPU throughput (-profile/-estimate
-			// report that).
-			r.FlipsPerNs = float64(rows) * float64(cols) * float64(sweeps) / float64(elapsed.Nanoseconds())
-		}
-		if err := encode.WriteLine(os.Stdout, r); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	fmt.Printf("after %d sweeps: m = %+.5f, |m| = %.5f, E/spin = %.5f\n",
-		burnin+sweeps, sim.Magnetization(), abs(sim.Magnetization()), sim.Energy())
-	if profile {
-		perSweep := perSweepCounts(sim.Counts(), sweeps)
-		model := perf.DefaultModel()
-		if perfAlg == perf.AlgConv {
-			model = model.ForConv()
-		}
-		b := model.StepBreakdown(perSweep, 1)
-		fmt.Printf("device work per sweep: %v\n", perSweep)
-		fmt.Printf("modelled TPU v3 step: %.3f ms (MXU %.1f%%, VPU %.1f%%, format %.1f%%)\n",
-			b.StepSec()*1e3, pct(b.MXUSec, b.StepSec()), pct(b.VPUSec, b.StepSec()), pct(b.FormatSec, b.StepSec()))
-		fmt.Printf("modelled throughput: %.2f flips/ns\n",
-			perf.Throughput(float64(rows)*float64(cols), b.StepSec()))
-	}
-}
-
 func runPod(rows, cols, tile int, dt tensor.DType, podX, podY int,
 	temp float64, seed uint64, sweeps, burnin int, profile bool) {
 	cfg := tpu.DistConfig{
@@ -519,13 +487,6 @@ func dtName(d tensor.DType) string {
 		return "bfloat16"
 	}
 	return "float32"
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func pct(part, whole float64) float64 {

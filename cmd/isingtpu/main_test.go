@@ -158,6 +158,15 @@ func TestJSONOutputSharesServiceEncoding(t *testing.T) {
 	sameResult(t, "chain", r, daemonResult(t, service.JobSpec{Backend: "multispin", Rows: 16, Cols: 64,
 		Temperature: 2.4, Sweeps: 50, BurnIn: 10, Seed: 3}))
 
+	// The default tpu backend's chain runs on the same runner: its ops count
+	// the burn-in and it carries the sample fields.
+	tp := cliResult(t, bin, "-json", "-size", "16", "-temp", "2.4", "-sweeps", "6", "-burnin", "2", "-seed", "3")
+	if tp.Backend != "tpu" || tp.Ops != 576 || tp.Samples != 1 {
+		t.Fatalf("-json tpu result: %+v", tp)
+	}
+	sameResult(t, "tpu chain", tp, daemonResult(t, service.JobSpec{Backend: "tpu", Rows: 16, Cols: 16,
+		Temperature: 2.4, Sweeps: 6, BurnIn: 2, Seed: 3}))
+
 	// -json also covers replica exchange, with the per-temperature rows; the
 	// burn-in of 15 rounds up to two whole swap rounds of 10.
 	tr := cliResult(t, bin, "-json", "-temper", "4:2.0,2.6", "-backend", "checkerboard",
@@ -177,6 +186,54 @@ func TestJSONOutputSharesServiceEncoding(t *testing.T) {
 	}
 	if out, err := exec.Command(bin, "-json", "-estimate", "-size", "256").CombinedOutput(); err == nil {
 		t.Fatalf("-json -estimate should fail:\n%s", out)
+	}
+}
+
+// TestTPUProfileLines pins the modelled lines of the tpu backend's -profile
+// report for every update kernel: every sweep does the same device work, so
+// the per-sweep counters, the modelled step and the modelled throughput do
+// not depend on how many sweeps the run counts.
+func TestTPUProfileLines(t *testing.T) {
+	bin := buildCLI(t)
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-algorithm", "optim"}, []string{
+			"device work per sweep: Counts{MACs=16777216 VPU=69632 fmtB=352256 hbmB=1269760 commB=0 commEv=0 ops=72}",
+			"modelled TPU v3 step: 0.234 ms (MXU 1.5%, VPU 0.0%, format 98.5%)",
+			"modelled throughput: 0.02 flips/ns",
+		}},
+		{[]string{"-algorithm", "naive"}, []string{
+			"device work per sweep: Counts{MACs=33554432 VPU=147456 fmtB=1277952 hbmB=3178496 commB=0 commEv=0 ops=50}",
+			"modelled TPU v3 step: 0.169 ms (MXU 4.1%, VPU 0.1%, format 95.9%)",
+			"modelled throughput: 0.02 flips/ns",
+		}},
+		{[]string{"-algorithm", "conv"}, []string{
+			"device work per sweep: Counts{MACs=32768 VPU=139264 fmtB=0 hbmB=786432 commB=0 commEv=0 ops=20}",
+			"modelled TPU v3 step: 0.064 ms (MXU 0.2%, VPU 0.1%, format 99.7%)",
+			"modelled throughput: 0.06 flips/ns",
+		}},
+		{[]string{"-algorithm", "conv", "-dtype", "float32"}, []string{
+			"device work per sweep: Counts{MACs=32768 VPU=139264 fmtB=0 hbmB=1572864 commB=0 commEv=0 ops=20}",
+			"modelled TPU v3 step: 0.064 ms (MXU 0.2%, VPU 0.1%, format 99.7%)",
+			"modelled throughput: 0.06 flips/ns",
+		}},
+	} {
+		args := append([]string{"-size", "64", "-temp", "2.4", "-sweeps", "3", "-burnin", "1", "-seed", "3", "-profile"}, tc.args...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("isingtpu %v: %v\n%s", args, err, out)
+		}
+		var got []string
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "device work per sweep") || strings.HasPrefix(line, "modelled ") {
+				got = append(got, line)
+			}
+		}
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("isingtpu %v modelled lines:\n%s\nwant:\n%s", args, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+		}
 	}
 }
 
@@ -290,9 +347,6 @@ func TestPerSweepCounts(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if abs(-2) != 2 || abs(3) != 3 {
-		t.Fatal("abs")
-	}
 	if pct(1, 4) != 25 || pct(1, 0) != 0 {
 		t.Fatal("pct")
 	}

@@ -7,19 +7,13 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/tpu"
 	"tpuising/internal/sweep"
 	"tpuising/internal/tensor"
 )
-
-// chain adapts the TPU simulator to the sweep driver.
-type chain struct{ sim *tpu.Simulator }
-
-func (c chain) Sweep()                 { c.sim.Sweep() }
-func (c chain) Magnetization() float64 { return c.sim.Magnetization() }
-func (c chain) Energy() float64        { return c.sim.Energy() }
 
 func main() {
 	tc := ising.CriticalTemperature()
@@ -35,13 +29,17 @@ func main() {
 	for _, size := range sizes {
 		size := size
 		fmt.Printf("sweeping %d temperatures on the %dx%d lattice...\n", len(temperatures), size, size)
-		curves[size] = sweep.Run(cfg, func(temperature float64) sweep.Chain {
-			return chain{tpu.NewSimulator(tpu.Config{
+		points, err := sweep.Run(cfg, func(temperature float64) (ising.Backend, error) {
+			return tpu.NewSimulator(tpu.Config{
 				Rows: size, Cols: size, Temperature: temperature,
 				TileSize: 8, DType: tensor.BFloat16, Algorithm: tpu.AlgOptim,
 				Seed: uint64(1000 + size),
-			})}
+			}), nil
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		curves[size] = points
 	}
 
 	fmt.Println("\n  T/Tc    |m| (16)   U4 (16)   |m| (48)   U4 (48)   Onsager |m|")

@@ -49,12 +49,20 @@ func (c CorrectnessConfig) withDefaults() CorrectnessConfig {
 	return out
 }
 
-// tpuChain adapts the single-core TPU simulator to the sweep.Chain interface.
-type tpuChain struct{ sim *tpu.Simulator }
-
-func (c tpuChain) Sweep()                 { c.sim.Sweep() }
-func (c tpuChain) Magnetization() float64 { return c.sim.Magnetization() }
-func (c tpuChain) Energy() float64        { return c.sim.Energy() }
+// tpuSweep runs the temperature sweep cfg over single-core TPU simulators
+// configured as sim at each temperature. Simulators of one size always form
+// a batch, so an error here is a programming error.
+func tpuSweep(cfg sweep.Config, sim tpu.Config) []sweep.Point {
+	points, err := sweep.Run(cfg, func(temperature float64) (ising.Backend, error) {
+		c := sim
+		c.Temperature = temperature
+		return tpu.NewSimulator(c), nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
+	}
+	return points
+}
 
 // correctnessFigure runs the magnetisation/Binder study with the given update
 // algorithm (Algorithm 2 for Figure 4, the conv variant for Figure 7).
@@ -74,16 +82,13 @@ func correctnessFigure(id, title string, alg tpu.Algorithm, cfg CorrectnessConfi
 			if dtype == tensor.BFloat16 {
 				dtypeName = "bfloat16"
 			}
-			points := sweep.Run(sweep.Config{
+			points := tpuSweep(sweep.Config{
 				Temperatures: c.Temperatures,
 				BurnIn:       c.BurnIn,
 				Samples:      c.Samples,
-			}, func(temperature float64) sweep.Chain {
-				return tpuChain{tpu.NewSimulator(tpu.Config{
-					Rows: size, Cols: size, Temperature: temperature,
-					TileSize: c.TileSize, DType: dtype, Algorithm: alg,
-					Seed: c.Seed + uint64(size),
-				})}
+			}, tpu.Config{
+				Rows: size, Cols: size, TileSize: c.TileSize, DType: dtype, Algorithm: alg,
+				Seed: c.Seed + uint64(size),
 			})
 			for _, p := range points {
 				t.AddRow(fmt.Sprintf("%dx%d", size, size), dtypeName,
@@ -201,13 +206,9 @@ func PrecisionComparison(size, tile, burnIn, samples int, seed uint64) *Table {
 	tc := ising.CriticalTemperature()
 	temps := []float64{0.85 * tc, tc, 1.15 * tc}
 	run := func(dtype tensor.DType) []sweep.Point {
-		return sweep.Run(sweep.Config{Temperatures: temps, BurnIn: burnIn, Samples: samples},
-			func(temperature float64) sweep.Chain {
-				return tpuChain{tpu.NewSimulator(tpu.Config{
-					Rows: size, Cols: size, Temperature: temperature,
-					TileSize: tile, DType: dtype, Algorithm: tpu.AlgOptim, Seed: seed,
-				})}
-			})
+		return tpuSweep(sweep.Config{Temperatures: temps, BurnIn: burnIn, Samples: samples}, tpu.Config{
+			Rows: size, Cols: size, TileSize: tile, DType: dtype, Algorithm: tpu.AlgOptim, Seed: seed,
+		})
 	}
 	f32 := run(tensor.Float32)
 	bf16 := run(tensor.BFloat16)

@@ -1,7 +1,6 @@
 package backend_test
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -69,21 +68,18 @@ func TestAliasesAndErrors(t *testing.T) {
 // and the energy per spin.
 func measureBackend(t *testing.T, name string, temp float64, burnIn, samples int) (absM, energy float64) {
 	t.Helper()
-	points := sweep.Run(sweep.Config{
+	points, err := sweep.Run(sweep.Config{
 		Temperatures: []float64{temp},
 		BurnIn:       burnIn,
 		Samples:      samples,
-	}, func(temperature float64) sweep.Chain {
-		eng, err := backend.New(name, backend.Config{
+	}, func(temperature float64) (ising.Backend, error) {
+		return backend.New(name, backend.Config{
 			Rows: 64, Cols: 64, Temperature: temperature, Seed: 2026,
 		})
-		if err != nil {
-			// The closure runs on a sweep worker goroutine, where t.Fatalf
-			// must not be called; a panic still fails the test loudly.
-			panic(fmt.Sprintf("New(%q): %v", name, err))
-		}
-		return eng
 	})
+	if err != nil {
+		t.Fatalf("New(%q): %v", name, err)
+	}
 	return points[0].AbsMagnetization, points[0].Energy
 }
 

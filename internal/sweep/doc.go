@@ -4,9 +4,9 @@
 // over a grid of temperatures around the critical point, for several lattice
 // sizes and both precisions.
 //
-// Run simulates every temperature as an independent chain (one engine per
-// grid point, embarrassingly parallel); internal/tempering couples a grid
-// into a replica-exchange ladder instead. BinderCrossing locates the Tc
+// Run simulates every temperature as an independent chain: one engine per
+// grid point, swept together as the lanes of one ising.NewBatchOf batch.
+// internal/tempering couples a grid into a replica-exchange ladder instead. BinderCrossing locates the Tc
 // estimate where two lattice sizes' U4(T) curves intersect — the validation
 // described in docs/PHYSICS.md.
 package sweep

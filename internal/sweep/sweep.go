@@ -2,31 +2,12 @@ package sweep
 
 import (
 	"fmt"
-	"runtime"
+	"math"
 	"sort"
-	"sync"
 
 	"tpuising/internal/ising"
 	"tpuising/internal/stats"
 )
-
-// Chain is one Markov chain at a fixed temperature. All the samplers in this
-// repository (the TPU simulators, the CPU checkerboard and Metropolis
-// baselines, the GPU-style baseline and the multispin engine) satisfy it;
-// every ising.Backend is a Chain (and an EnergyChain).
-type Chain interface {
-	// Sweep advances the chain by one whole-lattice update.
-	Sweep()
-	// Magnetization returns the current magnetisation per spin.
-	Magnetization() float64
-}
-
-// EnergyChain is optionally implemented by chains that can also report the
-// energy per spin.
-type EnergyChain interface {
-	Chain
-	Energy() float64
-}
 
 // Config describes one temperature sweep.
 type Config struct {
@@ -39,21 +20,6 @@ type Config struct {
 	// Interval is the number of sweeps between successive measurements
 	// (defaults to 1).
 	Interval int
-	// Parallel is the number of temperatures simulated concurrently
-	// (defaults to GOMAXPROCS). Each temperature runs its own independent
-	// chain, so parallelism does not change any result.
-	Parallel int
-}
-
-func (c Config) withDefaults() Config {
-	out := c
-	if out.Interval <= 0 {
-		out.Interval = 1
-	}
-	if out.Parallel <= 0 {
-		out.Parallel = runtime.GOMAXPROCS(0)
-	}
-	return out
 }
 
 // Point is the measurement at one temperature.
@@ -66,75 +32,68 @@ type Point struct {
 	AbsMagnetizationErr float64
 	// Binder is the Binder parameter U4 = 1 - <m^4>/(3<m^2>^2).
 	Binder float64
-	// Energy is the sample mean energy per spin (0 if the chain cannot
-	// report it).
+	// Energy is the sample mean energy per spin.
 	Energy float64
 	// Samples is the number of measurements behind the point.
 	Samples int
 }
 
-// Run sweeps the temperature grid. newChain must return an independent chain
-// equilibrated-from-scratch for the given temperature; it is called once per
-// temperature, possibly from different goroutines.
-func Run(cfg Config, newChain func(temperature float64) Chain) []Point {
-	c := cfg.withDefaults()
-	if len(c.Temperatures) == 0 {
-		return nil
+// Run sweeps the temperature grid. newChain must return a fresh, independent
+// chain for the given temperature, of one engine type and lattice size for
+// every temperature; Run calls it once per temperature, in grid order, on the
+// caller's goroutine, and returns its first error. The chains run as the
+// lanes of one ising.NewBatchOf batch, which sweeps them in parallel; the
+// lanes are independent, so parallelism never changes a result.
+func Run(cfg Config, newChain func(temperature float64) (ising.Backend, error)) ([]Point, error) {
+	if len(cfg.Temperatures) == 0 {
+		return nil, nil
 	}
-	if c.Samples <= 0 {
-		panic("sweep: Samples must be positive")
+	if cfg.Samples <= 0 {
+		return nil, fmt.Errorf("sweep: Samples must be positive, got %d", cfg.Samples)
 	}
-	points := make([]Point, len(c.Temperatures))
-	sem := make(chan struct{}, c.Parallel)
-	var wg sync.WaitGroup
-	for i, temp := range c.Temperatures {
-		wg.Add(1)
-		go func(i int, temp float64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			points[i] = measure(c, temp, newChain(temp))
-		}(i, temp)
-	}
-	wg.Wait()
-	return points
-}
-
-// measure runs one chain and collects its observables.
-func measure(c Config, temp float64, chain Chain) Point {
-	for i := 0; i < c.BurnIn; i++ {
-		chain.Sweep()
-	}
-	ms := make([]float64, 0, c.Samples)
-	abs := make([]float64, 0, c.Samples)
-	var energy float64
-	energyChain, hasEnergy := chain.(EnergyChain)
-	for i := 0; i < c.Samples; i++ {
-		for j := 0; j < c.Interval; j++ {
-			chain.Sweep()
+	interval := max(cfg.Interval, 1)
+	lanes := make([]ising.Backend, len(cfg.Temperatures))
+	for i, temp := range cfg.Temperatures {
+		chain, err := newChain(temp)
+		if err != nil {
+			return nil, err
 		}
-		m := chain.Magnetization()
-		ms = append(ms, m)
-		if m < 0 {
-			abs = append(abs, -m)
-		} else {
-			abs = append(abs, m)
+		lanes[i] = chain
+	}
+	batch, err := ising.NewBatchOf(lanes, 0)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < cfg.BurnIn; i++ {
+		batch.Sweep()
+	}
+	ms := make([][]float64, len(lanes))
+	abs := make([][]float64, len(lanes))
+	energy := make([]float64, len(lanes))
+	for s := 0; s < cfg.Samples; s++ {
+		for j := 0; j < interval; j++ {
+			batch.Sweep()
 		}
-		if hasEnergy {
-			energy += energyChain.Energy()
+		for i, m := range batch.Magnetizations() {
+			ms[i] = append(ms[i], m)
+			abs[i] = append(abs[i], math.Abs(m))
+		}
+		for i, e := range batch.Energies() {
+			energy[i] += e
 		}
 	}
-	p := Point{
-		Temperature:         temp,
-		AbsMagnetization:    stats.Mean(abs),
-		AbsMagnetizationErr: stats.StdErr(abs),
-		Binder:              stats.Binder(ms),
-		Samples:             c.Samples,
+	points := make([]Point, len(lanes))
+	for i, temp := range cfg.Temperatures {
+		points[i] = Point{
+			Temperature:         temp,
+			AbsMagnetization:    stats.Mean(abs[i]),
+			AbsMagnetizationErr: stats.StdErr(abs[i]),
+			Binder:              stats.Binder(ms[i]),
+			Energy:              energy[i] / float64(cfg.Samples),
+			Samples:             cfg.Samples,
+		}
 	}
-	if hasEnergy {
-		p.Energy = energy / float64(c.Samples)
-	}
-	return p
+	return points, nil
 }
 
 // TemperatureGrid returns n evenly spaced temperatures in [lo, hi].

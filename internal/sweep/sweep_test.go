@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -9,19 +10,20 @@ import (
 	"tpuising/internal/ising/sharded"
 )
 
-// cpuChain adapts the CPU checkerboard sampler to the Chain interface.
-type cpuChain struct {
-	s *checkerboard.Sampler
+func newCPUChain(l int, seed uint64) func(float64) (ising.Backend, error) {
+	return func(temperature float64) (ising.Backend, error) {
+		return checkerboard.NewSampler(ising.NewLattice(l, l), temperature, seed), nil
+	}
 }
 
-func (c cpuChain) Sweep()                 { c.s.Sweep() }
-func (c cpuChain) Magnetization() float64 { return c.s.Lattice.Magnetization() }
-func (c cpuChain) Energy() float64        { return c.s.Lattice.Energy() }
-
-func newCPUChain(l int, seed uint64) func(float64) Chain {
-	return func(temperature float64) Chain {
-		return cpuChain{checkerboard.NewSampler(ising.NewLattice(l, l), temperature, seed)}
+// mustRun is Run for configurations that cannot fail.
+func mustRun(t *testing.T, cfg Config, newChain func(float64) (ising.Backend, error)) []Point {
+	t.Helper()
+	points, err := Run(cfg, newChain)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return points
 }
 
 func TestTemperatureGrid(t *testing.T) {
@@ -63,7 +65,7 @@ func TestRunPhaseTransitionShape(t *testing.T) {
 		BurnIn:       300,
 		Samples:      200,
 	}
-	points := Run(cfg, newCPUChain(16, 11))
+	points := mustRun(t, cfg, newCPUChain(16, 11))
 	if len(points) != 2 {
 		t.Fatalf("got %d points", len(points))
 	}
@@ -93,34 +95,48 @@ func TestRunMatchesOnsagerBelowTc(t *testing.T) {
 	// exact Onsager spontaneous magnetisation closely even on a small lattice.
 	temp := 1.5
 	cfg := Config{Temperatures: []float64{temp}, BurnIn: 400, Samples: 300}
-	p := Run(cfg, newCPUChain(24, 3))[0]
+	p := mustRun(t, cfg, newCPUChain(24, 3))[0]
 	exact := ising.OnsagerMagnetization(temp)
 	if math.Abs(p.AbsMagnetization-exact) > 0.02 {
 		t.Fatalf("|m|=%.4f at T=%.2f, Onsager gives %.4f", p.AbsMagnetization, temp, exact)
 	}
 }
 
-func TestRunParallelEqualsSerial(t *testing.T) {
-	temps := CriticalWindow(0.3, 4)
-	run := func(parallel int) []Point {
-		return Run(Config{
-			Temperatures: temps, BurnIn: 20, Samples: 30, Parallel: parallel,
-		}, newCPUChain(8, 7))
+// TestRunGolden pins every field of a 3-temperature checkerboard 8x8 scan,
+// bit for bit. Run it under -cpu 1,4: lane parallelism must never change a
+// result.
+func TestRunGolden(t *testing.T) {
+	points := mustRun(t, Config{
+		Temperatures: []float64{1.8, 2.4, 3.2}, BurnIn: 20, Samples: 30, Interval: 2,
+	}, newCPUChain(8, 17))
+	want := []struct {
+		temperature, absM, absMErr, binder, energy uint64
+		samples                                    int
+	}{
+		{0x3ffccccccccccccd, 0x3fee444444444444, 0x3f86f6a7914dc98c, 0x3fe52b59db8e54fe, 0xbffd555555555555, 30},
+		{0x4003333333333333, 0x3fe2888888888889, 0x3fa9a9e34dead7c5, 0x3fdfb1ac2ae3eb3c, 0xbff34ccccccccccd, 30},
+		{0x400999999999999a, 0x3fd3333333333333, 0x3fa1aea6c3eb10a9, 0x3fd0d4e09c3a4bb4, 0xbfe7222222222222, 30},
 	}
-	serial := run(1)
-	parallel := run(4)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("point %d differs between serial and parallel runs:\n%+v\n%+v",
-				i, serial[i], parallel[i])
+	if len(points) != len(want) {
+		t.Fatalf("got %d points, want %d", len(points), len(want))
+	}
+	for i, p := range points {
+		w := want[i]
+		if math.Float64bits(p.Temperature) != w.temperature ||
+			math.Float64bits(p.AbsMagnetization) != w.absM ||
+			math.Float64bits(p.AbsMagnetizationErr) != w.absMErr ||
+			math.Float64bits(p.Binder) != w.binder ||
+			math.Float64bits(p.Energy) != w.energy ||
+			p.Samples != w.samples {
+			t.Errorf("point %d = %+v, want bits %#x", i, p, w)
 		}
 	}
 }
 
 func TestRunDeterministicAndOrderPreserving(t *testing.T) {
 	temps := []float64{3.0, 1.5, 2.2}
-	a := Run(Config{Temperatures: temps, BurnIn: 10, Samples: 20}, newCPUChain(8, 5))
-	b := Run(Config{Temperatures: temps, BurnIn: 10, Samples: 20}, newCPUChain(8, 5))
+	a := mustRun(t, Config{Temperatures: temps, BurnIn: 10, Samples: 20}, newCPUChain(8, 5))
+	b := mustRun(t, Config{Temperatures: temps, BurnIn: 10, Samples: 20}, newCPUChain(8, 5))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seeds should give identical sweeps")
@@ -132,15 +148,17 @@ func TestRunDeterministicAndOrderPreserving(t *testing.T) {
 }
 
 func TestRunEdgeCases(t *testing.T) {
-	if out := Run(Config{Samples: 5}, newCPUChain(8, 1)); out != nil {
+	if out := mustRun(t, Config{Samples: 5}, newCPUChain(8, 1)); out != nil {
 		t.Fatal("no temperatures should give nil")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero samples")
-		}
-	}()
-	Run(Config{Temperatures: []float64{2.0}}, newCPUChain(8, 1))
+	if _, err := Run(Config{Temperatures: []float64{2.0}}, newCPUChain(8, 1)); err == nil {
+		t.Fatal("zero samples should fail")
+	}
+	build := errors.New("no engine")
+	if _, err := Run(Config{Temperatures: []float64{2.0}, Samples: 1},
+		func(float64) (ising.Backend, error) { return nil, build }); !errors.Is(err, build) {
+		t.Fatalf("a chain constructor's error should be returned, got %v", err)
+	}
 }
 
 // TestRunShardedBackend drives the mesh-sharded multispin engine through
@@ -148,19 +166,18 @@ func TestRunEdgeCases(t *testing.T) {
 // another chain, and its physics must order below Tc and disorder above
 // (each temperature runs its own independent pod).
 func TestRunShardedBackend(t *testing.T) {
-	points := Run(Config{
+	points, err := Run(Config{
 		Temperatures: []float64{1.8, 3.6},
 		BurnIn:       150,
 		Samples:      150,
-	}, func(temperature float64) Chain {
-		e, err := sharded.New(sharded.Config{
+	}, func(temperature float64) (ising.Backend, error) {
+		return sharded.New(sharded.Config{
 			Rows: 64, Cols: 64, GridR: 2, GridC: 1, Temperature: temperature, Seed: 9,
 		})
-		if err != nil {
-			panic(err)
-		}
-		return e
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if points[0].AbsMagnetization < 0.9 {
 		t.Errorf("sharded |m| at T=1.8 = %.3f, want ordered (> 0.9)", points[0].AbsMagnetization)
 	}
@@ -178,8 +195,8 @@ func TestBinderCrossingNearTc(t *testing.T) {
 	tc := ising.CriticalTemperature()
 	temps := TemperatureGrid(0.85*tc, 1.15*tc, 7)
 	cfg := Config{Temperatures: temps, BurnIn: 400, Samples: 400}
-	small := Run(cfg, newCPUChain(8, 21))
-	large := Run(cfg, newCPUChain(24, 22))
+	small := mustRun(t, cfg, newCPUChain(8, 21))
+	large := mustRun(t, cfg, newCPUChain(24, 22))
 	cross, err := BinderCrossing(small, large)
 	if err != nil {
 		t.Fatal(err)

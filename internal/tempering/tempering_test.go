@@ -287,16 +287,15 @@ func TestNewValidation(t *testing.T) {
 func TestLadderMatchesIndependentChainsAwayFromTc(t *testing.T) {
 	const rows, cols, seed, swapInterval, burnIn, samples = 32, 64, 11, 3, 60, 120
 	temps := []float64{1.9, 3.4}
-	indep := sweep.Run(sweep.Config{Temperatures: temps, BurnIn: burnIn, Samples: samples},
-		func(temperature float64) sweep.Chain {
-			b, err := backend.New("multispin", backend.Config{
+	indep, err := sweep.Run(sweep.Config{Temperatures: temps, BurnIn: burnIn, Samples: samples},
+		func(temperature float64) (ising.Backend, error) {
+			return backend.New("multispin", backend.Config{
 				Rows: rows, Cols: cols, Temperature: temperature, Seed: seed,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ens, err := New(Config{Temperatures: temps, SwapInterval: swapInterval, Seed: 5},
 		multispinLadder(t, rows, cols, seed, 0))
 	if err != nil {
