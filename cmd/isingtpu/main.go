@@ -97,7 +97,14 @@ func main() {
 	}
 	tileSize := *tile
 	if tileSize == 0 {
-		tileSize = backend.DefaultTile(rows, cols)
+		// The tpu kernel tiles each core's lattice. A -pod run splits the
+		// global lattice into rows/podY x cols/podX per core; -estimate
+		// already takes -size per core.
+		coreRows, coreCols := rows, cols
+		if podX*podY > 1 && !*estimate {
+			coreRows, coreCols = rows/podY, cols/podX
+		}
+		tileSize = backend.DefaultTile(coreRows, coreCols)
 	}
 
 	set := map[string]bool{}
@@ -443,9 +450,11 @@ func runPod(rows, cols, tile int, dt tensor.DType, podX, podY int,
 	d.Run(burnin)
 	d.ResetCounts()
 	d.Run(sweeps)
+	// Read the counters before the observables, whose all-reduce is
+	// measurement, not sweep work.
+	perCore, total := d.Counts()
 	fmt.Printf("after %d sweeps: m = %+.5f, E/spin = %.5f\n", burnin+sweeps, d.Magnetization(), d.Energy())
 	if profile {
-		perCore, total := d.Counts()
 		perSweep := perSweepCounts(perCore, sweeps)
 		b := perf.DefaultModel().StepBreakdown(perSweep, d.NumCores())
 		fmt.Printf("per-core work per sweep: %v\n", perSweep)

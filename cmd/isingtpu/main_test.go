@@ -192,7 +192,12 @@ func TestJSONOutputSharesServiceEncoding(t *testing.T) {
 // TestTPUProfileLines pins the modelled lines of the tpu backend's -profile
 // report for every update kernel: every sweep does the same device work, so
 // the per-sweep counters, the modelled step and the modelled throughput do
-// not depend on how many sweeps the run counts.
+// not depend on how many sweeps the run counts. The -pod cases run with the
+// default tile, which must come from the 32x32 per-core lattice (the global
+// 64x64 one gives a tile the cores cannot hold), and their per-sweep
+// counters must hold no observable traffic: the final magnetisation and
+// energy all-reduce is not sweep work, so a run of zero measured sweeps
+// reports zero counters.
 func TestTPUProfileLines(t *testing.T) {
 	bin := buildCLI(t)
 	for _, tc := range []struct {
@@ -219,6 +224,14 @@ func TestTPUProfileLines(t *testing.T) {
 			"modelled TPU v3 step: 0.064 ms (MXU 0.2%, VPU 0.1%, format 99.7%)",
 			"modelled throughput: 0.06 flips/ns",
 		}},
+		{[]string{"-pod", "2x2"}, []string{
+			"per-core work per sweep: Counts{MACs=16777216 VPU=17408 fmtB=155648 hbmB=614400 commB=256 commEv=8 ops=72}",
+			"modelled step: 0.443 ms, collective permute 0.209 ms, throughput 0.01 flips/ns",
+		}},
+		{[]string{"-pod", "2x2", "-sweeps", "0", "-burnin", "3"}, []string{
+			"per-core work per sweep: Counts{MACs=0 VPU=0 fmtB=0 hbmB=0 commB=0 commEv=0 ops=0}",
+			"modelled step: 0.000 ms, collective permute 0.000 ms, throughput 0.00 flips/ns",
+		}},
 	} {
 		args := append([]string{"-size", "64", "-temp", "2.4", "-sweeps", "3", "-burnin", "1", "-seed", "3", "-profile"}, tc.args...)
 		out, err := exec.Command(bin, args...).CombinedOutput()
@@ -227,7 +240,8 @@ func TestTPUProfileLines(t *testing.T) {
 		}
 		var got []string
 		for _, line := range strings.Split(string(out), "\n") {
-			if strings.HasPrefix(line, "device work per sweep") || strings.HasPrefix(line, "modelled ") {
+			if strings.HasPrefix(line, "device work per sweep") || strings.HasPrefix(line, "per-core work per sweep") ||
+				strings.HasPrefix(line, "modelled ") {
 				got = append(got, line)
 			}
 		}

@@ -6,7 +6,7 @@
 // arXiv:1906.06297). Where internal/ising/multispin packs 64 *columns* of one
 // chain per word, this engine packs 64 *chains* per word — the neighbour
 // words of a site carry the neighbours of all lanes at once, so one pass of
-// the shared bit-sliced classifier (multispin.DisagreeClasses) updates the
+// the shared bit-sliced classifier (multispin.Flips) updates the
 // whole ensemble with no cross-column shifting at all.
 //
 // Lane L draws through its own Philox key derived from

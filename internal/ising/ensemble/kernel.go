@@ -168,9 +168,7 @@ func (k *Kernel) applyGroup(row, north, south []uint64, westWord, eastWord uint6
 		if c > 0 {
 			west = row[c-1]
 		}
-		ge2, one, zero := multispin.DisagreeClasses(
-			cur^north[c], cur^south[c], cur^east, cur^west)
-		row[c] = cur ^ ((ge2 | one&a4[j] | zero&a8[j]) & k.laneMask)
+		row[c] = cur ^ multispin.Flips(cur^north[c], cur^south[c], cur^east, cur^west, a4[j], a8[j])&k.laneMask
 	}
 }
 

@@ -99,32 +99,25 @@ func (k *Kernel) SetThresholds(th Thresholds) {
 	k.T4, k.T8 = th.T4, th.T8
 }
 
-// DisagreeClasses bit-slices the four neighbour-disagreement masks of 64
-// sites (or, in the lane-packed ensemble engine, of 64 independent chains at
-// one site) into the three Metropolis acceptance classes: ge2 marks sites
-// with >= 2 disagreeing neighbours (always accept), one marks exactly one
-// (accept with probability exp(-4 beta)) and zero marks none (accept with
-// probability exp(-8 beta)). It is the shared core of every bit-packed
-// engine's hot loop — this package's row kernel on every shard grid (the
-// single core included) and internal/ising/ensemble's lane kernel both
-// classify through it.
-func DisagreeClasses(d1, d2, d3, d4 uint64) (ge2, one, zero uint64) {
-	// Bit-sliced sum of the four d-bits into a 3-bit count per site.
-	h0, c0 := d1^d2, d1&d2
-	h1, c1 := d3^d4, d3&d4
-	low := h0 ^ h1
-	ca := h0 & h1
-	mid := c0 ^ c1 ^ ca
-	hi := (c0 & c1) | (ca & (c0 ^ c1))
-	ge2 = mid | hi
-	one = low &^ mid &^ hi
-	zero = ^(low | mid | hi)
-	return ge2, one, zero
+// Flips is the Metropolis classifier of every bit-packed engine's hot loop
+// (this package's row kernel and internal/ising/ensemble's lane kernel):
+// from the neighbour-disagreement masks d1..d4 of 64 sites (or of 64 chains
+// at one site) and their accept masks it returns the sites that flip: those
+// with >= 2 disagreeing neighbours, or one and their a4 bit (probability
+// exp(-4 beta)), or none and their a8 bit (exp(-8 beta)). With h0 = d1^d2
+// and h1 = d3^d4 the count is odd + 2(d1&d2 + d3&d4 + h0&h1), odd = h0^h1:
+// the second term marks a count of two or more, and below two the count is
+// odd itself, which picks a4 over a8. Like updateWord it stays under the
+// compiler's inlining budget (a CI step checks), so no word pays a call.
+func Flips(d1, d2, d3, d4, a4, a8 uint64) uint64 {
+	h0, h1 := d1^d2, d3^d4
+	return d1&d2 | d3&d4 | h0&h1 | (a8 ^ (a4^a8)&(h0^h1))
 }
 
 // tileWords is the column-blocking width of the optimized row kernel: accept
 // masks (per-site mode) or randoms (shared mode) are drawn tileWords words at
-// a time, so the scratch holds at most tileWords*4 uint32s (1 KiB).
+// a time, so the scratch holds at most 2*tileWords uint64 masks (1 KiB) and,
+// in shared mode, tileWords*4 uint32 randoms.
 const tileWords = 64
 
 // Scratch is the reusable draw buffer of the optimized row kernel. Engines
@@ -132,15 +125,26 @@ const tileWords = 64
 // the zero value is ready to use and grows on first use. It carries no
 // kernel state — only scratch memory — so any kernel may use any scratch.
 type Scratch struct {
-	buf32 []uint32
+	acc []uint64
+	rnd []uint32
 }
 
-// buf returns an n-word view of the scratch, growing it if needed.
-func (s *Scratch) buf(n int) []uint32 {
-	if cap(s.buf32) < n {
-		s.buf32 = make([]uint32, n)
+// masks returns the two n-word accept-mask views of the scratch, growing it
+// if needed.
+func (s *Scratch) masks(n int) (a4, a8 []uint64) {
+	if cap(s.acc) < 2*n {
+		s.acc = make([]uint64, 2*n)
 	}
-	return s.buf32[:n]
+	return s.acc[:n], s.acc[n:][:n]
+}
+
+// randoms returns an n-word random view of the scratch, growing it if
+// needed.
+func (s *Scratch) randoms(n int) []uint32 {
+	if cap(s.rnd) < n {
+		s.rnd = make([]uint32, n)
+	}
+	return s.rnd[:n]
 }
 
 // UpdateRow performs the colour update of the active sites of one packed
@@ -171,20 +175,23 @@ func (k Kernel) UpdateRow(row, north, south []uint64, westWrap, eastWrap uint64,
 // UpdateRowScratch is UpdateRow with a caller-owned scratch buffer, the form
 // the engines' hot loops use. In per-site mode one fused Philox call per tile
 // (rng.AcceptRow — the AVX-512 or AVX2 kernel on an amd64 CPU that has
-// them, the 4-way portable loop otherwise) returns each word's 32 accept decisions as two
-// compact masks, compared where the randoms are generated; shared mode draws
-// its one random per word with rng.BlockRow. The word loop then consumes the
-// masks with the wrap/select branches hoisted into explicit first/middle/last
-// word handling.
+// them, the 4-way portable loop otherwise) returns each word's 32 accept
+// decisions as word-aligned masks, compared where the randoms are generated
+// and already on the even columns, so the word loop only shifts them onto
+// the active colour; shared mode draws its one random per word with
+// rng.BlockRow and turns it into whole-word masks. One word loop then runs
+// the inlined updateWord over the tile's slices for both modes, with the
+// wrap/select branches hoisted into explicit first/middle/last word
+// handling.
 //
 // Within one colour update the kernel writes only active-colour bits and
-// consumes only inactive-colour neighbour bits, so the word loop may read
-// row[w-1] after updating it: the one west bit it consumes (bit 63, an
-// odd-parity column) is consumed only by even-parity updates and written only
-// by odd-parity ones. That is what lets the loop roll the west neighbour
-// through a local instead of re-selecting westWrap/row[w-1] per word, and it
-// is the same invariant that makes the engines' pre-update halo snapshots
-// exact.
+// consumes only inactive-colour neighbour bits, so the west bit a word
+// consumes (bit 63 of the word before it, an odd-parity column) is the same
+// before and after that word's update: it is consumed only by even-parity
+// updates and written only by odd-parity ones. That is what lets the loop
+// roll the west neighbour through a local holding the pre-update word, so
+// no word waits for the previous word's update, and it is the same
+// invariant that makes the engines' pre-update halo snapshots exact.
 func (k Kernel) UpdateRowScratch(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64, sc *Scratch) {
 	W := len(row)
 	if W == 0 {
@@ -193,81 +200,61 @@ func (k Kernel) UpdateRowScratch(row, north, south []uint64, westWrap, eastWrap 
 	s0, s1 := uint32(step), uint32(step>>32)
 	rr := uint32(int64(globalRow))
 	p := uint((parity + globalRow) & 1)
-	cmask := uint64(evenMask)
-	if p == 1 {
-		cmask = ^cmask
-	}
+	cmask := uint64(evenMask) << p
 	t4, t8 := k.T4, k.T8
 	for w0 := 0; w0 < W; w0 += tileWords {
 		w1 := min(w0+tileWords, W)
-		n := w1 - w0
+		// The tile's words. Reslicing them to one length, and running the
+		// word loop's i from 1 to index i-1 and i, lets the compiler drop
+		// every bounds check in that loop.
+		r := row[w0:w1]
+		n := len(r)
+		ns, ss := north[w0:w1][:n], south[w0:w1][:n]
+		// Hoisted boundary handling: the west neighbour rolls through a
+		// local (see above), the east select happens once, for the tile's
+		// last word, instead of once per word.
+		west := westWrap
+		if w0 > 0 {
+			west = row[w0-1]
+		}
+		east := eastWrap
+		if w1 < W {
+			east = row[w1]
+		}
+		last := n - 1
 		// Draw the tile: per-site mode consumes 8 blocks per word at
 		// consecutive counters starting at (wordOff+w0)*8, shared mode one
 		// block per word starting at wordOff+w0. Both match the reference's
 		// per-word counters exactly (mod-2^32 arithmetic included), so every
-		// accept decision is the reference's.
-		var rnd, a4s, a8s []uint32
+		// accept decision is the reference's. Shared mode's whole-word masks
+		// take the same <<p as per-site ones: an all-ones mask keeps every
+		// active-colour bit set.
+		a4s, a8s := sc.masks(n)
 		if k.Shared {
-			rnd = sc.buf(tileWords * 4)[:n*4]
+			rnd := sc.randoms(4 * n)
 			rng.BlockRow(rnd, rng.Counter{s0, s1, rr, uint32(wordOff + w0)}, k.Key)
+			for i := range a4s {
+				a4s[i], a8s[i] = sharedAccept(rnd[4*i], t4, t8)
+			}
 		} else {
-			acc := sc.buf(2 * tileWords)
-			a4s, a8s = acc[:n], acc[tileWords:tileWords+n]
 			rng.AcceptRow(a4s, a8s, rng.Counter{s0, s1, rr, uint32((wordOff + w0) * 8)}, k.Key, t4, t8)
 		}
-		// Hoisted boundary handling: the west neighbour rolls through a
-		// local (see above), the east select happens once, for the tile's
-		// last word, instead of once per word.
-		westSrc := westWrap
-		if w0 > 0 {
-			westSrc = row[w0-1]
+		for i := 1; i < n; i++ {
+			cur := r[i-1]
+			r[i-1] = updateWord(cur, ns[i-1], ss[i-1], r[i], west, a4s[i-1]<<p, a8s[i-1]<<p, cmask)
+			west = cur
 		}
-		last := w1 - 1
-		eastSrc := eastWrap
-		if w1 < W {
-			eastSrc = row[w1]
-		}
-		if k.Shared {
-			for w := w0; w < last; w++ {
-				a4, a8 := sharedAccept(rnd[(w-w0)*4], t4, t8)
-				row[w] = updateWord(row[w], north[w], south[w], row[w+1], westSrc, a4, a8, cmask)
-				westSrc = row[w]
-			}
-			a4, a8 := sharedAccept(rnd[(last-w0)*4], t4, t8)
-			row[last] = updateWord(row[last], north[last], south[last], eastSrc, westSrc, a4, a8, cmask)
-		} else {
-			for w := w0; w < last; w++ {
-				row[w] = updateWord(row[w], north[w], south[w], row[w+1], westSrc,
-					spreadEven(a4s[w-w0])<<p, spreadEven(a8s[w-w0])<<p, cmask)
-				westSrc = row[w]
-			}
-			row[last] = updateWord(row[last], north[last], south[last], eastSrc, westSrc,
-				spreadEven(a4s[last-w0])<<p, spreadEven(a8s[last-w0])<<p, cmask)
-		}
+		r[last] = updateWord(r[last], ns[last], ss[last], east, west, a4s[last]<<p, a8s[last]<<p, cmask)
 	}
 }
 
-// updateWord applies one colour update to a 64-column word: a site of the
-// active colour (cmask) flips when it has >= 2 disagreeing neighbours, or
-// one and its a4 bit is set, or none and its a8 bit is set.
+// updateWord applies one colour update to a 64-column word: the sites of
+// the active colour (cmask) that Flips selects change sign. Only bit 0 of
+// eastSrc (shifted in as the east neighbour of column 63) and bit 63 of
+// westSrc (the west neighbour of column 0) are consumed. It is written as
+// one expression to stay under the inlining budget, like Flips.
 func updateWord(cur, north, south, eastSrc, westSrc, a4, a8, cmask uint64) uint64 {
-	east := (cur >> 1) | (eastSrc << 63)
-	west := (cur << 1) | (westSrc >> 63)
-	ge2, one, zero := DisagreeClasses(cur^north, cur^south, cur^east, cur^west)
-	return cur ^ ((ge2 | one&a4 | zero&a8) & cmask)
-}
-
-// spreadEven moves bit j of m to bit 2j (a 5-step Morton spread): the
-// per-site accept mask of rng.AcceptRow, indexed by same-colour ordinal j,
-// onto the word's even columns; the caller shifts it onto the active colour.
-func spreadEven(m uint32) uint64 {
-	x := uint64(m)
-	x = (x | x<<16) & 0x0000FFFF0000FFFF
-	x = (x | x<<8) & 0x00FF00FF00FF00FF
-	x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
-	x = (x | x<<2) & 0x3333333333333333
-	x = (x | x<<1) & 0x5555555555555555
-	return x
+	return cur ^ Flips(cur^north, cur^south, cur^(cur>>1|eastSrc<<63), cur^(cur<<1|westSrc>>63), a4, a8)&cmask
 }
 
 // sharedAccept turns shared mode's one random per word into whole-word
@@ -305,7 +292,6 @@ func (k Kernel) UpdateRowRef(row, north, south []uint64, westWrap, eastWrap uint
 		west := (cur << 1) | (westSrc >> 63)
 		// d-bits: 1 where the site disagrees with that neighbour.
 		d1, d2, d3, d4 := cur^north[w], cur^south[w], cur^east, cur^west
-		ge2, one, zero := DisagreeClasses(d1, d2, d3, d4)
 		var a4, a8 uint64
 		gw := w + wordOff
 		if k.Shared {
@@ -345,6 +331,6 @@ func (k Kernel) UpdateRowRef(row, north, south []uint64, westWrap, eastWrap uint
 				a8 |= ((uint64(bb[3]) - t8) >> 63) << (pos + 14)
 			}
 		}
-		row[w] = cur ^ ((ge2 | (one & a4) | (zero & a8)) & cmask)
+		row[w] = cur ^ (Flips(d1, d2, d3, d4, a4, a8) & cmask)
 	}
 }

@@ -49,6 +49,44 @@ func TestUpdateRowGoldenEquivalence(t *testing.T) {
 	}
 }
 
+// TestFlipsTruthTable checks Flips exhaustively. Every bit of its result is
+// the same function of the six input bits at that position, so one call
+// whose bit k carries input pattern k (k = 0..63: the 16 patterns of the
+// four disagreement bits times the four (a4, a8) pairs) covers the whole
+// truth table. Each bit must equal the Metropolis rule on the disagreement
+// count and the three-class form Flips replaced: the count bit-sliced into
+// three bits, then ge2 | one&a4 | zero&a8.
+func TestFlipsTruthTable(t *testing.T) {
+	var in [6]uint64 // d1, d2, d3, d4, a4, a8
+	for k := 0; k < 64; k++ {
+		for i := range in {
+			in[i] |= uint64(k>>i&1) << k
+		}
+	}
+	d1, d2, d3, d4, a4, a8 := in[0], in[1], in[2], in[3], in[4], in[5]
+
+	h0, c0 := d1^d2, d1&d2
+	h1, c1 := d3^d4, d3&d4
+	low, ca := h0^h1, h0&h1
+	mid := c0 ^ c1 ^ ca
+	hi := c0&c1 | ca&(c0^c1)
+	ge2, one, zero := mid|hi, low&^mid&^hi, ^(low | mid | hi)
+	threeClass := ge2 | one&a4 | zero&a8
+
+	got := Flips(d1, d2, d3, d4, a4, a8)
+	for k := 0; k < 64; k++ {
+		count := k&1 + k>>1&1 + k>>2&1 + k>>3&1
+		acc4, acc8 := k>>4&1 == 1, k>>5&1 == 1
+		want := count >= 2 || count == 1 && acc4 || count == 0 && acc8
+		if g := got>>k&1 == 1; g != want {
+			t.Errorf("pattern %06b (count %d, a4 %v, a8 %v): Flips = %v, want %v", k, count, acc4, acc8, g, want)
+		}
+		if g := threeClass>>k&1 == 1; g != want {
+			t.Errorf("pattern %06b: the three-class form = %v, want %v", k, g, want)
+		}
+	}
+}
+
 // checkRowMatchesRef updates one random W-word row with k through
 // UpdateRowRef, UpdateRow and UpdateRowScratch and fails unless all three
 // agree word for word.

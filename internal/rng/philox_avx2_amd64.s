@@ -28,8 +28,11 @@
 // then, instead of storing the blocks, compare them against the Metropolis
 // thresholds in registers: u < t for unsigned u is the signed compare
 // t^2^31 > u^2^31 (PHILOX_BIAS flips the sign bits of a state), and a
-// threshold of 2^32 or more, which no 32-bit value can hold, becomes an
-// all-ones force mask OR'ed into the result.
+// threshold of 2^32 or more, which no 32-bit value can hold, becomes a
+// force mask OR'ed into the result (all ones in the lane kernel, the even
+// bits in the row kernel). The row kernel stores one word-aligned uint64
+// per word: the compare bytes are interleaved with zero before VPMOVMSKB,
+// so ordinal j lands on bit 2j without BMI2.
 //
 // Every kernel broadcasts the counter and key words from memory through
 // BX = &ctr (a row kernel's key follows ctr in the argument frame); asmdecl
@@ -122,6 +125,11 @@ DATA ·philoxSignBias+20(SB)/4, $0x80000000
 DATA ·philoxSignBias+24(SB)/4, $0x80000000
 DATA ·philoxSignBias+28(SB)/4, $0x80000000
 GLOBL ·philoxSignBias(SB), RODATA|NOPTR, $32
+
+// The even bits of a word: the row kernels' force-mask filter, and in
+// acceptRowAVX512 the PDEPQ mask that moves compact bit j to 2j.
+DATA ·philoxEvenBits+0(SB)/8, $0x5555555555555555
+GLOBL ·philoxEvenBits(SB), RODATA|NOPTR, $8
 
 // VPSHUFB control of an in-lane 4x4 byte transpose: byte 4c+b -> byte 4b+c.
 DATA ·philoxAcceptTranspose+0(SB)/4, $0x0C080400
@@ -241,20 +249,24 @@ GLOBL ·philoxEvenOdd(SB), RODATA|NOPTR, $32
 	VMOVDQU 32(R9), Y11
 
 // ROW_THRESHOLD splits a threshold t (clobbered) into its biased low word
-// and the force mask, all ones when t >= 2^32 (NEGQ sets the carry exactly
-// when t>>32 is not zero).
+// and the 64-bit force mask, all ones when t >= 2^32 (NEGQ sets the carry
+// exactly when t>>32 is not zero).
 #define ROW_THRESHOLD(t, biased, force) \
 	MOVL t, biased                      \
 	XORL $0x80000000, biased            \
 	SHRQ $32, t                         \
 	NEGQ t                              \
-	SBBL force, force
+	SBBQ force, force
 
 // ROW_MASK compares the biased blocks c0..c3 (component c of block b in
-// lane b) against the broadcast biased threshold t and stores the 32-bit
-// mask, bit 4b+c, OR force, at dst. Two saturating packs gather the 32
-// compare results as bytes in order 4c+b per 128-bit lane, the transpose
-// reorders them to 4b+c and VPMOVMSKB collects their sign bits.
+// lane b) against the broadcast biased threshold t and stores the 64-bit
+// mask, bit 2(4b+c), OR force, at dst. Two saturating packs gather the 32
+// compare results as bytes in order 4c+b per 128-bit lane and the
+// transpose reorders them to j = 4b+c, so the ymm holds j = 0..31 as
+// qwords q0..q3. VPERMQ puts q0,q1 in the low qwords of the two lanes and
+// q2,q3 in the high ones; interleaving with zero (VPUNPCKLBW/VPUNPCKHBW)
+// then puts byte j at 2j of each half, and VPMOVMSKB collects the halves'
+// sign bits as the low and high 32 bits of the word. It clobbers CX.
 #define ROW_MASK(c0, c1, c2, c3, t, force, dst)   \
 	VPCMPGTD c0, t, Y13                           \
 	VPCMPGTD c1, t, Y14                           \
@@ -264,9 +276,16 @@ GLOBL ·philoxEvenOdd(SB), RODATA|NOPTR, $32
 	VPACKSSDW Y15, Y14, Y14                       \
 	VPACKSSWB Y14, Y13, Y13                       \
 	VPSHUFB ·philoxAcceptTranspose(SB), Y13, Y13  \
-	VPMOVMSKB Y13, AX                             \
-	ORL force, AX                                 \
-	MOVL AX, dst
+	VPERMQ $0xD8, Y13, Y13                        \
+	VPXOR Y15, Y15, Y15                           \
+	VPUNPCKLBW Y15, Y13, Y14                      \
+	VPUNPCKHBW Y15, Y13, Y13                      \
+	VPMOVMSKB Y14, AX                             \
+	VPMOVMSKB Y13, CX                             \
+	SHLQ $32, CX                                  \
+	ORQ CX, AX                                    \
+	ORQ force, AX                                 \
+	MOVQ AX, dst
 
 // ROW_ACCEPT stores the next word's accept masks of state c0..c3 under the
 // thresholds of acceptRowAVX2 and advances DI and SI.
@@ -274,8 +293,8 @@ GLOBL ·philoxEvenOdd(SB), RODATA|NOPTR, $32
 	PHILOX_BIAS(c0, c1, c2, c3)               \
 	ROW_MASK(c0, c1, c2, c3, Y11, R10, (DI))  \
 	ROW_MASK(c0, c1, c2, c3, Y12, R11, (SI))  \
-	ADDQ $4, DI                               \
-	ADDQ $4, SI
+	ADDQ $8, DI                               \
+	ADDQ $8, SI
 
 // LANE_THRESHOLDS loads the eight uint64 thresholds at (src) into Y15 =
 // biased low words and Y14 = force masks (high word > 0, i.e. t >= 2^32 for
@@ -411,7 +430,7 @@ lanedone:
 	VZEROUPPER
 	RET
 
-// func acceptRowAVX2(a4, a8 *uint32, n uint64, ctr Counter, key Key, t4, t8 uint64)
+// func acceptRowAVX2(a4, a8 *uint64, n uint64, ctr Counter, key Key, t4, t8 uint64)
 TEXT ·acceptRowAVX2(SB), NOSPLIT, $0-64
 	MOVQ a4+0(FP), DI
 	MOVQ a8+8(FP), SI
@@ -425,6 +444,8 @@ TEXT ·acceptRowAVX2(SB), NOSPLIT, $0-64
 	VPBROADCASTD X11, Y11
 	VMOVD R9, X12
 	VPBROADCASTD X12, Y12
+	ANDQ ·philoxEvenBits(SB), R10
+	ANDQ ·philoxEvenBits(SB), R11
 
 	// Y10 = running c3 vector: one word is the eight blocks at ctr[3] +
 	// {0..7}, advanced by 8 per word.

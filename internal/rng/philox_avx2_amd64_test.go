@@ -81,7 +81,7 @@ func TestVectorKernelsBeatPortable(t *testing.T) {
 	}
 	ctr, key := Counter{1, 2, 3, 4}, Key{5, 6}
 	blocks := make([]uint32, 4*256)
-	a4, a8 := make([]uint32, 32), make([]uint32, 32)
+	a4, a8 := make([]uint64, 32), make([]uint64, 32)
 	k0s, k1s := make([]uint32, 64), make([]uint32, 64)
 	t4s, t8s := make([]uint64, 64), make([]uint64, 64)
 	for l := range k0s {

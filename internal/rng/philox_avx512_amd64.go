@@ -4,7 +4,7 @@ package rng
 // philox_avx512_amd64.s): the same masks for every positive n.
 //
 //go:noescape
-func acceptRowAVX512(a4, a8 *uint32, n uint64, ctr Counter, key Key, t4, t8 uint64)
+func acceptRowAVX512(a4, a8 *uint64, n uint64, ctr Counter, key Key, t4, t8 uint64)
 
 // acceptLanesAVX512 is acceptLanesAVX2 on sixteen-lane zmm states: the same
 // masks for every positive multiple of 8 up to 64.

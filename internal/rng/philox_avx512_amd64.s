@@ -23,18 +23,21 @@
 // The accept compare is the unsigned VPCMPUD straight into a mask register:
 // no sign bias, no pack and no byte transpose. A threshold of 2^32 or more,
 // which no 32-bit value can hold, becomes a force mask OR'ed into the
-// result. The row kernel spreads each component's compare bits to bit 4b+c
-// of two consecutive words with one PDEPQ per component (masks 0x1111...<<c
-// in R8, R9, R12, R13) and stores both words at once; BMI2's PDEP replaces
-// the AVX2 kernel's pack and byte transpose. The lane kernel narrows the
-// uint64 thresholds with VPMOVUSQD and stores sixteen lane bits per
-// component.
+// result (the even bits in the row kernel, all lanes in the lane kernel).
+// The row kernel gathers a state's compare bits compactly, bit 4b+c, with
+// one PDEPQ per component (masks 0x1111...<<c in R8, R9, R12, R13), then
+// spreads each 32-bit word half to the even bits with one more PDEPQ
+// (philoxEvenBits), so ordinal j = 4b+c lands on bit 2j; a sixteen-block
+// state stores two MOVQs per threshold. BMI2's PDEP replaces the AVX2
+// kernel's pack, byte transpose and zero interleave. The lane kernel
+// narrows the uint64 thresholds with VPMOVUSQD and stores sixteen lane bits
+// per component.
 //
 // Registers besides the states:
 //   row kernel (acceptRowAVX512): Z8/Z9 = broadcast round keys shared by A
 //     and B, Z10 = A's counter vector c3+{0..15} (B's is c3+16), Z11 = 16
 //     in every lane, Z20/Z21 = broadcast low words of t4/t8, R10/R11 = their
-//     force masks;
+//     force masks (even bits only);
 //   lane kernel (acceptLanesAVX512): Z8/Z9 = A's per-lane round keys,
 //     Z10/Z11 = B's, Z22..Z24, K3 and K4 = threshold scratch;
 //   both: Z12..Z15 = A's round temporaries, Z16..Z19 = B's, K1 = the odd
@@ -98,44 +101,54 @@ GLOBL ·philoxHighWord(SB), RODATA|NOPTR, $8
 
 // ROW_THRESHOLD splits a threshold t (clobbered) into its low word and the
 // 64-bit force mask, all ones when t >= 2^32 (NEGQ sets the carry exactly
-// when t>>32 is not zero).
+// when t>>32 is not zero); the kernel then keeps its even bits.
 #define ROW_THRESHOLD(t, low, force) \
 	MOVL t, low                      \
 	SHRQ $32, t                      \
 	NEGQ t                           \
 	SBBQ force, force
 
-// ROW_BITS sets AX to the accept bits of the state c0..c3 (block b in lane
-// b) against the broadcast threshold t: bit 4b+c is component c of block b
-// below t (VPCMPUD predicate 1: unsigned less than), OR force. It clobbers
+// ROW_BITS sets AX to the compact accept bits of the state c0..c3 (block
+// b in lane b) against the broadcast threshold t: bit 4b+c is component c
+// of block b below t (VPCMPUD predicate 1: unsigned less than). It clobbers
 // CX and K3.
-#define ROW_BITS(c0, c1, c2, c3, t, force) \
-	VPCMPUD $1, t, c0, K3                  \
-	KMOVW K3, AX                           \
-	PDEPQ R8, AX, AX                       \
-	VPCMPUD $1, t, c1, K3                  \
-	KMOVW K3, CX                           \
-	PDEPQ R9, CX, CX                       \
-	ORQ CX, AX                             \
-	VPCMPUD $1, t, c2, K3                  \
-	KMOVW K3, CX                           \
-	PDEPQ R12, CX, CX                      \
-	ORQ CX, AX                             \
-	VPCMPUD $1, t, c3, K3                  \
-	KMOVW K3, CX                           \
-	PDEPQ R13, CX, CX                      \
-	ORQ CX, AX                             \
-	ORQ force, AX
+#define ROW_BITS(c0, c1, c2, c3, t) \
+	VPCMPUD $1, t, c0, K3           \
+	KMOVW K3, AX                    \
+	PDEPQ R8, AX, AX                \
+	VPCMPUD $1, t, c1, K3           \
+	KMOVW K3, CX                    \
+	PDEPQ R9, CX, CX                \
+	ORQ CX, AX                      \
+	VPCMPUD $1, t, c2, K3           \
+	KMOVW K3, CX                    \
+	PDEPQ R12, CX, CX               \
+	ORQ CX, AX                      \
+	VPCMPUD $1, t, c3, K3           \
+	KMOVW K3, CX                    \
+	PDEPQ R13, CX, CX               \
+	ORQ CX, AX
+
+// ROW_WORD stores the word-aligned mask of the compact bits in AX's low 32
+// bits, OR force, at dst: bit j moves to 2j. It clobbers CX.
+#define ROW_WORD(force, dst)                     \
+	PDEPQ ·philoxEvenBits(SB), AX, CX            \
+	ORQ force, CX                                \
+	MOVQ CX, dst
 
 // ROW_ACCEPT16 stores the two words' accept masks of the zmm state c0..c3
-// and advances DI and SI.
-#define ROW_ACCEPT16(c0, c1, c2, c3)         \
-	ROW_BITS(c0, c1, c2, c3, Z20, R10)       \
-	MOVQ AX, (DI)                            \
-	ROW_BITS(c0, c1, c2, c3, Z21, R11)       \
-	MOVQ AX, (SI)                            \
-	ADDQ $8, DI                              \
-	ADDQ $8, SI
+// under each threshold and advances DI and SI.
+#define ROW_ACCEPT16(c0, c1, c2, c3)  \
+	ROW_BITS(c0, c1, c2, c3, Z20)     \
+	ROW_WORD(R10, (DI))               \
+	SHRQ $32, AX                      \
+	ROW_WORD(R10, 8(DI))              \
+	ROW_BITS(c0, c1, c2, c3, Z21)     \
+	ROW_WORD(R11, (SI))               \
+	SHRQ $32, AX                      \
+	ROW_WORD(R11, 8(SI))              \
+	ADDQ $16, DI                      \
+	ADDQ $16, SI
 
 // LANE_STATE(c0, c1, c2, c3, k0, k1, off) starts a state at the counter
 // words of (BX) under the lane keys at off(R8)/off(R9).
@@ -206,7 +219,7 @@ GLOBL ·philoxHighWord(SB), RODATA|NOPTR, $8
 	ADDQ $128, R10                                 \
 	ADDQ $128, R11
 
-// func acceptRowAVX512(a4, a8 *uint32, n uint64, ctr Counter, key Key, t4, t8 uint64)
+// func acceptRowAVX512(a4, a8 *uint64, n uint64, ctr Counter, key Key, t4, t8 uint64)
 TEXT ·acceptRowAVX512(SB), NOSPLIT, $0-64
 	MOVQ a4+0(FP), DI
 	MOVQ a8+8(FP), SI
@@ -218,6 +231,8 @@ TEXT ·acceptRowAVX512(SB), NOSPLIT, $0-64
 	ROW_THRESHOLD(AX, R9, R11)
 	VPBROADCASTD R8, Y20
 	VPBROADCASTD R9, Y21
+	ANDQ ·philoxEvenBits(SB), R10
+	ANDQ ·philoxEvenBits(SB), R11
 	MOVQ $0x1111111111111111, R8
 	LEAQ (R8)(R8*1), R9
 	LEAQ (R8*4), R12
@@ -289,10 +304,10 @@ acceptrow8round:
 	PHILOX_ROUNDS2(Y0, Y1, Y2, Y3, Y8, Y9, Y12, Y13, Y14, Y15)
 	DECQ CX
 	JNZ acceptrow8round
-	ROW_BITS(Y0, Y1, Y2, Y3, Y20, R10)
-	MOVL AX, (DI)
-	ROW_BITS(Y0, Y1, Y2, Y3, Y21, R11)
-	MOVL AX, (SI)
+	ROW_BITS(Y0, Y1, Y2, Y3, Y20)
+	ROW_WORD(R10, (DI))
+	ROW_BITS(Y0, Y1, Y2, Y3, Y21)
+	ROW_WORD(R11, (SI))
 
 acceptrowdone:
 	VZEROUPPER

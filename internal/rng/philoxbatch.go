@@ -149,11 +149,14 @@ func blockLanesGeneric(dst []uint32, ctr Counter, k0s, k1s []uint32, i, n int) {
 // AcceptRow draws the per-site randoms of len(a4) consecutive 64-column
 // words (the multispin draw pattern: word w's 32 active sites read the
 // eight blocks at counters ctr[3]+8w .. ctr[3]+8w+7, with the ctr[3]
-// arithmetic of BlockRow) and returns them as accept masks: bit j of a4[w]
-// (a8[w]) is set when random j of word w, component j&3 of block j>>2, is
-// below t4 (t8), so a threshold of 0 accepts nothing and one of 2^32 or
-// more (up to 2^63) accepts everything. len(a8) must equal len(a4).
-func AcceptRow(a4, a8 []uint32, ctr Counter, key Key, t4, t8 uint64) {
+// arithmetic of BlockRow) and returns them as word-aligned accept masks:
+// bit 2j of a4[w] (a8[w]) is set when random j of word w, component j&3 of
+// block j>>2, is below t4 (t8), and every odd bit is zero. Same-colour
+// ordinal j is column 2j+p of a row whose active colour has column parity
+// p, so the row kernel consumes a mask as a4[w]<<p. A threshold of 0
+// accepts nothing and one of 2^32 or more (up to 2^63) accepts everything.
+// len(a8) must equal len(a4).
+func AcceptRow(a4, a8 []uint64, ctr Counter, key Key, t4, t8 uint64) {
 	if len(a4) != len(a8) {
 		panic("rng: AcceptRow needs len(a4) == len(a8)")
 	}
@@ -171,15 +174,15 @@ func AcceptRow(a4, a8 []uint32, ctr Counter, key Key, t4, t8 uint64) {
 }
 
 // acceptRowGeneric is the portable AcceptRow: blockRowGeneric one word at a
-// time, then the compare.
-func acceptRowGeneric(a4, a8 []uint32, ctr Counter, key Key, t4, t8 uint64) {
+// time, then the compare, each bit placed at 2j.
+func acceptRowGeneric(a4, a8 []uint64, ctr Counter, key Key, t4, t8 uint64) {
 	var blk [32]uint32
 	for w := range a4 {
 		blockRowGeneric(blk[:], Counter{ctr[0], ctr[1], ctr[2], ctr[3] + uint32(8*w)}, key, 0, 8)
-		var m4, m8 uint32
+		var m4, m8 uint64
 		for j, u := range blk {
-			m4 |= uint32((uint64(u)-t4)>>63) << uint(j)
-			m8 |= uint32((uint64(u)-t8)>>63) << uint(j)
+			m4 |= ((uint64(u) - t4) >> 63) << uint(2*j)
+			m8 |= ((uint64(u) - t8) >> 63) << uint(2*j)
 		}
 		a4[w], a8[w] = m4, m8
 	}

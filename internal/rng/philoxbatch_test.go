@@ -171,7 +171,7 @@ func BenchmarkBlockLanes(b *testing.B) {
 // BenchmarkAcceptRow times the fused multispin draw: 32 words (256 blocks)
 // of accept masks per call, the same Philox work as BenchmarkBlockRow.
 func BenchmarkAcceptRow(b *testing.B) {
-	a4, a8 := make([]uint32, 32), make([]uint32, 32)
+	a4, a8 := make([]uint64, 32), make([]uint64, 32)
 	for i := 0; i < b.N; i++ {
 		AcceptRow(a4, a8, Counter{0, 0, uint32(i), 0}, Key{1, 2}, 1<<31, 1<<29)
 	}
@@ -180,7 +180,7 @@ func BenchmarkAcceptRow(b *testing.B) {
 // BenchmarkAcceptRow1 times a one-word row, the 64-column lattice of a
 // small service job, which runs only the vector kernel's eight-block tail.
 func BenchmarkAcceptRow1(b *testing.B) {
-	a4, a8 := make([]uint32, 1), make([]uint32, 1)
+	a4, a8 := make([]uint64, 1), make([]uint64, 1)
 	for i := 0; i < b.N; i++ {
 		AcceptRow(a4, a8, Counter{0, 0, uint32(i), 0}, Key{1, 2}, 1<<31, 1<<29)
 	}
@@ -214,13 +214,14 @@ func benchmarkAcceptLanes(b *testing.B, lanes int) {
 var acceptEdges = []uint64{0, 1, 1 << 31, 1<<32 - 1, 1 << 32, 1<<33 + 5}
 
 // TestAcceptRowMatchesBlock: AcceptRow is Block at consecutive counters
-// followed by u < t, for the edge thresholds, for thresholds equal to a
-// drawn value and one above it (the compare's exact boundary), for every
-// row length that ends the AVX2 loop (two one-word states, then one) or the
-// AVX-512 loop (two two-word states, one two-word state, then a one-word
-// state) differently, across a ctr[3] wrap at each state boundary and
-// inside the states of either loop, and with a block of edgeDraws in each
-// state of the AVX-512 loop.
+// followed by u < t, with ordinal j's bit at 2j and every odd bit zero, for
+// the edge thresholds, for thresholds equal to a drawn value and one above
+// it (the compare's exact boundary), for every row length that ends the
+// AVX2 loop (two one-word states, then one) or the AVX-512 loop (two
+// two-word states, one two-word state, then a one-word state) differently,
+// across a ctr[3] wrap at each state boundary and inside the states of
+// either loop, and with a block of edgeDraws in each state of the AVX-512
+// loop.
 func TestAcceptRowMatchesBlock(t *testing.T) {
 	forEachDispatch(t, testAcceptRowMatchesBlock)
 }
@@ -253,18 +254,23 @@ func testAcceptRowMatchesBlock(t *testing.T) {
 			ths := append(append([]uint64(nil), acceptEdges...), drawn, drawn+1)
 			for _, t4 := range ths {
 				for _, t8 := range ths {
-					a4 := make([]uint32, words)
-					a8 := make([]uint32, words)
+					a4 := make([]uint64, words)
+					a8 := make([]uint64, words)
 					AcceptRow(a4, a8, ctr, key, t4, t8)
 					for w := 0; w < words; w++ {
-						var want4, want8 uint32
+						const oddBits = 0xAAAAAAAAAAAAAAAA
+						if (a4[w]|a8[w])&oddBits != 0 {
+							t.Fatalf("AcceptRow ctr=%v words=%d t4=%#x t8=%#x word %d: odd bits set in (%#x, %#x)",
+								ctr, words, t4, t8, w, a4[w], a8[w])
+						}
+						var want4, want8 uint64
 						for j := 0; j < 32; j++ {
 							u := uint64(Block(Counter{ctr[0], ctr[1], ctr[2], ctr[3] + uint32(8*w+j>>2)}, key)[j&3])
 							if u < t4 {
-								want4 |= 1 << j
+								want4 |= 1 << (2 * j)
 							}
 							if u < t8 {
-								want8 |= 1 << j
+								want8 |= 1 << (2 * j)
 							}
 						}
 						if a4[w] != want4 || a8[w] != want8 {
