@@ -242,6 +242,15 @@ func BenchmarkSweepOptim256(b *testing.B) {
 func BenchmarkHostSerial256(b *testing.B)     { benchBackend(b, "checkerboard", hostConfig(256)) }
 func BenchmarkHostParallel1024(b *testing.B)  { benchBackend(b, "gpusim", hostConfig(1024)) }
 func BenchmarkHostMultispin1024(b *testing.B) { benchBackend(b, "multispin", hostConfig(1024)) }
+
+// BenchmarkHostMultispin64 times the 64x64 one-shard chain of a small
+// service job on one worker: one-word rows, whose accept draws the kernel
+// takes a whole run of rows at a time.
+func BenchmarkHostMultispin64(b *testing.B) {
+	cfg := hostConfig(64)
+	cfg.Workers = 1
+	benchBackend(b, "multispin", cfg)
+}
 func BenchmarkHostMultispinShared4096(b *testing.B) {
 	benchBackend(b, "multispin-shared", hostConfig(4096))
 }

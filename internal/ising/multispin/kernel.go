@@ -115,15 +115,17 @@ func Flips(d1, d2, d3, d4, a4, a8 uint64) uint64 {
 }
 
 // tileWords is the column-blocking width of the optimized row kernel: accept
-// masks (per-site mode) or randoms (shared mode) are drawn tileWords words at
-// a time, so the scratch holds at most 2*tileWords uint64 masks (1 KiB) and,
-// in shared mode, tileWords*4 uint32 randoms.
+// masks (per-site mode) or randoms (shared mode) are drawn at most tileWords
+// words at a time — a run of whole rows of up to tileWords words, or one
+// tile of a wider row — so the scratch holds at most 2*tileWords uint64
+// masks (1 KiB) and, in shared mode, tileWords*4 uint32 randoms.
 const tileWords = 64
 
 // Scratch is the reusable draw buffer of the optimized row kernel. Engines
-// keep one per worker goroutine and pass it to every UpdateRowScratch call;
-// the zero value is ready to use and grows on first use. It carries no
-// kernel state — only scratch memory — so any kernel may use any scratch.
+// keep one per worker goroutine and pass it to every UpdateRows or
+// UpdateRowScratch call; the zero value is ready to use and grows on first
+// use. It carries no kernel state — only scratch memory — so any kernel may
+// use any scratch.
 type Scratch struct {
 	acc []uint64
 	rnd []uint32
@@ -147,6 +149,14 @@ func (s *Scratch) randoms(n int) []uint32 {
 	return s.rnd[:n]
 }
 
+// RowSource hands the rows of a run to UpdateRows in order: each NextRow
+// returns the next row's words, its north and south neighbour rows and its
+// wrap words, as UpdateRow takes them. The pod driver's sharded.RowRun is
+// one.
+type RowSource interface {
+	NextRow() (row, north, south []uint64, westWrap, eastWrap uint64)
+}
+
 // UpdateRow performs the colour update of the active sites of one packed
 // lattice row, in place. row holds the W words of the row; north and south
 // are the rows above and below (pre-update snapshots are fine: every
@@ -161,26 +171,37 @@ func (s *Scratch) randoms(n int) []uint32 {
 // parity, so a shard updating a window of a larger lattice draws exactly the
 // randoms the single core would.
 //
-// UpdateRow is the convenience form that brings its own scratch; the engines'
-// hot loops call UpdateRowScratch with a persistent per-worker Scratch
-// instead. Both run the optimized kernel — fused Philox accept draws, tiled
-// column blocking, hoisted word-boundary handling — and are bit-identical to
-// UpdateRowRef, the retained naive reference (pinned by the golden
-// equivalence tests in kernel_equiv_test.go).
+// UpdateRow is the convenience form that brings its own scratch; the
+// engines' hot loops call UpdateRows with a persistent per-worker Scratch
+// instead, and UpdateRowScratch is its one-row case. All three run the
+// optimized kernel — fused Philox accept draws, tiled column blocking,
+// hoisted word-boundary handling — and are bit-identical to UpdateRowRef,
+// the retained naive reference (pinned by the golden equivalence tests in
+// kernel_equiv_test.go).
 func (k Kernel) UpdateRow(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64) {
 	var sc Scratch
 	k.UpdateRowScratch(row, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step, &sc)
 }
 
-// UpdateRowScratch is UpdateRow with a caller-owned scratch buffer, the form
-// the engines' hot loops use. In per-site mode one fused Philox call per tile
-// (rng.AcceptRow — the AVX-512 or AVX2 kernel on an amd64 CPU that has
-// them, the 4-way portable loop otherwise) returns each word's 32 accept
-// decisions as word-aligned masks, compared where the randoms are generated
-// and already on the even columns, so the word loop only shifts them onto
-// the active colour; shared mode draws its one random per word with
-// rng.BlockRow and turns it into whole-word masks. One word loop then runs
-// the inlined updateWord over the tile's slices for both modes, with the
+// UpdateRowScratch is UpdateRow with a caller-owned scratch buffer: the
+// one-row case of UpdateRows, running the same word loop.
+func (k Kernel) UpdateRowScratch(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64, sc *Scratch) {
+	k.updateRow(row, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step, nil, nil, sc)
+}
+
+// UpdateRows performs the colour update of n consecutive rows taken in order
+// from src, the first at global row globalRow, all of one width and at
+// global word wordOff: the form the engines' hot loops use. In per-site
+// mode one fused Philox call (rng.AcceptRows — the AVX-512 or AVX2 kernel
+// on an amd64 CPU that has them, the 4-way portable loop otherwise) draws
+// the accept masks of as many whole rows as fit in tileWords words (64
+// one-word rows, two 32-word rows), compared where the randoms are
+// generated and already on the even columns, so the word loop only shifts
+// them onto the active colour. A row wider than tileWords draws its own
+// tiles, and shared mode draws its one random per word with rng.BlockRow
+// per row and turns it into whole-word masks. Drawing before updating is
+// exact because no random depends on a spin. One word loop then runs the
+// inlined updateWord over each row's slices in both modes, with the
 // wrap/select branches hoisted into explicit first/middle/last word
 // handling.
 //
@@ -192,27 +213,50 @@ func (k Kernel) UpdateRow(row, north, south []uint64, westWrap, eastWrap uint64,
 // roll the west neighbour through a local holding the pre-update word, so
 // no word waits for the previous word's update, and it is the same
 // invariant that makes the engines' pre-update halo snapshots exact.
-func (k Kernel) UpdateRowScratch(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64, sc *Scratch) {
-	W := len(row)
-	if W == 0 {
-		return
+func (k Kernel) UpdateRows(src RowSource, n, globalRow, wordOff, parity int, step uint64, sc *Scratch) {
+	for r := 0; r < n; {
+		row, north, south, westWrap, eastWrap := src.NextRow()
+		W := len(row)
+		run := 1
+		var a4s, a8s []uint64 // the run's masks, row after row; nil: each row draws its own
+		if !k.Shared && W > 0 && W <= tileWords {
+			run = min(n-r, tileWords/W)
+			a4s, a8s = sc.masks(run * W)
+			rng.AcceptRows(a4s, a8s, W, rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(globalRow + r)), uint32(wordOff * 8)},
+				k.Key, k.T4, k.T8)
+		}
+		for i := 0; ; i++ {
+			k.updateRow(row, north, south, westWrap, eastWrap, globalRow+r, wordOff, parity, step, a4s[i*W:], a8s[i*W:], sc)
+			if r++; i+1 == run {
+				break
+			}
+			row, north, south, westWrap, eastWrap = src.NextRow()
+		}
 	}
-	s0, s1 := uint32(step), uint32(step>>32)
-	rr := uint32(int64(globalRow))
+}
+
+// updateRow runs the word loop over one row. a4s and a8s hold the row's
+// drawn masks, or are nil when the row draws its own, one tile at a time.
+func (k Kernel) updateRow(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64, a4s, a8s []uint64, sc *Scratch) {
+	W := len(row)
 	p := uint((parity + globalRow) & 1)
 	cmask := uint64(evenMask) << p
-	t4, t8 := k.T4, k.T8
 	for w0 := 0; w0 < W; w0 += tileWords {
 		w1 := min(w0+tileWords, W)
-		// The tile's words. Reslicing them to one length, and running the
-		// word loop's i from 1 to index i-1 and i, lets the compiler drop
-		// every bounds check in that loop.
+		// The tile's words. Reslicing them and the masks to one length, and
+		// running the word loop's i from 1 to index i-1 and i, lets the
+		// compiler drop every bounds check in that loop.
 		r := row[w0:w1]
 		n := len(r)
 		ns, ss := north[w0:w1][:n], south[w0:w1][:n]
+		a4, a8 := a4s, a8s
+		if a4 == nil {
+			a4, a8 = k.drawTile(n, globalRow, wordOff+w0, step, sc)
+		}
+		a4, a8 = a4[:n], a8[:n]
 		// Hoisted boundary handling: the west neighbour rolls through a
-		// local (see above), the east select happens once, for the tile's
-		// last word, instead of once per word.
+		// local (see UpdateRows), the east select happens once, for the
+		// tile's last word, instead of once per word.
 		west := westWrap
 		if w0 > 0 {
 			west = row[w0-1]
@@ -222,30 +266,36 @@ func (k Kernel) UpdateRowScratch(row, north, south []uint64, westWrap, eastWrap 
 			east = row[w1]
 		}
 		last := n - 1
-		// Draw the tile: per-site mode consumes 8 blocks per word at
-		// consecutive counters starting at (wordOff+w0)*8, shared mode one
-		// block per word starting at wordOff+w0. Both match the reference's
-		// per-word counters exactly (mod-2^32 arithmetic included), so every
-		// accept decision is the reference's. Shared mode's whole-word masks
-		// take the same <<p as per-site ones: an all-ones mask keeps every
-		// active-colour bit set.
-		a4s, a8s := sc.masks(n)
-		if k.Shared {
-			rnd := sc.randoms(4 * n)
-			rng.BlockRow(rnd, rng.Counter{s0, s1, rr, uint32(wordOff + w0)}, k.Key)
-			for i := range a4s {
-				a4s[i], a8s[i] = sharedAccept(rnd[4*i], t4, t8)
-			}
-		} else {
-			rng.AcceptRow(a4s, a8s, rng.Counter{s0, s1, rr, uint32((wordOff + w0) * 8)}, k.Key, t4, t8)
-		}
 		for i := 1; i < n; i++ {
 			cur := r[i-1]
-			r[i-1] = updateWord(cur, ns[i-1], ss[i-1], r[i], west, a4s[i-1]<<p, a8s[i-1]<<p, cmask)
+			r[i-1] = updateWord(cur, ns[i-1], ss[i-1], r[i], west, a4[i-1]<<p, a8[i-1]<<p, cmask)
 			west = cur
 		}
-		r[last] = updateWord(r[last], ns[last], ss[last], east, west, a4s[last]<<p, a8s[last]<<p, cmask)
+		r[last] = updateWord(r[last], ns[last], ss[last], east, west, a4[last]<<p, a8[last]<<p, cmask)
 	}
+}
+
+// drawTile draws the masks of one row's n-word tile starting at global word
+// gw: per-site mode consumes 8 blocks per word at consecutive counters
+// starting at gw*8, shared mode one block per word starting at gw. Both
+// match the reference's per-word counters exactly (mod-2^32 arithmetic
+// included), so every accept decision is the reference's. Shared mode's
+// whole-word masks take the same <<p as per-site ones: an all-ones mask
+// keeps every active-colour bit set.
+func (k Kernel) drawTile(n, globalRow, gw int, step uint64, sc *Scratch) (a4s, a8s []uint64) {
+	a4s, a8s = sc.masks(n)
+	ctr := rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(globalRow)), uint32(gw)}
+	if !k.Shared {
+		ctr[3] = uint32(gw * 8)
+		rng.AcceptRows(a4s, a8s, n, ctr, k.Key, k.T4, k.T8)
+		return a4s, a8s
+	}
+	rnd := sc.randoms(4 * n)
+	rng.BlockRow(rnd, ctr, k.Key)
+	for i := range a4s {
+		a4s[i], a8s[i] = sharedAccept(rnd[4*i], k.T4, k.T8)
+	}
+	return a4s, a8s
 }
 
 // updateWord applies one colour update to a 64-column word: the sites of

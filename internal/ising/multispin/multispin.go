@@ -13,9 +13,10 @@
 // The two non-trivial probabilities are precomputed as 32-bit integer
 // thresholds, so the accept/reject of a site is a single unsigned compare of
 // a Philox random word -- no floating point in the hot loop. The optimized
-// row kernel does not even see the random words: rng.AcceptRow runs that
+// row kernel does not even see the random words: rng.AcceptRows runs that
 // compare in the registers where each Philox block is generated (AVX-512 or
-// AVX2 on amd64 CPUs that have them) and hands back one accept bit per site.
+// AVX2 on amd64 CPUs that have them) and hands back one accept bit per site,
+// for a whole run of narrow rows per call.
 //
 // Randomness is site-keyed like the rest of the repository: the random for
 // lattice site (r, c) at colour-step t is a pure function of (seed, t, r, c),

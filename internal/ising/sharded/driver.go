@@ -42,15 +42,65 @@ type Geometry struct {
 	Workers int
 }
 
-// RowKernel updates the sites of one colour in one shard row. westWrap and
-// eastWrap are the row's neighbour sites beyond the shard's west and east
-// edges, placed where the kernel reads them: the high SiteBits bits of
-// westWrap and the low SiteBits bits of eastWrap. globalRow and colOff
-// locate the row's first site in the global lattice, which is what keys the
-// engine's random stream. worker identifies the goroutine making the call —
-// the shard on a pod grid, the row band on a single core — and is below
-// Driver.Workers; calls with different workers run concurrently.
-type RowKernel func(worker int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64)
+// RowKernel updates the sites of one colour in a run of shard rows, taking
+// the rows in order from run (see RowRun). worker identifies the goroutine
+// making the call — the shard on a pod grid, the row band on a single core —
+// and is below Driver.Workers; calls with different workers run
+// concurrently.
+type RowKernel func(worker int, run *RowRun, parity int, step uint64)
+
+// RowRun is the run of consecutive shard rows one worker updates in one
+// colour: a row band of a single core, or every row of a shard on a pod
+// grid. The kernel takes the rows in order from NextRow, so it may draw the
+// randoms of several rows before it updates them. Every random is keyed by
+// the global site, so where a run starts and ends never changes the chain.
+type RowRun struct {
+	d     *Driver
+	sh    *shard
+	r, r1 int      // the next local row and the run's end
+	north []uint64 // the next row's north neighbour
+	south []uint64 // the row below the run (nil: the shard's own, read live)
+	row   []uint64 // the next row
+}
+
+// Rows returns the number of rows NextRow has yet to hand out.
+func (rr *RowRun) Rows() int { return rr.r1 - rr.r }
+
+// GlobalRow returns the global row of the next row, which keys its randoms.
+func (rr *RowRun) GlobalRow() int { return rr.sh.rowOff + rr.r }
+
+// ColOff returns the global column of the run's first site.
+func (rr *RowRun) ColOff() int { return rr.sh.colOff }
+
+// NextRow returns the next row of the run and advances past it: the row's
+// words, the rows above and below it (pre-update snapshots where they lie
+// outside the run), and its neighbour sites beyond the shard's west and
+// east edges, placed where the kernel reads them: the high SiteBits bits of
+// westWrap and the low SiteBits bits of eastWrap. A shard that has
+// exchanged halos takes them from the received columns; a single core
+// wraps each row onto its own end words. Every neighbour the kernel reads
+// belongs to the other colour, so live reads, copies and halos agree. Call
+// it at most Rows times.
+func (rr *RowRun) NextRow() (row, north, south []uint64, westWrap, eastWrap uint64) {
+	d, sh, r := rr.d, rr.sh, rr.r
+	row, north, south = rr.row, rr.north, rr.south
+	if r < rr.r1-1 || south == nil {
+		next := r + 1 // the torus wrap without a division per row
+		if next == d.shardRows {
+			next = 0
+		}
+		south = d.row(sh, next)
+	}
+	westWrap, eastWrap = row[d.rowWords-1], row[0]
+	if sh.west != nil {
+		westWrap = d.haloSite(sh.west, r) << (WordBits - d.siteBits)
+		eastWrap = d.haloSite(sh.east, r)
+	}
+	// The rows roll: this row is the next one's north, its south the next
+	// one's row.
+	rr.r, rr.north, rr.row = r+1, row, south
+	return row, north, south, westWrap, eastWrap
+}
 
 // shard is one core's block of the lattice plus its halo buffers.
 type shard struct {
@@ -61,6 +111,7 @@ type shard struct {
 	// half-sweep; west and east the neighbours' boundary columns.
 	north, south, west, east []uint64
 	edge                     []uint64 // outgoing boundary column
+	run                      RowRun   // the shard's rows on a pod grid
 }
 
 // band is one host worker's block of rows [r0, r1) on a one-shard grid.
@@ -69,6 +120,7 @@ type shard struct {
 type band struct {
 	r0, r1       int
 	north, south []uint64
+	run          RowRun
 }
 
 // Driver runs one engine over an R x C grid of shards on the simulated pod
@@ -270,33 +322,15 @@ func (d *Driver) exchangeHalos(r *pod.Replica, sh *shard) {
 	sh.west = r.ShiftExchangeWords(d.packEdge(sh, true), 1, 0)
 }
 
-// updateRows runs the row kernel over one colour of shard rows [r0, r1).
-// north and south stand in for the rows just outside the range; nil means
-// the shard's own rows, read live with the torus wrap. A shard that has
-// exchanged halos takes its wrap sites from the received columns; a single
-// core wraps each row onto its own end words. Every neighbour the kernel
-// reads belongs to the other colour, so live reads, copies and halos agree.
-func (d *Driver) updateRows(worker int, sh *shard, r0, r1 int, north, south []uint64, parity int, step uint64) {
-	rows, w := d.shardRows, d.rowWords
+// updateRows runs the row kernel over one colour of shard rows [r0, r1) as
+// the run *run. north and south stand in for the rows just outside the
+// range; nil means the shard's own rows, read live with the torus wrap.
+func (d *Driver) updateRows(worker int, run *RowRun, sh *shard, r0, r1 int, north, south []uint64, parity int, step uint64) {
 	if north == nil {
-		north = d.row(sh, (r0-1+rows)%rows)
+		north = d.row(sh, (r0-1+d.shardRows)%d.shardRows)
 	}
-	row := d.row(sh, r0)
-	for r := r0; r < r1; r++ {
-		// The rows roll: this row is the next one's north, its south the
-		// next one's row.
-		next := south
-		if r < r1-1 || next == nil {
-			next = d.row(sh, (r+1)%rows)
-		}
-		westWrap, eastWrap := row[w-1], row[0]
-		if sh.west != nil {
-			westWrap = d.haloSite(sh.west, r) << (WordBits - d.siteBits)
-			eastWrap = d.haloSite(sh.east, r)
-		}
-		d.kernel(worker, row, north, next, westWrap, eastWrap, sh.rowOff+r, sh.colOff, parity, step)
-		north, row = row, next
-	}
+	*run = RowRun{d: d, sh: sh, r: r0, r1: r1, north: north, south: south, row: d.row(sh, r0)}
+	d.kernel(worker, run, parity, step)
 }
 
 // UpdateColor performs one colour update (parity 0 = black, 1 = white) of
@@ -309,7 +343,7 @@ func (d *Driver) UpdateColor(parity int, step uint64) {
 		err := d.pod.Replicate(func(r *pod.Replica) error {
 			sh := d.shards[r.ID]
 			d.exchangeHalos(r, sh)
-			d.updateRows(r.ID, sh, 0, d.shardRows, sh.north, sh.south, parity, step)
+			d.updateRows(r.ID, &sh.run, sh, 0, d.shardRows, sh.north, sh.south, parity, step)
 			return nil
 		})
 		if err != nil {
@@ -319,7 +353,7 @@ func (d *Driver) UpdateColor(parity int, step uint64) {
 	}
 	sh := d.shards[0]
 	if len(d.bands) == 1 {
-		d.updateRows(0, sh, 0, d.rows, nil, nil, parity, step)
+		d.updateRows(0, &d.bands[0].run, sh, 0, d.rows, nil, nil, parity, step)
 		return
 	}
 	for _, b := range d.bands {
@@ -327,11 +361,12 @@ func (d *Driver) UpdateColor(parity int, step uint64) {
 		copy(b.south, d.row(sh, b.r1%d.rows))
 	}
 	var wg sync.WaitGroup
-	for i, b := range d.bands {
+	for i := range d.bands {
+		b := &d.bands[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d.updateRows(i, sh, b.r0, b.r1, b.north, b.south, parity, step)
+			d.updateRows(i, &b.run, sh, b.r0, b.r1, b.north, b.south, parity, step)
 		}()
 	}
 	wg.Wait()

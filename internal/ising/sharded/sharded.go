@@ -60,7 +60,7 @@ func New(cfg Config) (*Engine, error) {
 	d, err := NewDriver(Geometry{
 		Engine: e.base, Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
 		SiteBits: 1, ColGroup: WordBits, Workers: cfg.Workers,
-	}, e.updateRow)
+	}, e.updateRows)
 	if err != nil {
 		return nil, err
 	}
@@ -83,11 +83,10 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// updateRow is the engine's RowKernel: the shared multispin kernel, keyed by
-// global row and word, with the worker's own draw scratch.
-func (e *Engine) updateRow(worker int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64) {
-	e.kern.UpdateRowScratch(row, north, south, westWrap, eastWrap,
-		globalRow, colOff/WordBits, parity, step, &e.scratch[worker])
+// updateRows is the engine's RowKernel: the shared multispin kernel's run
+// form, keyed by global row and word, with the worker's own draw scratch.
+func (e *Engine) updateRows(worker int, run *RowRun, parity int, step uint64) {
+	e.kern.UpdateRows(run, run.Rows(), run.GlobalRow(), run.ColOff()/WordBits, parity, step, &e.scratch[worker])
 }
 
 // Name identifies the engine: Config.Name ("sharded" by default), with a

@@ -1,12 +1,14 @@
 package sharded
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 
 	"tpuising/internal/ising"
+	"tpuising/internal/ising/multispin"
 	"tpuising/internal/perf"
 	"tpuising/internal/rng"
 )
@@ -259,4 +261,67 @@ func TestObservablesMatchGatheredLattice(t *testing.T) {
 			t.Errorf("Spin(%d,%d) = %d, lattice %d", rc[0], rc[1], got, want)
 		}
 	}
+}
+
+// TestNarrowRowRunsMatchReference pins the run form of the row kernel on
+// the lattices it changes most: rows of one and three words, whose accept
+// masks the kernel draws for up to 64 and 21 rows per Philox call. Each
+// engine — one band, three bands that split the runs unevenly, and pod
+// grids whose shards are one or three words wide — must match the naive
+// UpdateRowRef replayed row by row over the whole lattice, in both random
+// modes.
+func TestNarrowRowRunsMatchReference(t *testing.T) {
+	cases := []struct {
+		rows, cols, gridR, gridC, workers int
+	}{
+		{64, 64, 1, 1, 1},
+		{64, 64, 1, 1, 3},
+		{64, 64, 2, 1, 0},
+		{96, 192, 1, 1, 1},
+		{96, 192, 1, 1, 3},
+		{96, 192, 2, 3, 0},
+		{96, 384, 2, 2, 0},
+	}
+	const temp, seed, sweeps = 2.3, 29, 4
+	for _, tc := range cases {
+		for _, shared := range []bool{false, true} {
+			e, err := New(Config{
+				Rows: tc.rows, Cols: tc.cols, GridR: tc.gridR, GridC: tc.gridC, Workers: tc.workers,
+				Temperature: temp, Seed: seed, SharedRandom: shared,
+				Initial: ising.NewRandomLattice(tc.rows, tc.cols, rng.New(seed)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%dx%d grid %dx%d workers %d shared %v", tc.rows, tc.cols, tc.gridR, tc.gridC, tc.workers, shared)
+			W := tc.cols / WordBits
+			ref := globalWords(e)
+			k := multispin.NewKernel(temp, seed, shared)
+			row := func(r int) []uint64 { return ref[r*W : (r+1)*W] }
+			for sweep := 0; sweep < sweeps; sweep++ {
+				step := e.Step()
+				e.Sweep()
+				for parity := 0; parity < 2; parity++ {
+					for r := 0; r < tc.rows; r++ {
+						cur := row(r)
+						k.UpdateRowRef(cur, row((r-1+tc.rows)%tc.rows), row((r+1)%tc.rows), cur[W-1], cur[0],
+							r, 0, parity, step+uint64(parity))
+					}
+				}
+				got := globalWords(e)
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("%s: sweep %d word %d = %#x, reference replay %#x", label, sweep, i, got[i], ref[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// globalWords copies an engine's packed lattice in global row-major order.
+func globalWords(e *Engine) []uint64 {
+	var out []uint64
+	e.EachRow(func(_, _ int, words []uint64) { out = append(out, words...) })
+	return out
 }

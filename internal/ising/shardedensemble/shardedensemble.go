@@ -116,7 +116,7 @@ func New(cfg Config) (*Engine, error) {
 	d, err := sharded.NewDriver(sharded.Geometry{
 		Engine: e.prefix, Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
 		SiteBits: MaxLanes, ColGroup: groupCols, Lanes: cfg.Lanes, Workers: cfg.Workers,
-	}, e.updateRow)
+	}, e.updateRows)
 	if err != nil {
 		return nil, err
 	}
@@ -152,12 +152,15 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// updateRow is the engine's RowKernel: the shared lane-packed kernel with
-// the global row and the shard's global random-group offset, so the randoms
-// are the same site for site on every grid.
-func (e *Engine) updateRow(_ int, row, north, south []uint64, westWrap, eastWrap uint64, globalRow, colOff, parity int, step uint64) {
-	e.kern.UpdateRow(row, north, south, westWrap, eastWrap,
-		globalRow, colOff/groupCols, parity, step, nil)
+// updateRows is the engine's RowKernel: the shared lane-packed kernel, one
+// row at a time, with the global row and the shard's global random-group
+// offset, so the randoms are the same site for site on every grid.
+func (e *Engine) updateRows(_ int, run *sharded.RowRun, parity int, step uint64) {
+	group := run.ColOff() / groupCols
+	for gr := run.GlobalRow(); run.Rows() > 0; gr++ {
+		row, north, south, westWrap, eastWrap := run.NextRow()
+		e.kern.UpdateRow(row, north, south, westWrap, eastWrap, gr, group, parity, step, nil)
+	}
 }
 
 // Name identifies the engine: Config.Name, "sharded-ensemble" by default

@@ -97,13 +97,15 @@ func blockRowAVX2(dst *uint32, n uint64, ctr Counter, key Key)
 //go:noescape
 func blockLanesAVX2(dst *uint32, n uint64, ctr Counter, k0s, k1s *uint32)
 
-// acceptRowAVX2 writes the word-aligned accept masks of n (positive) words:
-// bit 2(4b+c) of a4[w] (a8[w]) is set when component c of Block(ctr+8w+b,
-// key) is below t4 (t8), with ctr+i incrementing only ctr[3] mod 2^32, and
-// every odd bit is zero. A threshold of 2^32 or more accepts everything.
+// acceptRowsAVX2 writes the word-aligned accept masks of n (positive) words
+// of rows of rowWords (positive, dividing n) words: bit 2(4b+c) of a4[k]
+// (a8[k]) for word k = i*rowWords+w is set when component c of
+// Block({ctr[0], ctr[1], ctr[2]+i, ctr[3]+8w+b}, key) is below t4 (t8),
+// each counter word wrapping mod 2^32 on its own, and every odd bit is
+// zero. A threshold of 2^32 or more accepts everything.
 //
 //go:noescape
-func acceptRowAVX2(a4, a8 *uint64, n uint64, ctr Counter, key Key, t4, t8 uint64)
+func acceptRowsAVX2(a4, a8 *uint64, n, rowWords uint64, ctr Counter, key Key, t4, t8 uint64)
 
 // acceptLanesAVX2 writes byte i of a4[c] (a8[c]) for i < n/8: bit l of the
 // lane masks is set when component c of Block(ctr, Key{k0s[l], k1s[l]}) is

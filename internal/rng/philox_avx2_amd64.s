@@ -16,15 +16,19 @@
 // temporaries, which both states share because register renaming removes
 // the false dependencies. M0/M1 and W0/W1 are read as memory operands to
 // leave the registers to the states and keys:
-//   row kernels (blockRowAVX2, acceptRowAVX2): Y8/Y9 = broadcast round keys
-//     k0/k1 shared by A and B, Y10 = A's running c3 vector (B's is c3+8),
-//     Y11/Y12 = the accept kernel's biased thresholds t4/t8;
+//   row kernels (blockRowAVX2, acceptRowsAVX2): Y8/Y9 = broadcast round
+//     keys k0/k1 shared by A and B, Y10 = A's running c3 vector (B's is
+//     c3+8); acceptRowsAVX2 starts each state at the next word of a (row,
+//     column) walk (ROWS_CTR: Y10 restarts and the local row advances at
+//     each row's end, R12 counts the words left in the row), so its two
+//     states may sit in two rows, and keeps its biased thresholds t4/t8 in
+//     Y11/Y12;
 //   lane kernels (blockLanesAVX2, acceptLanesAVX2): Y8/Y9 = A's per-lane
 //     round keys, Y10/Y11 = B's, Y12 = the accept kernel's VPERMD control.
 // PHILOX_STORE transposes one state into eight consecutive 16-byte blocks at
 // (DI) and advances DI, clobbering Y8 and Y13..Y15.
 //
-// The accept kernels (acceptRowAVX2, acceptLanesAVX2) run the same rounds and
+// The accept kernels (acceptRowsAVX2, acceptLanesAVX2) run the same rounds and
 // then, instead of storing the blocks, compare them against the Metropolis
 // thresholds in registers: u < t for unsigned u is the signed compare
 // t^2^31 > u^2^31 (PHILOX_BIAS flips the sign bits of a state), and a
@@ -46,8 +50,10 @@
 #include "textflag.h"
 
 // Counter offsets {0..15}: the AVX2 row kernels read the first eight,
-// acceptRowAVX512 (philox_avx512_amd64.s) all sixteen. That file also reads
-// the M0/M1/W0/W1 vectors below, as embedded broadcasts.
+// acceptRowsAVX512 (philox_avx512_amd64.s) all sixteen for a state inside
+// one row and the first eight, in both halves, for a state across two.
+// That file also reads the M0/M1/W0/W1 vectors below, as embedded
+// broadcasts.
 DATA ·philoxLaneIota+0(SB)/4, $0
 DATA ·philoxLaneIota+4(SB)/4, $1
 DATA ·philoxLaneIota+8(SB)/4, $2
@@ -127,7 +133,7 @@ DATA ·philoxSignBias+28(SB)/4, $0x80000000
 GLOBL ·philoxSignBias(SB), RODATA|NOPTR, $32
 
 // The even bits of a word: the row kernels' force-mask filter, and in
-// acceptRowAVX512 the PDEPQ mask that moves compact bit j to 2j.
+// acceptRowsAVX512 the PDEPQ mask that moves compact bit j to 2j.
 DATA ·philoxEvenBits+0(SB)/8, $0x5555555555555555
 GLOBL ·philoxEvenBits(SB), RODATA|NOPTR, $8
 
@@ -228,6 +234,43 @@ GLOBL ·philoxEvenOdd(SB), RODATA|NOPTR, $32
 	VPADDD ·philoxEight(SB), Y10, Y7        \
 	VPADDD ·philoxEight(SB), Y7, Y10
 
+// ROWS_CTR(c2, c3, next) sets one eight-block state's counter vectors to
+// the walk's next word and steps the walk; next names the macro's label.
+// The word's c2 is the local row (ctr[2] + its row), its c3 is Y10
+// (ctr[3] + 8 x its column + {0..7}), which then advances by eight. Past
+// the last word of a row (R12, the words left in the row, reaching zero)
+// the walk opens the next row: row += 1, Y10 = ctr[3] + {0..7} and R12 =
+// rowWords. Both counter words wrap mod 2^32 on their own. Inside a row
+// that is a broadcast load and two vector moves, the cost of the running
+// counter of one long row.
+#define ROWS_CTR(c2, c3, next)                  \
+	VPBROADCASTD row-4(SP), c2                  \
+	VMOVDQA Y10, c3                             \
+	VPADDD ·philoxEight(SB), Y10, Y10           \
+	DECQ R12                                    \
+	JNZ next                                    \
+	ADDL $1, row-4(SP)                          \
+	VPBROADCASTD 12(BX), Y10                    \
+	VPADDD ·philoxLaneIota(SB), Y10, Y10        \
+	MOVQ rowWords+24(FP), R12                   \
+next:
+
+// ROWS_STATE(next) starts state A at the next word of the walk and loads
+// the round keys of 16(BX). ROWS_STATE_PAIR(nexta, nextb) also starts state
+// B at the word after it, which may open the next row.
+#define ROWS_STATE(next)              \
+	VPBROADCASTD 0(BX), Y0            \
+	VPBROADCASTD 4(BX), Y1            \
+	ROWS_CTR(Y2, Y3, next)            \
+	VPBROADCASTD 16(BX), Y8           \
+	VPBROADCASTD 20(BX), Y9
+
+#define ROWS_STATE_PAIR(nexta, nextb) \
+	ROWS_STATE(nexta)                 \
+	VMOVDQA Y0, Y4                    \
+	VMOVDQA Y1, Y5                    \
+	ROWS_CTR(Y6, Y7, nextb)
+
 // LANE_STATE starts state A at the counter words of (BX) under the lane
 // keys at (R8)/(R9). LANE_STATE_PAIR also starts state B under the next
 // eight lanes' keys.
@@ -288,7 +331,7 @@ GLOBL ·philoxEvenOdd(SB), RODATA|NOPTR, $32
 	MOVQ AX, dst
 
 // ROW_ACCEPT stores the next word's accept masks of state c0..c3 under the
-// thresholds of acceptRowAVX2 and advances DI and SI.
+// thresholds of acceptRowsAVX2 and advances DI and SI.
 #define ROW_ACCEPT(c0, c1, c2, c3)            \
 	PHILOX_BIAS(c0, c1, c2, c3)               \
 	ROW_MASK(c0, c1, c2, c3, Y11, R10, (DI))  \
@@ -430,15 +473,15 @@ lanedone:
 	VZEROUPPER
 	RET
 
-// func acceptRowAVX2(a4, a8 *uint64, n uint64, ctr Counter, key Key, t4, t8 uint64)
-TEXT ·acceptRowAVX2(SB), NOSPLIT, $0-64
+// func acceptRowsAVX2(a4, a8 *uint64, n, rowWords uint64, ctr Counter, key Key, t4, t8 uint64)
+TEXT ·acceptRowsAVX2(SB), NOSPLIT, $8-72
 	MOVQ a4+0(FP), DI
 	MOVQ a8+8(FP), SI
 	MOVQ n+16(FP), DX
-	LEAQ ctr+24(FP), BX
-	MOVQ t4+48(FP), AX
+	LEAQ ctr+32(FP), BX
+	MOVQ t4+56(FP), AX
 	ROW_THRESHOLD(AX, R8, R10)
-	MOVQ t8+56(FP), AX
+	MOVQ t8+64(FP), AX
 	ROW_THRESHOLD(AX, R9, R11)
 	VMOVD R8, X11
 	VPBROADCASTD X11, Y11
@@ -447,16 +490,20 @@ TEXT ·acceptRowAVX2(SB), NOSPLIT, $0-64
 	ANDQ ·philoxEvenBits(SB), R10
 	ANDQ ·philoxEvenBits(SB), R11
 
-	// Y10 = running c3 vector: one word is the eight blocks at ctr[3] +
-	// {0..7}, advanced by 8 per word.
+	// The walk starts at word 0 of row 0: row = ctr[2], Y10 = ctr[3] +
+	// {0..7}, R12 = rowWords words left in the row.
+	MOVL 8(BX), AX
+	MOVL AX, row-4(SP)
 	VPBROADCASTD 12(BX), Y10
 	VPADDD ·philoxLaneIota(SB), Y10, Y10
-	MOVQ DX, R12
-	SHRQ $1, R12
-	JZ acceptrowtail
+	MOVQ rowWords+24(FP), R12
+
+	// DX counts the words left minus two; its low bit stays n's.
+	SUBQ $2, DX
+	JCS acceptrowtail
 
 acceptrowpair:
-	ROW_STATE_PAIR
+	ROWS_STATE_PAIR(pairanext, pairbnext)
 	MOVQ $10, CX
 acceptrowpairround:
 	PHILOX_ROUND(Y0, Y1, Y2, Y3, Y8, Y9)
@@ -466,13 +513,13 @@ acceptrowpairround:
 	JNZ acceptrowpairround
 	ROW_ACCEPT(Y0, Y1, Y2, Y3)
 	ROW_ACCEPT(Y4, Y5, Y6, Y7)
-	DECQ R12
-	JNZ acceptrowpair
+	SUBQ $2, DX
+	JCC acceptrowpair
 
 acceptrowtail:
 	TESTQ $1, DX
 	JZ acceptrowdone
-	ROW_STATE
+	ROWS_STATE(tailnext)
 	MOVQ $10, CX
 acceptrowtailround:
 	PHILOX_ROUND(Y0, Y1, Y2, Y3, Y8, Y9)

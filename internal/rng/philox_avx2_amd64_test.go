@@ -95,7 +95,7 @@ func TestVectorKernelsBeatPortable(t *testing.T) {
 		call   func()
 	}{
 		{"BlockRow", false, func() { BlockRow(blocks, ctr, key) }},
-		{"AcceptRow", true, func() { AcceptRow(a4, a8, ctr, key, 1<<31, 1<<29) }},
+		{"AcceptRows", true, func() { AcceptRows(a4, a8, len(a4), ctr, key, 1<<31, 1<<29) }},
 		{"BlockLanes", false, func() {
 			for g := uint32(0); g < 4; g++ {
 				BlockLanes(blocks[:256], Counter{1, 2, 3, g}, k0s, k1s)

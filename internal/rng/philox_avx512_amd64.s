@@ -5,9 +5,11 @@
 // their latency-bound round chains overlap; the rest of a call runs one
 // sixteen-block state and then, for an odd group of eight blocks, one
 // eight-block state in the ymm halves (Y0..Y3, AVX-512VL encodings). Eight
-// blocks are all a one-word row or an eight-lane group needs, so the ymm
+// blocks are all a one-word call or an eight-lane group needs, so the ymm
 // state computes no wasted blocks, and a call that runs it alone issues no
-// 512-bit instruction.
+// 512-bit instruction. The row kernel runs a call's words as one stream
+// whatever the row width: a run of 64 one-word rows fills sixteen pair
+// iterations like one 64-word row, and only the counter vectors differ.
 //
 // PHILOX_ROUND512 is the only round body and serves every state width, in 14
 // instructions. VPMULUDQ multiplies the even 32-bit lanes, so the odd lanes
@@ -25,7 +27,7 @@
 // which no 32-bit value can hold, becomes a force mask OR'ed into the
 // result (the even bits in the row kernel, all lanes in the lane kernel).
 // The row kernel gathers a state's compare bits compactly, bit 4b+c, with
-// one PDEPQ per component (masks 0x1111...<<c in R8, R9, R12, R13), then
+// one PDEPQ per component (masks 0x1111...<<c in R8..R11), then
 // spreads each 32-bit word half to the even bits with one more PDEPQ
 // (philoxEvenBits), so ordinal j = 4b+c lands on bit 2j; a sixteen-block
 // state stores two MOVQs per threshold. BMI2's PDEP replaces the AVX2
@@ -34,10 +36,15 @@
 // per component.
 //
 // Registers besides the states:
-//   row kernel (acceptRowAVX512): Z8/Z9 = broadcast round keys shared by A
-//     and B, Z10 = A's counter vector c3+{0..15} (B's is c3+16), Z11 = 16
-//     in every lane, Z20/Z21 = broadcast low words of t4/t8, R10/R11 = their
-//     force masks (even bits only);
+//   row kernel (acceptRowsAVX512): Z8/Z9 = broadcast round keys shared by
+//     A and B, Z20/Z21 = broadcast low words of t4/t8, the locals
+//     force4/force8 = their force masks (even bits only), which leave
+//     R8..R11 to the PDEPQ masks, and the (row, column) walk in R12..R14
+//     (ROWS_CTR16): a state inside one row takes its counters from the
+//     row vectors (the local row = its c2, Z10 = its c3 + {0..15}, Z26 =
+//     16 in every lane), a state whose two words sit in two rows gives
+//     each eight-block half its own (c2, c3), merged under K2 (the high
+//     eight lanes, Z11 = {0..7, 0..7});
 //   lane kernel (acceptLanesAVX512): Z8/Z9 = A's per-lane round keys,
 //     Z10/Z11 = B's, Z22..Z24, K3 and K4 = threshold scratch;
 //   both: Z12..Z15 = A's round temporaries, Z16..Z19 = B's, K1 = the odd
@@ -89,15 +96,71 @@ GLOBL ·philoxHighWord(SB), RODATA|NOPTR, $8
 	MOVL $0xAAAA, AX    \
 	KMOVW AX, K1
 
-// ROW_STATE(c0, c1, c2, c3, k0, k1, ctr) starts a state at the counter
-// words of (BX) with c3 = ctr and loads the round keys of 16(BX).
-#define ROW_STATE(c0, c1, c2, c3, k0, k1, ctr) \
-	VPBROADCASTD 0(BX), c0                     \
-	VPBROADCASTD 4(BX), c1                     \
-	VPBROADCASTD 8(BX), c2                     \
-	VMOVDQA32 ctr, c3                          \
-	VPBROADCASTD 16(BX), k0                    \
+// ROW_STATE(c0, c1, k0, k1) starts a state at the counter words ctr[0] and
+// ctr[1] of (BX) and loads the round keys of 16(BX); ROWS_CTR16 or the
+// eight-block tail sets its c2 and c3.
+#define ROW_STATE(c0, c1, k0, k1) \
+	VPBROADCASTD 0(BX), c0        \
+	VPBROADCASTD 4(BX), c1        \
+	VPBROADCASTD 16(BX), k0       \
 	VPBROADCASTD 20(BX), k1
+
+// ROWS_WALK_STEP steps the (row, column) walk to the next word: R14 (the
+// word's c3) += 8, and past the last word of a row (R12, the words left in
+// the row, reaching zero) R14 = ctr[3], R13 (the row's c2) += 1 and R12 =
+// rowWords. Both counter words wrap mod 2^32 on their own. It clobbers AX
+// and the flags.
+#define ROWS_WALK_STEP                 \
+	ADDL $8, R14                       \
+	LEAL 1(R13), AX                    \
+	DECQ R12                           \
+	CMOVLEQ 12(BX), R14                \
+	CMOVLEQ AX, R13                    \
+	CMOVQEQ rowWords+24(FP), R12
+
+// ROWS_SYNC points the row vectors at the walk's position: the local row
+// = R13, Z10 = R14 + {0..15}.
+#define ROWS_SYNC                              \
+	MOVL R13, row-20(SP)                       \
+	VPBROADCASTD R14, Z10                      \
+	VPADDD ·philoxLaneIota(SB), Z10, Z10
+
+// ROWS_CTR16(c2, c3, split, done) sets a sixteen-block state's counter
+// vectors to the walk's next two words and steps the walk past them; split
+// and done name the macro's labels. When both words lie in the current row
+// (R12 >= 2), which is every state of a row of even width, c2 and c3 come
+// from the row vectors, which then advance by two words: a broadcast load
+// and two vector moves, no more than a running counter. Otherwise (R12 ==
+// 1) the two words sit in two rows and each eight-lane half takes its own
+// (c2, c3) from the walk, the high half merged under K2 (Z11 = {0..7,
+// 0..7}). The row vectors are kept in step only while the next state can
+// use them (R12 >= 2), so a run of one-word rows never touches them.
+#define ROWS_CTR16(c2, c3, split, done) \
+	CMPQ R12, $2                        \
+	JCS split                           \
+	VPBROADCASTD row-20(SP), c2         \
+	VMOVDQA32 Z10, c3                   \
+	VPADDD Z26, Z10, Z10                \
+	ADDL $16, R14                       \
+	SUBQ $2, R12                        \
+	JNZ done                            \
+	MOVL 12(BX), R14                    \
+	INCL R13                            \
+	MOVQ rowWords+24(FP), R12           \
+	ROWS_SYNC                           \
+	JMP done                            \
+split:                                  \
+	VPBROADCASTD R13, c2                \
+	VPBROADCASTD R14, c3                \
+	ROWS_WALK_STEP                      \
+	VPBROADCASTD R13, K2, c2            \
+	VPBROADCASTD R14, K2, c3            \
+	VPADDD Z11, c3, c3                  \
+	ROWS_WALK_STEP                      \
+	CMPQ R12, $2                        \
+	JCS done                            \
+	ROWS_SYNC                           \
+done:
 
 // ROW_THRESHOLD splits a threshold t (clobbered) into its low word and the
 // 64-bit force mask, all ones when t >= 2^32 (NEGQ sets the carry exactly
@@ -110,8 +173,8 @@ GLOBL ·philoxHighWord(SB), RODATA|NOPTR, $8
 
 // ROW_BITS sets AX to the compact accept bits of the state c0..c3 (block
 // b in lane b) against the broadcast threshold t: bit 4b+c is component c
-// of block b below t (VPCMPUD predicate 1: unsigned less than). It clobbers
-// CX and K3.
+// of block b below t (VPCMPUD predicate 1: unsigned less than), placed by
+// the PDEPQ mask 0x1111...<<c in R8..R11. It clobbers CX and K3.
 #define ROW_BITS(c0, c1, c2, c3, t) \
 	VPCMPUD $1, t, c0, K3           \
 	KMOVW K3, AX                    \
@@ -122,11 +185,11 @@ GLOBL ·philoxHighWord(SB), RODATA|NOPTR, $8
 	ORQ CX, AX                      \
 	VPCMPUD $1, t, c2, K3           \
 	KMOVW K3, CX                    \
-	PDEPQ R12, CX, CX               \
+	PDEPQ R10, CX, CX               \
 	ORQ CX, AX                      \
 	VPCMPUD $1, t, c3, K3           \
 	KMOVW K3, CX                    \
-	PDEPQ R13, CX, CX               \
+	PDEPQ R11, CX, CX               \
 	ORQ CX, AX
 
 // ROW_WORD stores the word-aligned mask of the compact bits in AX's low 32
@@ -140,13 +203,13 @@ GLOBL ·philoxHighWord(SB), RODATA|NOPTR, $8
 // under each threshold and advances DI and SI.
 #define ROW_ACCEPT16(c0, c1, c2, c3)  \
 	ROW_BITS(c0, c1, c2, c3, Z20)     \
-	ROW_WORD(R10, (DI))               \
+	ROW_WORD(force4-8(SP), (DI))      \
 	SHRQ $32, AX                      \
-	ROW_WORD(R10, 8(DI))              \
+	ROW_WORD(force4-8(SP), 8(DI))     \
 	ROW_BITS(c0, c1, c2, c3, Z21)     \
-	ROW_WORD(R11, (SI))               \
+	ROW_WORD(force8-16(SP), (SI))     \
 	SHRQ $32, AX                      \
-	ROW_WORD(R11, 8(SI))              \
+	ROW_WORD(force8-16(SP), 8(SI))    \
 	ADDQ $16, DI                      \
 	ADDQ $16, SI
 
@@ -219,55 +282,59 @@ GLOBL ·philoxHighWord(SB), RODATA|NOPTR, $8
 	ADDQ $128, R10                                 \
 	ADDQ $128, R11
 
-// func acceptRowAVX512(a4, a8 *uint64, n uint64, ctr Counter, key Key, t4, t8 uint64)
-TEXT ·acceptRowAVX512(SB), NOSPLIT, $0-64
+// func acceptRowsAVX512(a4, a8 *uint64, n, rowWords uint64, ctr Counter, key Key, t4, t8 uint64)
+TEXT ·acceptRowsAVX512(SB), NOSPLIT, $24-72
 	MOVQ a4+0(FP), DI
 	MOVQ a8+8(FP), SI
 	MOVQ n+16(FP), DX
-	LEAQ ctr+24(FP), BX
-	MOVQ t4+48(FP), AX
+	LEAQ ctr+32(FP), BX
+	MOVQ t4+56(FP), AX
 	ROW_THRESHOLD(AX, R8, R10)
-	MOVQ t8+56(FP), AX
+	MOVQ t8+64(FP), AX
 	ROW_THRESHOLD(AX, R9, R11)
 	VPBROADCASTD R8, Y20
 	VPBROADCASTD R9, Y21
 	ANDQ ·philoxEvenBits(SB), R10
 	ANDQ ·philoxEvenBits(SB), R11
+	MOVQ R10, force4-8(SP)
+	MOVQ R11, force8-16(SP)
 	MOVQ $0x1111111111111111, R8
 	LEAQ (R8)(R8*1), R9
-	LEAQ (R8*4), R12
-	LEAQ (R8*8), R13
+	LEAQ (R8*4), R10
+	LEAQ (R8*8), R11
 	ODD_LANES
-	VPBROADCASTD 12(BX), Y10
-	VPADDD ·philoxLaneIota(SB), Y10, Y10
 
-	// A one-word row runs the ymm state alone and must not touch a zmm
+	// The walk starts at word 0 of row 0: R13 = ctr[2], R14 = ctr[3],
+	// R12 = rowWords words left in the row.
+	MOVL 8(BX), R13
+	MOVL 12(BX), R14
+	MOVQ rowWords+24(FP), R12
+
+	// A one-word call runs the ymm state alone and must not touch a zmm
 	// register: one 512-bit instruction in its setup made it about 30%
 	// slower than the AVX2 kernel.
 	CMPQ DX, $2
 	JCS acceptrow8
 
-	// Z10 = running c3 vector: two words are the sixteen blocks at ctr[3]
-	// + {0..15}, advanced by 16 per state (wrapping mod 2^32 like the
-	// scalar counter walk); its low half Y10 is one word's.
 	VPBROADCASTD X20, Z20
 	VPBROADCASTD X21, Z21
-	VPBROADCASTD 12(BX), Z10
-	VPADDD ·philoxLaneIota(SB), Z10, Z10
+	VBROADCASTI64X4 ·philoxLaneIota(SB), Z11
 	MOVL $16, AX
-	VPBROADCASTD AX, Z11
+	VPBROADCASTD AX, Z26
+	MOVL $0xFF00, AX
+	KMOVW AX, K2
+	ROWS_SYNC
 
 	// DX counts the words left minus four; its low two bits stay n's.
 	SUBQ $4, DX
 	JCS acceptrow16
 
 acceptrowpair:
-	ROW_STATE(Z0, Z1, Z2, Z3, Z8, Z9, Z10)
+	ROW_STATE(Z0, Z1, Z8, Z9)
+	ROWS_CTR16(Z2, Z3, pairasplit, pairadone)
 	VMOVDQA32 Z0, Z4
 	VMOVDQA32 Z1, Z5
-	VMOVDQA32 Z2, Z6
-	VPADDD Z11, Z10, Z7
-	VPADDD Z11, Z7, Z10
+	ROWS_CTR16(Z6, Z7, pairbsplit, pairbdone)
 	MOVQ $5, CX
 acceptrowpairround:
 	PHILOX_ROUND512(Z0, Z1, Z2, Z3, Z8, Z9, Z12, Z13, Z14, Z15)
@@ -286,8 +353,8 @@ acceptrowpairround:
 acceptrow16:
 	TESTQ $2, DX
 	JZ acceptrow8
-	ROW_STATE(Z0, Z1, Z2, Z3, Z8, Z9, Z10)
-	VPADDD Z11, Z10, Z10
+	ROW_STATE(Z0, Z1, Z8, Z9)
+	ROWS_CTR16(Z2, Z3, onesplit, onedone)
 	MOVQ $5, CX
 acceptrow16round:
 	PHILOX_ROUNDS2(Z0, Z1, Z2, Z3, Z8, Z9, Z12, Z13, Z14, Z15)
@@ -298,16 +365,19 @@ acceptrow16round:
 acceptrow8:
 	TESTQ $1, DX
 	JZ acceptrowdone
-	ROW_STATE(Y0, Y1, Y2, Y3, Y8, Y9, Y10)
+	ROW_STATE(Y0, Y1, Y8, Y9)
+	VPBROADCASTD R13, Y2
+	VPBROADCASTD R14, Y3
+	VPADDD ·philoxLaneIota(SB), Y3, Y3
 	MOVQ $5, CX
 acceptrow8round:
 	PHILOX_ROUNDS2(Y0, Y1, Y2, Y3, Y8, Y9, Y12, Y13, Y14, Y15)
 	DECQ CX
 	JNZ acceptrow8round
 	ROW_BITS(Y0, Y1, Y2, Y3, Y20)
-	ROW_WORD(R10, (DI))
+	ROW_WORD(force4-8(SP), (DI))
 	ROW_BITS(Y0, Y1, Y2, Y3, Y21)
-	ROW_WORD(R11, (SI))
+	ROW_WORD(force8-16(SP), (SI))
 
 acceptrowdone:
 	VZEROUPPER

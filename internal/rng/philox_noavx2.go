@@ -18,7 +18,7 @@ func blockLanesAVX2(dst *uint32, n uint64, ctr Counter, k0s, k1s *uint32) {
 	panic("rng: AVX2 kernel called on a non-amd64 build")
 }
 
-func acceptRowAVX2(a4, a8 *uint64, n uint64, ctr Counter, key Key, t4, t8 uint64) {
+func acceptRowsAVX2(a4, a8 *uint64, n, rowWords uint64, ctr Counter, key Key, t4, t8 uint64) {
 	panic("rng: AVX2 kernel called on a non-amd64 build")
 }
 
@@ -26,7 +26,7 @@ func acceptLanesAVX2(a4, a8 *[4]uint64, n uint64, ctr Counter, k0s, k1s *uint32,
 	panic("rng: AVX2 kernel called on a non-amd64 build")
 }
 
-func acceptRowAVX512(a4, a8 *uint64, n uint64, ctr Counter, key Key, t4, t8 uint64) {
+func acceptRowsAVX512(a4, a8 *uint64, n, rowWords uint64, ctr Counter, key Key, t4, t8 uint64) {
 	panic("rng: AVX-512 kernel called on a non-amd64 build")
 }
 

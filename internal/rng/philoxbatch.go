@@ -10,7 +10,7 @@ package rng
 // a CPUID check at start-up picks the widest path the CPU and OS allow.
 //
 // Two forms share each draw pattern. BlockRow and BlockLanes return the raw
-// stream: they write exactly the words Block would. AcceptRow and
+// stream: they write exactly the words Block would. AcceptRows and
 // AcceptLanes return what a Metropolis row kernel consumes: one accept bit
 // per draw, u < t4 and u < t8, compared in vector registers where the block
 // is generated instead of staged through memory. The portable definition of
@@ -146,52 +146,61 @@ func blockLanesGeneric(dst []uint32, ctr Counter, k0s, k1s []uint32, i, n int) {
 	}
 }
 
-// AcceptRow draws the per-site randoms of len(a4) consecutive 64-column
-// words (the multispin draw pattern: word w's 32 active sites read the
-// eight blocks at counters ctr[3]+8w .. ctr[3]+8w+7, with the ctr[3]
-// arithmetic of BlockRow) and returns them as word-aligned accept masks:
-// bit 2j of a4[w] (a8[w]) is set when random j of word w, component j&3 of
-// block j>>2, is below t4 (t8), and every odd bit is zero. Same-colour
-// ordinal j is column 2j+p of a row whose active colour has column parity
-// p, so the row kernel consumes a mask as a4[w]<<p. A threshold of 0
-// accepts nothing and one of 2^32 or more (up to 2^63) accepts everything.
-// len(a8) must equal len(a4).
-func AcceptRow(a4, a8 []uint64, ctr Counter, key Key, t4, t8 uint64) {
-	if len(a4) != len(a8) {
-		panic("rng: AcceptRow needs len(a4) == len(a8)")
+// AcceptRows draws the per-site randoms of a run of consecutive rows of
+// rowWords 64-column words each (the multispin draw pattern: word w of row
+// i reads the eight blocks at counters {ctr[0], ctr[1], ctr[2]+i,
+// ctr[3]+8w .. ctr[3]+8w+7}, with the mod-2^32 arithmetic of BlockRow in
+// both moving words and no carry between them) and returns them as
+// word-aligned accept masks, row after row: bit 2j of a4[i*rowWords+w]
+// (a8) is set when random j of that word, component j&3 of its block j>>2,
+// is below t4 (t8), and every odd bit is zero. Same-colour ordinal j is
+// column 2j+p of a row whose active colour has column parity p, so the row
+// kernel consumes a mask as a4[k]<<p. A threshold of 0 accepts nothing and
+// one of 2^32 or more (up to 2^63) accepts everything. len(a8) must equal
+// len(a4), which must be a multiple of rowWords (> 0); a one-row run is a
+// single row of len(a4) words.
+//
+// The vector kernels run the whole call as one stream of eight-block words
+// whatever the row width, so a run of narrow rows fills the same
+// interleaved states as one long row: only each state's counter vectors
+// follow the (row, column) walk.
+func AcceptRows(a4, a8 []uint64, rowWords int, ctr Counter, key Key, t4, t8 uint64) {
+	if len(a4) != len(a8) || rowWords <= 0 || len(a4)%rowWords != 0 {
+		panic("rng: AcceptRows needs len(a4) == len(a8), a multiple of rowWords > 0")
 	}
 	if len(a4) == 0 {
 		return
 	}
 	switch {
 	case useAVX512:
-		acceptRowAVX512(&a4[0], &a8[0], uint64(len(a4)), ctr, key, t4, t8)
+		acceptRowsAVX512(&a4[0], &a8[0], uint64(len(a4)), uint64(rowWords), ctr, key, t4, t8)
 	case useAVX2:
-		acceptRowAVX2(&a4[0], &a8[0], uint64(len(a4)), ctr, key, t4, t8)
+		acceptRowsAVX2(&a4[0], &a8[0], uint64(len(a4)), uint64(rowWords), ctr, key, t4, t8)
 	default:
-		acceptRowGeneric(a4, a8, ctr, key, t4, t8)
+		acceptRowsGeneric(a4, a8, rowWords, ctr, key, t4, t8)
 	}
 }
 
-// acceptRowGeneric is the portable AcceptRow: blockRowGeneric one word at a
-// time, then the compare, each bit placed at 2j.
-func acceptRowGeneric(a4, a8 []uint64, ctr Counter, key Key, t4, t8 uint64) {
+// acceptRowsGeneric is the portable AcceptRows: blockRowGeneric one word at
+// a time, then the compare, each bit placed at 2j.
+func acceptRowsGeneric(a4, a8 []uint64, rowWords int, ctr Counter, key Key, t4, t8 uint64) {
 	var blk [32]uint32
-	for w := range a4 {
-		blockRowGeneric(blk[:], Counter{ctr[0], ctr[1], ctr[2], ctr[3] + uint32(8*w)}, key, 0, 8)
+	for k := range a4 {
+		i, w := k/rowWords, k%rowWords
+		blockRowGeneric(blk[:], Counter{ctr[0], ctr[1], ctr[2] + uint32(i), ctr[3] + uint32(8*w)}, key, 0, 8)
 		var m4, m8 uint64
 		for j, u := range blk {
 			m4 |= ((uint64(u) - t4) >> 63) << uint(2*j)
 			m8 |= ((uint64(u) - t8) >> 63) << uint(2*j)
 		}
-		a4[w], a8[w] = m4, m8
+		a4[k], a8[k] = m4, m8
 	}
 }
 
 // AcceptLanes draws one block per lane under a shared counter (the
 // BlockLanes pattern) and returns lane masks: bit l of a4[c] (a8[c]) is set
 // when component c of Block(ctr, Key{k0s[l], k1s[l]}) is below t4s[l]
-// (t8s[l]), with the thresholds of AcceptRow. All four slices must have the
+// (t8s[l]), with the thresholds of AcceptRows. All four slices must have the
 // same length, at most 64.
 func AcceptLanes(a4, a8 *[4]uint64, ctr Counter, k0s, k1s []uint32, t4s, t8s []uint64) {
 	n := len(k0s)
@@ -251,7 +260,7 @@ func acceptLanesGeneric(a4, a8 *[4]uint64, ctr Counter, k0s, k1s []uint32, t4s, 
 // BlockLanes run the AVX2 kernels there.
 func HasAVX2() bool { return useAVX2 }
 
-// HasAVX512 reports whether AcceptRow and AcceptLanes run the AVX-512
+// HasAVX512 reports whether AcceptRows and AcceptLanes run the AVX-512
 // kernels: built for amd64 AND running on a CPU with OS-enabled AVX-512F,
 // AVX-512VL and BMI2. isingd's build-info metric and serving log line
 // record it beside HasAVX2.

@@ -170,19 +170,38 @@ func BenchmarkBlockLanes(b *testing.B) {
 
 // BenchmarkAcceptRow times the fused multispin draw: 32 words (256 blocks)
 // of accept masks per call, the same Philox work as BenchmarkBlockRow.
-func BenchmarkAcceptRow(b *testing.B) {
-	a4, a8 := make([]uint64, 32), make([]uint64, 32)
-	for i := 0; i < b.N; i++ {
-		AcceptRow(a4, a8, Counter{0, 0, uint32(i), 0}, Key{1, 2}, 1<<31, 1<<29)
+func BenchmarkAcceptRow(b *testing.B) { benchmarkAcceptRows(b, 32, 1, 1) }
+
+// BenchmarkAcceptRow1 times a one-word row on its own, which runs only the
+// vector kernel's eight-block tail.
+func BenchmarkAcceptRow1(b *testing.B) { benchmarkAcceptRows(b, 1, 1, 1) }
+
+// BenchmarkAcceptRows64x1 and BenchmarkAcceptRows1x64 draw the same 64
+// words: one colour of a 64-column, 64-row lattice as 64 one-word calls
+// (one per row) and as one 64-row run. The gap is what drawing per run
+// saves. Each runs on the host's dispatch and, on an AVX-512 host, with
+// AVX-512 off.
+func BenchmarkAcceptRows64x1(b *testing.B) { benchmarkAcceptRowsTiers(b, 1, 1, 64) }
+func BenchmarkAcceptRows1x64(b *testing.B) { benchmarkAcceptRowsTiers(b, 1, 64, 1) }
+
+func benchmarkAcceptRowsTiers(b *testing.B, rowWords, rows, calls int) {
+	b.Run("host", func(b *testing.B) { benchmarkAcceptRows(b, rowWords, rows, calls) })
+	if HasAVX512() {
+		b.Run("avx2", func(b *testing.B) {
+			useKernels(b, true, false)
+			benchmarkAcceptRows(b, rowWords, rows, calls)
+		})
 	}
 }
 
-// BenchmarkAcceptRow1 times a one-word row, the 64-column lattice of a
-// small service job, which runs only the vector kernel's eight-block tail.
-func BenchmarkAcceptRow1(b *testing.B) {
-	a4, a8 := make([]uint64, 1), make([]uint64, 1)
+// benchmarkAcceptRows times calls AcceptRows calls per op, each a run of
+// rows rows of rowWords words.
+func benchmarkAcceptRows(b *testing.B, rowWords, rows, calls int) {
+	a4, a8 := make([]uint64, rowWords*rows), make([]uint64, rowWords*rows)
 	for i := 0; i < b.N; i++ {
-		AcceptRow(a4, a8, Counter{0, 0, uint32(i), 0}, Key{1, 2}, 1<<31, 1<<29)
+		for c := 0; c < calls; c++ {
+			AcceptRows(a4, a8, rowWords, Counter{0, 0, uint32(c), uint32(i)}, Key{1, 2}, 1<<31, 1<<29)
+		}
 	}
 }
 
@@ -213,15 +232,19 @@ func benchmarkAcceptLanes(b *testing.B, lanes int) {
 // threshold whose high word is not one.
 var acceptEdges = []uint64{0, 1, 1 << 31, 1<<32 - 1, 1 << 32, 1<<33 + 5}
 
-// TestAcceptRowMatchesBlock: AcceptRow is Block at consecutive counters
-// followed by u < t, with ordinal j's bit at 2j and every odd bit zero, for
-// the edge thresholds, for thresholds equal to a drawn value and one above
-// it (the compare's exact boundary), for every row length that ends the
-// AVX2 loop (two one-word states, then one) or the AVX-512 loop (two
-// two-word states, one two-word state, then a one-word state) differently,
-// across a ctr[3] wrap at each state boundary and inside the states of
-// either loop, and with a block of edgeDraws in each state of the AVX-512
-// loop.
+// TestAcceptRowMatchesBlock: AcceptRows is Block at the (row, column)
+// counters of its run followed by u < t, with ordinal j's bit at 2j and
+// every odd bit zero, for the edge thresholds, for thresholds equal to a
+// drawn value and one above it (the compare's exact boundary), and for two
+// kinds of run. One-row runs take every length that ends the AVX2 loop (two
+// one-word states, then one) or the AVX-512 loop (two two-word states, one
+// two-word state, then a one-word state) differently, across a ctr[3] wrap
+// at each state boundary and inside the states of either loop. Runs of
+// several rows take row widths of 1-5, 32, 33 and 64 words and run lengths
+// that are not a multiple of a state's words, so a state's two words sit in
+// two rows, with ctr[3] wrapping inside a row and ctr[2] wrapping between
+// rows, neither carrying. Both kinds place a block of edgeDraws in each
+// state shape of the AVX-512 loop.
 func TestAcceptRowMatchesBlock(t *testing.T) {
 	forEachDispatch(t, testAcceptRowMatchesBlock)
 }
@@ -240,32 +263,60 @@ func testAcceptRowMatchesBlock(t *testing.T) {
 		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFE8}, // ... between the third and fourth words
 		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFD4}, // ... inside the sixth word
 		{0xFFFFFFFF, 0x12345678, 0x9ABCDEF0, 0xFFFFFFCC}, // ... inside the seventh word
+		{0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFE, 0xFFFFFFF4}, // c2 wraps after two rows
+		{0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFF8}, // ... after the first row
 	}
-	// The edge draws' block at block 5, 21, 37 and 52 of the row: in a
-	// seven-word AVX-512 row that is state A and state B of the pair, the
-	// lone sixteen-block state and the eight-block tail.
+	type run struct{ rowWords, rows int }
+	var runs []run
+	for _, words := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
+		runs = append(runs, run{words, 1})
+	}
+	for _, rowWords := range []int{1, 2, 3, 4, 5, 32, 33, 64} {
+		for _, rows := range []int{2, 3, 7} {
+			runs = append(runs, run{rowWords, rows})
+		}
+	}
+	runs = append(runs, run{1, 64}, run{3, 21})
 	edge := edgeCounter(t, key)
-	for _, p := range []uint32{5, 21, 37, 52} {
-		ctrs = append(ctrs, Counter{edge[0], edge[1], edge[2], edge[3] - p})
-	}
-	for _, ctr := range ctrs {
-		for _, words := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
-			drawn := uint64(Block(Counter{ctr[0], ctr[1], ctr[2], ctr[3] + 5}, key)[2])
-			ths := append(append([]uint64(nil), acceptEdges...), drawn, drawn+1)
+	for _, r := range runs {
+		n := r.rowWords * r.rows
+		// The edge draws' block at block 5 of flat word 0, 2, 4 and 6 of
+		// the run (or its last word): in a seven-word AVX-512 run that is
+		// state A and state B of the pair, the lone sixteen-block state
+		// and the eight-block tail.
+		layoutCtrs := ctrs
+		for _, k := range []int{0, 2, 4, 6} {
+			k = min(k, n-1)
+			i, w := k/r.rowWords, k%r.rowWords
+			layoutCtrs = append(layoutCtrs[:len(layoutCtrs):len(layoutCtrs)],
+				Counter{edge[0], edge[1], edge[2] - uint32(i), edge[3] - uint32(8*w+5)})
+		}
+		for _, ctr := range layoutCtrs {
+			// draws[k][j] is random j of flat word k.
+			draws := make([][32]uint64, n)
+			for k := range draws {
+				i, w := k/r.rowWords, k%r.rowWords
+				for b := 0; b < 8; b++ {
+					blk := Block(Counter{ctr[0], ctr[1], ctr[2] + uint32(i), ctr[3] + uint32(8*w+b)}, key)
+					for c, u := range blk {
+						draws[k][4*b+c] = uint64(u)
+					}
+				}
+			}
+			ths := append(append([]uint64(nil), acceptEdges...), draws[0][22], draws[0][22]+1)
+			a4 := make([]uint64, n)
+			a8 := make([]uint64, n)
 			for _, t4 := range ths {
 				for _, t8 := range ths {
-					a4 := make([]uint64, words)
-					a8 := make([]uint64, words)
-					AcceptRow(a4, a8, ctr, key, t4, t8)
-					for w := 0; w < words; w++ {
+					AcceptRows(a4, a8, r.rowWords, ctr, key, t4, t8)
+					for k := range draws {
 						const oddBits = 0xAAAAAAAAAAAAAAAA
-						if (a4[w]|a8[w])&oddBits != 0 {
-							t.Fatalf("AcceptRow ctr=%v words=%d t4=%#x t8=%#x word %d: odd bits set in (%#x, %#x)",
-								ctr, words, t4, t8, w, a4[w], a8[w])
+						if (a4[k]|a8[k])&oddBits != 0 {
+							t.Fatalf("AcceptRows ctr=%v rowWords=%d rows=%d t4=%#x t8=%#x word %d: odd bits set in (%#x, %#x)",
+								ctr, r.rowWords, r.rows, t4, t8, k, a4[k], a8[k])
 						}
 						var want4, want8 uint64
-						for j := 0; j < 32; j++ {
-							u := uint64(Block(Counter{ctr[0], ctr[1], ctr[2], ctr[3] + uint32(8*w+j>>2)}, key)[j&3])
+						for j, u := range draws[k] {
 							if u < t4 {
 								want4 |= 1 << (2 * j)
 							}
@@ -273,14 +324,31 @@ func testAcceptRowMatchesBlock(t *testing.T) {
 								want8 |= 1 << (2 * j)
 							}
 						}
-						if a4[w] != want4 || a8[w] != want8 {
-							t.Fatalf("AcceptRow ctr=%v words=%d t4=%#x t8=%#x word %d: got (%#x, %#x) want (%#x, %#x)",
-								ctr, words, t4, t8, w, a4[w], a8[w], want4, want8)
+						if a4[k] != want4 || a8[k] != want8 {
+							t.Fatalf("AcceptRows ctr=%v rowWords=%d rows=%d t4=%#x t8=%#x word %d: got (%#x, %#x) want (%#x, %#x)",
+								ctr, r.rowWords, r.rows, t4, t8, k, a4[k], a8[k], want4, want8)
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestAcceptRowsRejectsBadRuns: a run must be whole rows of a positive
+// width, with as many a8 words as a4 words.
+func TestAcceptRowsRejectsBadRuns(t *testing.T) {
+	for _, c := range []struct {
+		n4, n8, rowWords int
+	}{{4, 4, 3}, {4, 4, 0}, {4, 3, 1}, {0, 0, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AcceptRows(len %d, len %d, rowWords %d) did not panic", c.n4, c.n8, c.rowWords)
+				}
+			}()
+			AcceptRows(make([]uint64, c.n4), make([]uint64, c.n8), c.rowWords, Counter{}, Key{}, 1, 1)
+		}()
 	}
 }
 

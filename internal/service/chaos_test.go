@@ -553,3 +553,80 @@ func TestGracefulUpgradeByteIdentical(t *testing.T) {
 		t.Fatalf("checkpoint dir not empty after all jobs finished: %v", leftovers)
 	}
 }
+
+// TestJobRetentionBounded runs 20x JobHistory jobs that end every way a job
+// can end — completions, cache hits, failures and cancels of running jobs —
+// and checks the retention bookkeeping after each: the job table, the
+// listing order and the finish-order FIFO stay within a constant multiple
+// of JobHistory, and at the end exactly the jobs beyond JobHistory have
+// been evicted, the most recently finished ones retained.
+func TestJobRetentionBounded(t *testing.T) {
+	const history, n = 8, 20 * 8
+	srv, _ := New(Config{Workers: 1, JobHistory: history})
+	defer srv.Close()
+	checkBounds := func(i int) {
+		t.Helper()
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		if len(srv.retired) > history || len(srv.jobs) > 2*history || len(srv.order) > 4*history+16 {
+			t.Fatalf("after job %d: %d retired, %d jobs, %d listed IDs (JobHistory %d)",
+				i, len(srv.retired), len(srv.jobs), len(srv.order), history)
+		}
+	}
+	var last []*Job
+	for i := 0; i < n; i++ {
+		var spec JobSpec
+		switch i % 5 {
+		case 0, 1: // completes
+			spec = tinySpec(uint64(i + 1))
+		case 2: // a cache hit on the job before last
+			spec = tinySpec(uint64(i - 1))
+		case 3: // fails at run time: checkpoints without a checkpoint directory
+			spec = tinySpec(uint64(i + 1))
+			spec.Backend, spec.Cols, spec.CheckpointInterval = "multispin", 64, 1
+		case 4: // canceled while running
+			spec = JobSpec{Backend: "checkerboard", Rows: 4, Sweeps: 1 << 30, Seed: uint64(i + 1)}
+		}
+		j, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 4 {
+			for j.Status().State == StateQueued {
+				time.Sleep(time.Millisecond)
+			}
+			if _, err := srv.Cancel(j.ID()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := waitDone(t, j)
+		want := map[int]JobState{0: StateDone, 1: StateDone, 2: StateDone, 3: StateFailed, 4: StateCanceled}[i%5]
+		if st.State != want || (i%5 == 2) != st.Cached {
+			t.Fatalf("job %d (kind %d): state %s cached %v, want %s", i, i%5, st.State, st.Cached, want)
+		}
+		last = append(last, j)
+		checkBounds(i)
+	}
+	// A terminal job retires right after Done closes; wait for the last.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats().JobsEvicted < n-history && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := srv.Stats().JobsEvicted; got != n-history {
+		t.Fatalf("jobs_evicted = %d, want %d", got, n-history)
+	}
+	jobs := srv.Jobs()
+	if len(jobs) != history {
+		t.Fatalf("retained %d jobs, want %d", len(jobs), history)
+	}
+	for k, j := range jobs {
+		if want := last[n-history+k]; j != want {
+			t.Fatalf("retained job %d is %s, want %s", k, j.ID(), want.ID())
+		}
+	}
+	for _, j := range last[:n-history] {
+		if _, err := srv.Get(j.ID()); !errors.Is(err, ErrJobExpired) {
+			t.Fatalf("evicted job %s: Get = %v, want ErrJobExpired", j.ID(), err)
+		}
+	}
+}

@@ -23,7 +23,8 @@
 // or the X-Client-ID header, with JobSpec.Priority ordering the dequeue),
 // the result cache (Config.CacheSize entries, CacheBytes bytes, CacheTTL
 // age — an LRU, not a map that grows forever) and the finished-job table
-// (Config.JobHistory count, JobTTL age). Evicted job IDs answer
+// (Config.JobHistory count, JobTTL age, evicted in finish order at O(1)
+// cost per finished job). Evicted job IDs answer
 // ErrJobExpired (HTTP 410), distinct from never-issued IDs (404). Every
 // bound has a counter in Stats, exposed as Prometheus text at GET /metrics.
 //

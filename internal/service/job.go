@@ -171,8 +171,9 @@ func (j *Job) notifyStream() {
 // setState transitions the job, reporting whether the transition happened
 // (false once the job is already terminal — callers use this to keep the
 // server counters exact when a cancel races a completion). Terminal
-// transitions close done exactly once and wake stream watchers so open
-// streams end promptly.
+// transitions wake stream watchers so open streams end promptly; the caller
+// whose terminal transition succeeded then retires the job, which closes
+// Done (see Server.retire).
 func (j *Job) setState(state JobState, err error) bool {
 	return j.setStateThen(state, err, nil)
 }
@@ -219,14 +220,21 @@ func (j *Job) finish(result *encode.Result, cached bool, onTerminal func(runStar
 }
 
 // closeLocked stamps the terminal transition, runs its hook and only then
-// wakes the stream watchers and closes Done.
+// wakes the stream watchers.
 func (j *Job) closeLocked(onTerminal func(runStarted time.Time)) {
 	j.finishedAt = j.now()
 	if onTerminal != nil {
 		onTerminal(j.runStartedAt)
 	}
 	j.notifyStream()
-	close(j.done)
+}
+
+// finishedBefore reports whether the job turned terminal before t (the
+// retention TTL test).
+func (j *Job) finishedBefore(t time.Time) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state.terminal() && j.finishedAt.Before(t)
 }
 
 // setSweepsDone publishes progress. It does not wake stream watchers: a

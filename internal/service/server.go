@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,10 +47,10 @@ type Config struct {
 	// it is a miss and is evicted on sight.
 	CacheTTL time.Duration
 	// JobHistory bounds the retained *terminal* jobs (default 1024, evicted
-	// oldest first; negative retains forever). Active jobs are never
-	// evicted. An evicted job's status is gone (GET answers "expired", 410),
-	// but its result stays reachable through the cache by resubmitting its
-	// spec.
+	// in finish order, the first finished first; negative retains forever).
+	// Active jobs are never evicted. An evicted job's status is gone (GET
+	// answers "expired", 410), but its result stays reachable through the
+	// cache by resubmitting its spec.
 	JobHistory int
 	// JobTTL evicts terminal jobs from the history by age (0 = only the
 	// JobHistory count bound applies): a job finished longer than JobTTL ago
@@ -189,8 +190,14 @@ type Server struct {
 	closed bool
 	nextID int
 	jobs   map[string]*Job
-	order  []string // submission order, for listing
+	order  []string // submission order, for listing; evicted IDs are compacted out in batches
 	cache  *resultCache
+
+	// retired holds the terminal jobs in finish order, guarded by mu: the
+	// retention FIFO. Finish order is age order, so both the count and the
+	// TTL bound evict from its head, and pruneJobs touches only the jobs it
+	// evicts. It stays empty when retention is unbounded.
+	retired []*Job
 
 	// queue holds the jobs waiting for a worker, in submission order, guarded
 	// by mu; workers wait on queueCond. A slice (not a channel) so Cancel can
@@ -439,7 +446,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.jobsCached.Add(1)
 		j.finish(cached, true, nil)
 		s.jobLogger(j).Debug("cache hit")
-		s.pruneJobs()
+		s.retire(j)
 		return j, nil
 	}
 	if q := s.cfg.MaxQueuedPerClient; q > 0 {
@@ -642,9 +649,11 @@ func (s *Server) Get(id string) (*Job, error) {
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
+	out := make([]*Job, 0, len(s.jobs))
 	for _, id := range s.order {
-		out = append(out, s.jobs[id])
+		if j, ok := s.jobs[id]; ok {
+			out = append(out, j)
+		}
 	}
 	return out
 }
@@ -663,7 +672,7 @@ func (s *Server) Cancel(id string) (*Job, error) {
 	if j.setStateThen(StateCanceled, errCanceled, countOnly(&s.jobsCanceled)) {
 		s.removeCheckpoint(j)
 		s.jobLogger(j).Info("job canceled")
-		s.pruneJobs()
+		s.retire(j)
 	}
 	return j, nil
 }
@@ -702,15 +711,12 @@ func (s *Server) Stats() Stats {
 	st.CacheBytes = s.cache.size()
 	st.CacheMisses = s.cache.misses
 	st.CacheEvictions = s.cache.evictions
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		switch j.state {
-		case StateQueued:
-			st.Queued++
-		case StateRunning:
-			st.Running++
-		}
-		j.mu.Unlock()
+	// The scheduler's own counts, not a walk over the job table: the
+	// queue, and the jobs occupying workers (at most one client entry per
+	// worker).
+	st.Queued = len(s.queue)
+	for _, n := range s.clientRunning {
+		st.Running += n
 	}
 	s.mu.Unlock()
 	return st
@@ -762,60 +768,69 @@ func (s *Server) addJobLocked(j *Job) {
 	s.order = append(s.order, j.id)
 }
 
-// pruneJobs evicts terminal jobs past the retention bounds — older than
-// Config.JobTTL (when set), then the oldest beyond the Config.JobHistory
-// count — so a long-running daemon's job table stays bounded no matter how
-// much traffic it serves and an idle daemon sheds its table by age too.
-// Active (queued/running) jobs are never evicted; an evicted job's result
-// remains reachable through the cache, and its ID answers "expired" (410),
-// not "unknown" (404). Every eviction moves the jobs_evicted counter.
-func (s *Server) pruneJobs() {
-	limit := s.cfg.JobHistory
-	ttl := s.cfg.JobTTL
-	if limit < 0 && ttl <= 0 {
+// retire files a job that has just turned terminal at the tail of the
+// retention FIFO, applies the retention bounds and only then closes the
+// job's Done, so a client that has seen a job finish also sees the table
+// pruned. Every terminal transition calls it exactly once, from the
+// goroutine whose transition succeeded, after the job's lock is released
+// (the lock order is s.mu, then j.mu).
+func (s *Server) retire(j *Job) {
+	defer close(j.done)
+	if s.cfg.JobHistory < 0 && s.cfg.JobTTL <= 0 {
 		return
 	}
 	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	expired := func(j *Job) bool {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return ttl > 0 && j.state.terminal() && now.Sub(j.finishedAt) > ttl
-	}
-	terminal := 0
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		if j.state.terminal() {
-			terminal++
-		}
-		j.mu.Unlock()
-	}
-	overCount := 0
-	if limit >= 0 && terminal > limit {
-		overCount = terminal - limit
-	}
-	kept := s.order[:0]
+	s.retired = append(s.retired, j)
+	s.pruneLocked(now)
+}
+
+// pruneJobs evicts terminal jobs past the retention bounds — the oldest
+// beyond the Config.JobHistory count, and any finished longer than
+// Config.JobTTL ago (when set) — in finish order, so a long-running
+// daemon's job table stays bounded no matter how much traffic it serves
+// and an idle daemon sheds its table by age too. Active (queued/running)
+// jobs are never evicted; an evicted job's result remains reachable
+// through the cache, and its ID answers "expired" (410), not "unknown"
+// (404). Every eviction moves the jobs_evicted counter.
+func (s *Server) pruneJobs() {
+	now := s.now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pruneLocked(now)
+}
+
+// pruneLocked is pruneJobs with s.mu held. It evicts from the head of the
+// retention FIFO only, locking just the jobs it looks at, so a terminal
+// transition costs O(1) amortised however many jobs are retained.
+func (s *Server) pruneLocked(now time.Time) {
+	limit, ttl := s.cfg.JobHistory, s.cfg.JobTTL
 	evicted := 0
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		dead := j.state.terminal()
-		j.mu.Unlock()
-		if dead && (overCount > 0 || expired(j)) {
-			delete(s.jobs, id)
-			evicted++
-			if overCount > 0 {
-				overCount--
+	for len(s.retired) > 0 {
+		j := s.retired[0]
+		if limit < 0 || len(s.retired) <= limit {
+			if ttl <= 0 || !j.finishedBefore(now.Add(-ttl)) {
+				break
 			}
-			continue
 		}
-		kept = append(kept, id)
+		delete(s.jobs, j.id)
+		s.retired[0] = nil
+		s.retired = s.retired[1:]
+		evicted++
 	}
-	s.order = kept
-	if evicted > 0 {
-		s.jobsEvicted.Add(int64(evicted))
+	if evicted == 0 {
+		return
+	}
+	s.jobsEvicted.Add(int64(evicted))
+	// Compact the listing order once it holds as many evicted IDs as live
+	// ones: each compaction follows at least as many evictions as it
+	// walks.
+	if len(s.order) >= 2*len(s.jobs)+16 {
+		s.order = slices.DeleteFunc(s.order, func(id string) bool {
+			_, ok := s.jobs[id]
+			return !ok
+		})
 	}
 }
 
@@ -960,8 +975,8 @@ func (s *Server) fail(j *Job, err error) {
 	var d time.Duration
 	if j.setStateThen(StateFailed, err, s.countRun(&s.jobsFailed, &d)) {
 		s.jobLogger(j).Warn("job failed", "error", err, "run_ms", float64(d)/float64(time.Millisecond))
+		s.retire(j)
 	}
-	s.pruneJobs()
 }
 
 // complete stores the result in the cache and marks the job done. The result
@@ -974,8 +989,8 @@ func (s *Server) complete(j *Job, r *encode.Result) {
 	if j.finish(r, false, s.countRun(&s.jobsCompleted, &d)) {
 		s.jobLogger(j).Info("job completed", "run_ms", float64(d)/float64(time.Millisecond),
 			"sweeps", j.spec.totalSweeps())
+		s.retire(j)
 	}
-	s.pruneJobs()
 }
 
 // interrupted handles a cancellation noticed mid-run. On shutdown a job
@@ -998,13 +1013,19 @@ func (s *Server) interrupted(j *Job, checkpoint func() error) {
 			j.setState(StateQueued, nil)
 			return
 		}
-		j.setStateThen(StateCanceled, errClosing, countOnly(&s.jobsCanceled))
+		if j.setStateThen(StateCanceled, errClosing, countOnly(&s.jobsCanceled)) {
+			s.retire(j)
+		}
 		return
 	}
-	// Client cancel: Cancel already set the state; make sure no checkpoint
-	// survives (the worker may have written one after Cancel removed it).
+	// Client cancel: Cancel normally set the state already; make sure no
+	// checkpoint survives (the worker may have written one after Cancel
+	// removed it). When the worker wins the race to the terminal state,
+	// Cancel's transition fails and the worker retires the job.
 	s.removeCheckpoint(j)
-	j.setStateThen(StateCanceled, errCanceled, countOnly(&s.jobsCanceled))
+	if j.setStateThen(StateCanceled, errCanceled, countOnly(&s.jobsCanceled)) {
+		s.retire(j)
+	}
 }
 
 // Workers returns the worker-pool size (for reporting).
