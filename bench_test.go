@@ -237,8 +237,7 @@ func BenchmarkSweepOptim256(b *testing.B) {
 	timeSweeps(b, 256*256, sim.Sweep)
 }
 
-// Scalar serial and parallel baselines, the bit-packed multispin engine, and
-// its shared-random variant (one Philox word per 64 columns).
+// Scalar serial and parallel baselines and the bit-packed multispin engine.
 func BenchmarkHostSerial256(b *testing.B)     { benchBackend(b, "checkerboard", hostConfig(256)) }
 func BenchmarkHostParallel1024(b *testing.B)  { benchBackend(b, "gpusim", hostConfig(1024)) }
 func BenchmarkHostMultispin1024(b *testing.B) { benchBackend(b, "multispin", hostConfig(1024)) }
@@ -250,9 +249,6 @@ func BenchmarkHostMultispin64(b *testing.B) {
 	cfg := hostConfig(64)
 	cfg.Workers = 1
 	benchBackend(b, "multispin", cfg)
-}
-func BenchmarkHostMultispinShared4096(b *testing.B) {
-	benchBackend(b, "multispin-shared", hostConfig(4096))
 }
 
 // BenchmarkSharded2x2_4096 times the mesh-sharded multispin engine on a 2x2

@@ -3,10 +3,10 @@
 // GPU-style parallel CPU baseline, the bit-packed multispin engine, its
 // mesh-sharded pod decomposition (sharded) and the simulated-TPU simulator.
 // The bit-packed engines are one program on the pod Driver
-// (internal/ising/sharded): multispin and multispin-shared are its one-shard
-// grid, the single core, and sharded any grid. NewBatch serves the batch
-// axis: a multispin or sharded batch of enough lanes runs as the lane-packed
-// pod engine (internal/ising/shardedensemble) — from 32 lanes on one shard,
+// (internal/ising/sharded): multispin is its one-shard grid, the single core,
+// and sharded any grid. NewBatch serves the batch axis: a multispin or
+// sharded batch of enough lanes runs as the lane-packed pod engine
+// (internal/ising/shardedensemble) — from 32 lanes on one shard,
 // reporting "ensemble" for multispin, and from 16 on a pod grid, reporting
 // "sharded-ensemble" (an alias of sharded) — and every other batch on the
 // generic adapter, one chain per lane. The CLI's -backend flag, the service,
@@ -61,12 +61,11 @@ type Config struct {
 
 // builders maps canonical backend names to constructors.
 var builders = map[string]func(Config) (ising.Backend, error){
-	"checkerboard":     newCheckerboard,
-	"gpusim":           newGPUSim,
-	"multispin":        newMultispin(false),
-	"multispin-shared": newMultispin(true),
-	"sharded":          newSharded,
-	"tpu":              newTPU,
+	"checkerboard": newCheckerboard,
+	"gpusim":       newGPUSim,
+	"multispin":    newMultispin,
+	"sharded":      newSharded,
+	"tpu":          newTPU,
 }
 
 // aliases maps accepted spellings to canonical names.
@@ -227,12 +226,10 @@ func newGPUSim(cfg Config) (ising.Backend, error) {
 	return gpusim.NewSampler(hostLattice(cfg), temperature(cfg), cfg.Seed, cfg.Workers), nil
 }
 
-// newMultispin builds the multispin backends: the pod engine's one-shard
+// newMultispin builds the multispin backend: the pod engine's one-shard
 // grid, the single core, named "multispin".
-func newMultispin(shared bool) func(Config) (ising.Backend, error) {
-	return func(cfg Config) (ising.Backend, error) {
-		return newPodChain(sharded.Config{Name: "multispin", SharedRandom: shared}, cfg)
-	}
+func newMultispin(cfg Config) (ising.Backend, error) {
+	return newPodChain(sharded.Config{Name: "multispin"}, cfg)
 }
 
 func newSharded(cfg Config) (ising.Backend, error) {

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"tpuising/internal/ising"
@@ -50,8 +51,12 @@ func TestAliasesAndErrors(t *testing.T) {
 			t.Fatalf("Canonical(%q) = %q, %v; want %q", alias, got, err, want)
 		}
 	}
-	if _, err := backend.New("warp-drive", backend.Config{Rows: 64, Cols: 64}); err == nil {
-		t.Fatal("unknown backend accepted")
+	// multispin-shared was removed: its name is as unknown as any other.
+	for _, name := range []string{"warp-drive", "multispin-shared"} {
+		_, err := backend.New(name, backend.Config{Rows: 64, Cols: 64})
+		if err == nil || !strings.Contains(err.Error(), backend.List()) {
+			t.Fatalf("New(%q) = %v, want an error listing the registry", name, err)
+		}
 	}
 	if _, err := backend.New("multispin", backend.Config{Rows: 63, Cols: 64}); err == nil {
 		t.Fatal("multispin accepted odd rows")
@@ -139,7 +144,7 @@ func latticeHash(l *ising.Lattice) uint64 {
 // TestDeterminismGolden pins the chains themselves: a fixed seed and config
 // must reproduce a fixed final-configuration hash on every host route a
 // refactor of the engines could move — single chains (cold, hot with a
-// band-splitting worker count, shared-random), a 2x2 pod grid, and
+// band-splitting worker count), a 2x2 pod grid, and
 // lane-packed batches of 64, 8 and 20 lanes (the last two built directly,
 // below NewBatch's packed threshold; 20 lanes pads the kernel to a vector
 // group) — at every GOMAXPROCS value. The
@@ -162,7 +167,6 @@ func TestDeterminismGolden(t *testing.T) {
 	}{
 		{"multispin cold", "multispin", base, 0, false, 0x82f9ddbefd71bf73},
 		{"multispin hot, 3 workers", "multispin", with(func(c *backend.Config) { c.Hot, c.Workers = true, 3 }), 0, false, 0x9186f7c96dc3a9bd},
-		{"multispin-shared", "multispin-shared", with(func(c *backend.Config) { c.Hot = true }), 0, false, 0xdfff081bf36f615f},
 		{"sharded 2x2", "sharded", pod, 0, false, 0x9186f7c96dc3a9bd},
 		{"multispin batch, 64 lanes", "multispin", with(func(c *backend.Config) { c.Hot = true }), 64, false, 0xc12a749636ee720a},
 		{"multispin batch, 8 lanes", "multispin", base, 8, true, 0x9920243d8915802d},
@@ -221,7 +225,7 @@ func TestDeterminismGolden(t *testing.T) {
 // keep |m| small. This pins the energy sign conventions through the Backend
 // interface.
 func TestQuenchOrdersLocally(t *testing.T) {
-	for _, name := range []string{"checkerboard", "multispin", "multispin-shared"} {
+	for _, name := range []string{"checkerboard", "multispin"} {
 		eng, err := backend.New(name, backend.Config{Rows: 64, Cols: 64, Temperature: 0.5, Seed: 3, Hot: true})
 		if err != nil {
 			t.Fatal(err)

@@ -16,12 +16,11 @@ import (
 // and a backend that gains or loses Snapshotter without this table noticing
 // fails too.
 var registryClaims = map[string]struct{ snapshotter bool }{
-	"checkerboard":     {snapshotter: true},
-	"gpusim":           {snapshotter: true},
-	"multispin":        {snapshotter: true},
-	"multispin-shared": {snapshotter: true},
-	"sharded":          {snapshotter: true},
-	"tpu":              {snapshotter: false},
+	"checkerboard": {snapshotter: true},
+	"gpusim":       {snapshotter: true},
+	"multispin":    {snapshotter: true},
+	"sharded":      {snapshotter: true},
+	"tpu":          {snapshotter: false},
 }
 
 // TestRegistryContracts asserts the interface contracts of every registered
@@ -101,7 +100,6 @@ func TestNewBatchSelectsPackedEngine(t *testing.T) {
 		{"sharded", pod, 16, "sharded-ensemble"},
 		{"sharded", pod, 64, "sharded-ensemble"},
 		{"sharded", pod, 65, "sharded"},
-		{"multispin-shared", one, 64, "multispin-shared"},
 		{"checkerboard", one, 64, "checkerboard"},
 	} {
 		b, err := backend.NewBatch(tc.name, tc.cfg, tc.lanes)

@@ -8,7 +8,7 @@ import (
 )
 
 // snapshotBackends are the registry engines that implement ising.Snapshotter.
-var snapshotBackends = []string{"checkerboard", "gpusim", "multispin", "multispin-shared", "sharded"}
+var snapshotBackends = []string{"checkerboard", "gpusim", "multispin", "sharded"}
 
 // snapshotCases are the engine configurations of the resume test: every
 // snapshottable engine on a lattice it accepts, with the sharded engine on a
@@ -22,7 +22,6 @@ var snapshotCases = []struct {
 	{"checkerboard", Config{Rows: 16, Cols: 64}, Config{Rows: 16, Cols: 64}},
 	{"gpusim", Config{Rows: 16, Cols: 64}, Config{Rows: 16, Cols: 64}},
 	{"multispin", Config{Rows: 16, Cols: 64}, Config{Rows: 16, Cols: 64}},
-	{"multispin-shared", Config{Rows: 16, Cols: 64}, Config{Rows: 16, Cols: 64}},
 	{"sharded", Config{Rows: 16, Cols: 128, GridR: 2, GridC: 2}, Config{Rows: 16, Cols: 128}},
 }
 
@@ -110,13 +109,15 @@ func TestSnapshotRestoreRejectsMismatches(t *testing.T) {
 	if err := small.(ising.Snapshotter).Restore(cbSnap); err == nil {
 		t.Fatal("restore must refuse a snapshot of a different lattice size")
 	}
-	shared, _ := New("multispin-shared", Config{Rows: 8, Cols: 64, Temperature: 2.0, Seed: 1})
-	msSnap, err := ms.(ising.Snapshotter).Snapshot()
+	// A snapshot of the removed shared-random mode must never resume as a
+	// per-site chain.
+	sharedSnap, err := ms.(ising.Snapshotter).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := shared.(ising.Snapshotter).Restore(msSnap); err == nil {
-		t.Fatal("multispin-shared must refuse a per-site multispin snapshot")
+	sharedSnap.Backend = "multispin-shared"
+	if err := ms.(ising.Snapshotter).Restore(sharedSnap); err == nil {
+		t.Fatal("multispin must refuse a multispin-shared snapshot")
 	}
 }
 

@@ -109,16 +109,6 @@ func (k *Kernel) setLaneThresholds(lane int, th multispin.Thresholds) {
 	k.t4s[lane], k.t8s[lane] = th.T4, th.T8
 }
 
-// LaneKey returns one lane's Philox key (for snapshots).
-func (k *Kernel) LaneKey(lane int) rng.Key { return k.kerns[lane].Key }
-
-// SetLaneKey replaces one lane's Philox key (for snapshot restore), keeping
-// the SoA mirrors in sync.
-func (k *Kernel) SetLaneKey(lane int, key rng.Key) {
-	k.kerns[lane].Key = key
-	k.k0s[lane], k.k1s[lane] = key[0], key[1]
-}
-
 // UpdateRow performs the colour update of the active sites of one lane-packed
 // row. row, north and south are slices of lane-packed words (one word per
 // site); westWord and eastWord are the words the sites just outside the slice

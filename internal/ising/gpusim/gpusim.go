@@ -5,12 +5,10 @@
 //
 // Two things are provided:
 //
-//   - A runnable functional emulation (Sampler, MultiDevice) that executes the
-//     same checkerboard Markov chain on the host CPU with a thread pool per
-//     "device" and, for the multi-device case, explicit host-mediated halo
-//     exchange accounting. It produces chains bit-identical to the serial
-//     reference, so who-wins comparisons against the TPU path are made on
-//     equal physics.
+//   - A runnable functional emulation of one device (Sampler) that executes
+//     the same checkerboard Markov chain on the host CPU with a thread pool.
+//     It produces chains bit-identical to the serial reference, so who-wins
+//     comparisons against the TPU path are made on equal physics.
 //   - A throughput/time model (DeviceModel, Cluster) whose single-device rates
 //     are the published flips/ns numbers (exactly as the paper compares
 //     against published numbers) and whose multi-device efficiency captures

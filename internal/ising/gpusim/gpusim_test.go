@@ -3,7 +3,6 @@ package gpusim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/checkerboard"
@@ -44,83 +43,6 @@ func TestSamplerDefaultWorkers(t *testing.T) {
 	s.Run(3)
 	if m := s.Magnetization(); m < 0.5 {
 		t.Fatalf("cold start at T=2.0 lost order after 3 sweeps: m=%v", m)
-	}
-}
-
-func TestMultiDeviceMatchesSerialReference(t *testing.T) {
-	const rows, cols = 16, 16
-	const temperature = 2.5
-	const seed = 9
-	for _, devices := range []int{1, 2, 4} {
-		m := NewMultiDevice(ising.NewLattice(rows, cols), temperature, seed, devices, 2)
-		m.Run(8)
-		want := referenceChain(rows, cols, temperature, seed, 8)
-		if !m.Lattice.Equal(want) {
-			t.Fatalf("%d devices: chain diverged from the serial reference", devices)
-		}
-	}
-}
-
-func TestMultiDeviceDecompositionInvarianceQuick(t *testing.T) {
-	f := func(seed uint16) bool {
-		run := func(devices int) *ising.Lattice {
-			m := NewMultiDevice(ising.NewLattice(8, 8), 2.269, uint64(seed), devices, 1)
-			m.Run(4)
-			return m.Lattice
-		}
-		return run(2).Equal(run(4))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultiDeviceExchangeAccounting(t *testing.T) {
-	const rows, cols, devices = 16, 32, 4
-	m := NewMultiDevice(ising.NewLattice(rows, cols), 2.5, 1, devices, 1)
-	m.Run(3)
-	bytes, rounds := m.ExchangedBytes()
-	// Two exchange rounds per sweep (one per colour), each moving 2 rows of 1
-	// byte per spin per device.
-	wantRounds := int64(2 * 3)
-	wantBytes := wantRounds * int64(devices) * int64(2*cols)
-	if rounds != wantRounds {
-		t.Fatalf("rounds = %d, want %d", rounds, wantRounds)
-	}
-	if bytes != wantBytes {
-		t.Fatalf("bytes = %d, want %d", bytes, wantBytes)
-	}
-}
-
-func TestMultiDeviceSingleDeviceNoExchange(t *testing.T) {
-	m := NewMultiDevice(ising.NewLattice(8, 8), 2.5, 1, 1, 1)
-	m.Run(4)
-	if bytes, rounds := m.ExchangedBytes(); bytes != 0 || rounds != 0 {
-		t.Fatalf("single device exchanged %d bytes in %d rounds", bytes, rounds)
-	}
-	if m.Step() != 8 {
-		t.Fatalf("Step = %d", m.Step())
-	}
-	if m.Magnetization() == 0 {
-		t.Fatal("suspicious exactly-zero magnetization from a cold start")
-	}
-}
-
-func TestMultiDevicePanics(t *testing.T) {
-	cases := []func(){
-		func() { NewMultiDevice(ising.NewLattice(8, 8), 2.0, 1, 0, 1) }, // no devices
-		func() { NewMultiDevice(ising.NewLattice(9, 8), 2.0, 1, 2, 1) }, // indivisible
-		func() { NewMultiDevice(ising.NewLattice(8, 8), 2.0, 1, 8, 1) }, // 1-row strips
-	}
-	for i, fn := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: expected panic", i)
-				}
-			}()
-			fn()
-		}()
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Kernel is the reusable core of the bit-packed Metropolis update: the two
-// integer acceptance thresholds, the Philox key and the random-sharing mode.
+// integer acceptance thresholds and the Philox key.
 // It is deliberately free of any lattice geometry — UpdateRow is handed the
 // packed words of one row plus its neighbours and the row's *global*
 // coordinates, so the single core and every shard of a pod grid
@@ -20,18 +20,18 @@ type Kernel struct {
 	T4, T8 uint64
 	// Key is the site-keyed Philox key derived from the seed.
 	Key rng.Key
-	// Shared selects one random per 64-column word instead of one per site.
-	Shared bool
 }
 
 // NewKernel derives the kernel of a temperature/seed pair. The key derivation
 // matches rng.NewSiteKeyed, making the kernel one more member of the
-// repository's site-keyed family.
+// repository's site-keyed family. Every site draws its own random; shared
+// must be false and remains only because the benchmark module passes it.
+// NewKernel panics if shared is true.
 func NewKernel(temperature float64, seed uint64, shared bool) Kernel {
-	k := Kernel{
-		Key:    rng.Key{uint32(seed), uint32(seed>>32) ^ 0x1BD11BDA},
-		Shared: shared,
+	if shared {
+		panic("multispin: the shared-random mode was removed; every site draws its own random")
 	}
+	k := Kernel{Key: rng.Key{uint32(seed), uint32(seed>>32) ^ 0x1BD11BDA}}
 	k.SetTemperature(temperature)
 	return k
 }
@@ -89,7 +89,7 @@ func (c *ThresholdCache) For(temperature float64) Thresholds {
 }
 
 // SetTemperature recomputes the acceptance thresholds for a new temperature,
-// leaving the key and the sharing mode untouched.
+// leaving the key untouched.
 func (k *Kernel) SetTemperature(temperature float64) {
 	k.SetThresholds(ThresholdsFor(temperature))
 }
@@ -115,10 +115,9 @@ func Flips(d1, d2, d3, d4, a4, a8 uint64) uint64 {
 }
 
 // tileWords is the column-blocking width of the optimized row kernel: accept
-// masks (per-site mode) or randoms (shared mode) are drawn at most tileWords
-// words at a time — a run of whole rows of up to tileWords words, or one
-// tile of a wider row — so the scratch holds at most 2*tileWords uint64
-// masks (1 KiB) and, in shared mode, tileWords*4 uint32 randoms.
+// masks are drawn at most tileWords words at a time — a run of whole rows of
+// up to tileWords words, or one tile of a wider row — so the scratch holds at
+// most 2*tileWords uint64 masks (1 KiB).
 const tileWords = 64
 
 // Scratch is the reusable draw buffer of the optimized row kernel. Engines
@@ -128,7 +127,6 @@ const tileWords = 64
 // use any scratch.
 type Scratch struct {
 	acc []uint64
-	rnd []uint32
 }
 
 // masks returns the two n-word accept-mask views of the scratch, growing it
@@ -138,15 +136,6 @@ func (s *Scratch) masks(n int) (a4, a8 []uint64) {
 		s.acc = make([]uint64, 2*n)
 	}
 	return s.acc[:n], s.acc[n:][:n]
-}
-
-// randoms returns an n-word random view of the scratch, growing it if
-// needed.
-func (s *Scratch) randoms(n int) []uint32 {
-	if cap(s.rnd) < n {
-		s.rnd = make([]uint32, n)
-	}
-	return s.rnd[:n]
 }
 
 // RowSource hands the rows of a run to UpdateRows in order: each NextRow
@@ -191,19 +180,16 @@ func (k Kernel) UpdateRowScratch(row, north, south []uint64, westWrap, eastWrap 
 
 // UpdateRows performs the colour update of n consecutive rows taken in order
 // from src, the first at global row globalRow, all of one width and at
-// global word wordOff: the form the engines' hot loops use. In per-site
-// mode one fused Philox call (rng.AcceptRows — the AVX-512 or AVX2 kernel
-// on an amd64 CPU that has them, the 4-way portable loop otherwise) draws
-// the accept masks of as many whole rows as fit in tileWords words (64
-// one-word rows, two 32-word rows), compared where the randoms are
-// generated and already on the even columns, so the word loop only shifts
-// them onto the active colour. A row wider than tileWords draws its own
-// tiles, and shared mode draws its one random per word with rng.BlockRow
-// per row and turns it into whole-word masks. Drawing before updating is
-// exact because no random depends on a spin. One word loop then runs the
-// inlined updateWord over each row's slices in both modes, with the
-// wrap/select branches hoisted into explicit first/middle/last word
-// handling.
+// global word wordOff: the form the engines' hot loops use. One fused Philox
+// call (rng.AcceptRows — the AVX-512 or AVX2 kernel on an amd64 CPU that has
+// them, the 4-way portable loop otherwise) draws the accept masks of as many
+// whole rows as fit in tileWords words (64 one-word rows, two 32-word rows),
+// compared where the randoms are generated and already on the even columns,
+// so the word loop only shifts them onto the active colour. A row wider than
+// tileWords draws its own tiles. Drawing before updating is exact because no
+// random depends on a spin. One word loop then runs the inlined updateWord
+// over each row's slices, with the wrap/select branches hoisted into
+// explicit first/middle/last word handling.
 //
 // Within one colour update the kernel writes only active-colour bits and
 // consumes only inactive-colour neighbour bits, so the west bit a word
@@ -219,7 +205,7 @@ func (k Kernel) UpdateRows(src RowSource, n, globalRow, wordOff, parity int, ste
 		W := len(row)
 		run := 1
 		var a4s, a8s []uint64 // the run's masks, row after row; nil: each row draws its own
-		if !k.Shared && W > 0 && W <= tileWords {
+		if W > 0 && W <= tileWords {
 			run = min(n-r, tileWords/W)
 			a4s, a8s = sc.masks(run * W)
 			rng.AcceptRows(a4s, a8s, W, rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(globalRow + r)), uint32(wordOff * 8)},
@@ -276,25 +262,13 @@ func (k Kernel) updateRow(row, north, south []uint64, westWrap, eastWrap uint64,
 }
 
 // drawTile draws the masks of one row's n-word tile starting at global word
-// gw: per-site mode consumes 8 blocks per word at consecutive counters
-// starting at gw*8, shared mode one block per word starting at gw. Both
-// match the reference's per-word counters exactly (mod-2^32 arithmetic
-// included), so every accept decision is the reference's. Shared mode's
-// whole-word masks take the same <<p as per-site ones: an all-ones mask
-// keeps every active-colour bit set.
+// gw: 8 blocks per word at consecutive counters starting at gw*8, matching
+// the reference's per-word counters exactly (mod-2^32 arithmetic included),
+// so every accept decision is the reference's.
 func (k Kernel) drawTile(n, globalRow, gw int, step uint64, sc *Scratch) (a4s, a8s []uint64) {
 	a4s, a8s = sc.masks(n)
-	ctr := rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(globalRow)), uint32(gw)}
-	if !k.Shared {
-		ctr[3] = uint32(gw * 8)
-		rng.AcceptRows(a4s, a8s, n, ctr, k.Key, k.T4, k.T8)
-		return a4s, a8s
-	}
-	rnd := sc.randoms(4 * n)
-	rng.BlockRow(rnd, ctr, k.Key)
-	for i := range a4s {
-		a4s[i], a8s[i] = sharedAccept(rnd[4*i], k.T4, k.T8)
-	}
+	rng.AcceptRows(a4s, a8s, n, rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(globalRow)), uint32(gw * 8)},
+		k.Key, k.T4, k.T8)
 	return a4s, a8s
 }
 
@@ -305,12 +279,6 @@ func (k Kernel) drawTile(n, globalRow, gw int, step uint64, sc *Scratch) (a4s, a
 // one expression to stay under the inlining budget, like Flips.
 func updateWord(cur, north, south, eastSrc, westSrc, a4, a8, cmask uint64) uint64 {
 	return cur ^ Flips(cur^north, cur^south, cur^(cur>>1|eastSrc<<63), cur^(cur<<1|westSrc>>63), a4, a8)&cmask
-}
-
-// sharedAccept turns shared mode's one random per word into whole-word
-// accept masks.
-func sharedAccept(u uint32, t4, t8 uint64) (a4, a8 uint64) {
-	return ^uint64(0) * ((uint64(u) - t4) >> 63), ^uint64(0) * ((uint64(u) - t8) >> 63)
 }
 
 // UpdateRowRef is the retained naive reference implementation of UpdateRow:
@@ -343,43 +311,35 @@ func (k Kernel) UpdateRowRef(row, north, south []uint64, westWrap, eastWrap uint
 		// d-bits: 1 where the site disagrees with that neighbour.
 		d1, d2, d3, d4 := cur^north[w], cur^south[w], cur^east, cur^west
 		var a4, a8 uint64
-		gw := w + wordOff
-		if k.Shared {
-			// One random shared by the whole word.
-			u := uint64(rng.Block(rng.Counter{s0, s1, uint32(int64(globalRow)), uint32(gw)}, k.Key)[0])
-			a4 = ^uint64(0) * ((u - t4) >> 63)
-			a8 = ^uint64(0) * ((u - t8) >> 63)
-		} else {
-			// One random per active site: lane j&3 of the Philox block keyed
-			// by (step, row, j>>2), where j = column/2 is the site's ordinal
-			// among same-colour sites in the row. The word's 32 active sites
-			// consume 8 blocks with no waste, generated two at a time so the
-			// multiplies of independent blocks overlap in the pipeline.
-			base := uint32(gw * 8)
-			rr := uint32(int64(globalRow))
-			for j := 0; j < 32; j += 8 {
-				ba, bb := rng.BlockPair(
-					rng.Counter{s0, s1, rr, base + uint32(j>>2)},
-					rng.Counter{s0, s1, rr, base + uint32(j>>2) + 1},
-					k.Key)
-				pos := uint(2*j + p)
-				a4 |= ((uint64(ba[0]) - t4) >> 63) << pos
-				a8 |= ((uint64(ba[0]) - t8) >> 63) << pos
-				a4 |= ((uint64(ba[1]) - t4) >> 63) << (pos + 2)
-				a8 |= ((uint64(ba[1]) - t8) >> 63) << (pos + 2)
-				a4 |= ((uint64(ba[2]) - t4) >> 63) << (pos + 4)
-				a8 |= ((uint64(ba[2]) - t8) >> 63) << (pos + 4)
-				a4 |= ((uint64(ba[3]) - t4) >> 63) << (pos + 6)
-				a8 |= ((uint64(ba[3]) - t8) >> 63) << (pos + 6)
-				a4 |= ((uint64(bb[0]) - t4) >> 63) << (pos + 8)
-				a8 |= ((uint64(bb[0]) - t8) >> 63) << (pos + 8)
-				a4 |= ((uint64(bb[1]) - t4) >> 63) << (pos + 10)
-				a8 |= ((uint64(bb[1]) - t8) >> 63) << (pos + 10)
-				a4 |= ((uint64(bb[2]) - t4) >> 63) << (pos + 12)
-				a8 |= ((uint64(bb[2]) - t8) >> 63) << (pos + 12)
-				a4 |= ((uint64(bb[3]) - t4) >> 63) << (pos + 14)
-				a8 |= ((uint64(bb[3]) - t8) >> 63) << (pos + 14)
-			}
+		// One random per active site: lane j&3 of the Philox block keyed
+		// by (step, row, j>>2), where j = column/2 is the site's ordinal
+		// among same-colour sites in the row. The word's 32 active sites
+		// consume 8 blocks with no waste, generated two at a time so the
+		// multiplies of independent blocks overlap in the pipeline.
+		base := uint32((w + wordOff) * 8)
+		rr := uint32(int64(globalRow))
+		for j := 0; j < 32; j += 8 {
+			ba, bb := rng.BlockPair(
+				rng.Counter{s0, s1, rr, base + uint32(j>>2)},
+				rng.Counter{s0, s1, rr, base + uint32(j>>2) + 1},
+				k.Key)
+			pos := uint(2*j + p)
+			a4 |= ((uint64(ba[0]) - t4) >> 63) << pos
+			a8 |= ((uint64(ba[0]) - t8) >> 63) << pos
+			a4 |= ((uint64(ba[1]) - t4) >> 63) << (pos + 2)
+			a8 |= ((uint64(ba[1]) - t8) >> 63) << (pos + 2)
+			a4 |= ((uint64(ba[2]) - t4) >> 63) << (pos + 4)
+			a8 |= ((uint64(ba[2]) - t8) >> 63) << (pos + 4)
+			a4 |= ((uint64(ba[3]) - t4) >> 63) << (pos + 6)
+			a8 |= ((uint64(ba[3]) - t8) >> 63) << (pos + 6)
+			a4 |= ((uint64(bb[0]) - t4) >> 63) << (pos + 8)
+			a8 |= ((uint64(bb[0]) - t8) >> 63) << (pos + 8)
+			a4 |= ((uint64(bb[1]) - t4) >> 63) << (pos + 10)
+			a8 |= ((uint64(bb[1]) - t8) >> 63) << (pos + 10)
+			a4 |= ((uint64(bb[2]) - t4) >> 63) << (pos + 12)
+			a8 |= ((uint64(bb[2]) - t8) >> 63) << (pos + 12)
+			a4 |= ((uint64(bb[3]) - t4) >> 63) << (pos + 14)
+			a8 |= ((uint64(bb[3]) - t8) >> 63) << (pos + 14)
 		}
 		row[w] = cur ^ (Flips(d1, d2, d3, d4, a4, a8) & cmask)
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // TestUpdateRowGoldenEquivalence is the golden bit-equivalence property test
-// of the kernel variants: for random (rows, cols, seed, parity, shared,
-// temperature, step, wordOff) tuples, the optimized UpdateRow /
+// of the kernel variants: for random (rows, cols, seed, parity, temperature,
+// step, wordOff) tuples, the optimized UpdateRow /
 // UpdateRowScratch paths (tiled + batched Philox; the AVX-512 or AVX2 kernel
 // where the CPU has it) must produce exactly the spins of UpdateRowRef, the
 // retained naive reference. It runs on the host's dispatch, which
@@ -21,14 +21,13 @@ func TestUpdateRowGoldenEquivalence(t *testing.T) {
 	prng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 200; trial++ {
 		W := 1 + prng.Intn(tileWords*2+3) // 1..131 words: tails, tile boundaries, multi-tile
-		shared := prng.Intn(2) == 1
 		parity := prng.Intn(2)
 		globalRow := prng.Intn(1 << 20)
 		wordOff := prng.Intn(1 << 20)
 		step := prng.Uint64() >> uint(prng.Intn(40))
 		seed := prng.Uint64()
 		temp := 0.5 + 4*prng.Float64()
-		k := NewKernel(temp, seed, shared)
+		k := NewKernel(temp, seed, false)
 		checkRowMatchesRef(t, prng, k, fmt.Sprintf("trial %d", trial), W, parity, globalRow, wordOff, step)
 	}
 
@@ -38,13 +37,11 @@ func TestUpdateRowGoldenEquivalence(t *testing.T) {
 	edges := []uint64{0, 1, 1 << 31, 1<<32 - 1, 1 << 32}
 	for _, t4 := range edges {
 		for _, t8 := range edges {
-			for _, shared := range []bool{false, true} {
-				W := 1 + prng.Intn(tileWords*2+3)
-				k := NewKernel(2.0, prng.Uint64(), shared)
-				k.SetThresholds(Thresholds{T4: t4, T8: t8})
-				checkRowMatchesRef(t, prng, k, fmt.Sprintf("edge T4=%#x T8=%#x", t4, t8),
-					W, prng.Intn(2), prng.Intn(1<<20), prng.Intn(1<<20), prng.Uint64())
-			}
+			W := 1 + prng.Intn(tileWords*2+3)
+			k := NewKernel(2.0, prng.Uint64(), false)
+			k.SetThresholds(Thresholds{T4: t4, T8: t8})
+			checkRowMatchesRef(t, prng, k, fmt.Sprintf("edge T4=%#x T8=%#x", t4, t8),
+				W, prng.Intn(2), prng.Intn(1<<20), prng.Intn(1<<20), prng.Uint64())
 		}
 	}
 }
@@ -112,12 +109,12 @@ func checkRowMatchesRef(t *testing.T, prng *rand.Rand, k Kernel, label string, W
 
 	for i := 0; i < W; i++ {
 		if rowOpt[i] != rowRef[i] {
-			t.Fatalf("%s (W=%d shared=%v parity=%d row=%d wordOff=%d step=%d): UpdateRow word %d = %#x, reference %#x",
-				label, W, k.Shared, parity, globalRow, wordOff, step, i, rowOpt[i], rowRef[i])
+			t.Fatalf("%s (W=%d parity=%d row=%d wordOff=%d step=%d): UpdateRow word %d = %#x, reference %#x",
+				label, W, parity, globalRow, wordOff, step, i, rowOpt[i], rowRef[i])
 		}
 		if rowSc[i] != rowRef[i] {
-			t.Fatalf("%s (W=%d shared=%v parity=%d row=%d wordOff=%d step=%d): UpdateRowScratch word %d = %#x, reference %#x",
-				label, W, k.Shared, parity, globalRow, wordOff, step, i, rowSc[i], rowRef[i])
+			t.Fatalf("%s (W=%d parity=%d row=%d wordOff=%d step=%d): UpdateRowScratch word %d = %#x, reference %#x",
+				label, W, parity, globalRow, wordOff, step, i, rowSc[i], rowRef[i])
 		}
 	}
 }
@@ -126,24 +123,16 @@ func checkRowMatchesRef(t *testing.T, prng *rand.Rand, k Kernel, label string, W
 // retained reference on a 4096-column row (64 words), the before/after pair
 // of the PR-10 vectorization. Flip throughput: 32 active sites per word.
 func BenchmarkUpdateRow(b *testing.B) {
-	benchRow(b, false, false)
+	benchRow(b, false)
 }
 
 func BenchmarkUpdateRowRef(b *testing.B) {
-	benchRow(b, false, true)
+	benchRow(b, true)
 }
 
-func BenchmarkUpdateRowShared(b *testing.B) {
-	benchRow(b, true, false)
-}
-
-func BenchmarkUpdateRowSharedRef(b *testing.B) {
-	benchRow(b, true, true)
-}
-
-func benchRow(b *testing.B, shared, ref bool) {
+func benchRow(b *testing.B, ref bool) {
 	const W = 64
-	k := NewKernel(2.4, 7, shared)
+	k := NewKernel(2.4, 7, false)
 	row := make([]uint64, W)
 	north := make([]uint64, W)
 	south := make([]uint64, W)

@@ -23,12 +23,11 @@
 // so the chain is deterministic and independent of the number of worker
 // goroutines. One Philox block yields the randoms of four neighbouring
 // same-colour sites, amortising the generator fourfold over the scalar
-// engines. A cheaper shared-random variant (one random per 64-column word,
-// Kernel.Shared, the multispin-shared backend) trades per-site independence
-// for another large factor, at the cost of weak intra-word correlations.
+// engines. Every site draws its own random, so the update is exact
+// Metropolis.
 //
 // The package holds the kernel only. The engine that runs it is the pod
-// Driver of internal/ising/sharded: the multispin backends are its one-shard
+// Driver of internal/ising/sharded: the multispin backend is its one-shard
 // grid, the single core, and every larger grid runs the same kernel on each
 // shard.
 package multispin

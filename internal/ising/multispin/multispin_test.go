@@ -25,17 +25,12 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // siteRand returns the 32-bit random consumed by site (r, c) at the given
-// colour-step in per-site mode; it is the pure function the bulk kernel
+// colour-step; it is the pure function the bulk kernel
 // evaluates four lanes at a time.
 func siteRand(k multispin.Kernel, step uint64, r, c int) uint32 {
 	j := c >> 1
 	ctr := rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(r)), uint32(j >> 2)}
 	return rng.Block(ctr, k.Key)[j&3]
-}
-
-// wordRand returns the shared random of word w of row r in shared mode.
-func wordRand(k multispin.Kernel, step uint64, r, w int) uint32 {
-	return rng.Block(rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(r)), uint32(w)}, k.Key)[0]
 }
 
 // words gathers the engine's packed words in whole-lattice row-major order.
@@ -73,12 +68,7 @@ func referenceUpdateColor(k multispin.Kernel, l *ising.Lattice, parity int, step
 					d++
 				}
 			}
-			var u uint64
-			if k.Shared {
-				u = uint64(wordRand(k, step, r, c/multispin.WordBits))
-			} else {
-				u = uint64(siteRand(k, step, r, c))
-			}
+			u := uint64(siteRand(k, step, r, c))
 			flip := false
 			switch d {
 			case 0:
@@ -101,32 +91,30 @@ func referenceUpdateColor(k multispin.Kernel, l *ising.Lattice, parity int, step
 // per-site randoms.
 func TestBitLevelEquivalence(t *testing.T) {
 	p := rng.New(7)
-	for _, shared := range []bool{false, true} {
-		for trial := 0; trial < 20; trial++ {
-			rows := 2 * (1 + p.Intn(4))                  // 2..8
-			cols := multispin.WordBits * (1 + p.Intn(3)) // 64..192
-			temp := 1.5 + 2.5*p.Float64()
-			e, err := New(Config{
-				Rows: rows, Cols: cols, Temperature: temp,
-				Seed: uint64(trial)*13 + 1, SharedRandom: shared, Workers: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			start := randomLattice(rows, cols, p)
-			if err := e.SetLattice(start); err != nil {
-				t.Fatal(err)
-			}
-			want := start.Clone()
-			step := uint64(p.Intn(1000))
-			k := multispin.NewKernel(temp, uint64(trial)*13+1, shared)
-			for parity := 0; parity < 2; parity++ {
-				e.UpdateColor(parity, step+uint64(parity))
-				referenceUpdateColor(k, want, parity, step+uint64(parity))
-				if got := e.Lattice(); !got.Equal(want) {
-					t.Fatalf("shared=%v trial %d: %dx%d at T=%.3f parity %d: bulk and scalar decisions differ",
-						shared, trial, rows, cols, temp, parity)
-				}
+	for trial := 0; trial < 20; trial++ {
+		rows := 2 * (1 + p.Intn(4))                  // 2..8
+		cols := multispin.WordBits * (1 + p.Intn(3)) // 64..192
+		temp := 1.5 + 2.5*p.Float64()
+		e, err := New(Config{
+			Rows: rows, Cols: cols, Temperature: temp,
+			Seed: uint64(trial)*13 + 1, Workers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := randomLattice(rows, cols, p)
+		if err := e.SetLattice(start); err != nil {
+			t.Fatal(err)
+		}
+		want := start.Clone()
+		step := uint64(p.Intn(1000))
+		k := multispin.NewKernel(temp, uint64(trial)*13+1, false)
+		for parity := 0; parity < 2; parity++ {
+			e.UpdateColor(parity, step+uint64(parity))
+			referenceUpdateColor(k, want, parity, step+uint64(parity))
+			if got := e.Lattice(); !got.Equal(want) {
+				t.Fatalf("trial %d: %dx%d at T=%.3f parity %d: bulk and scalar decisions differ",
+					trial, rows, cols, temp, parity)
 			}
 		}
 	}
@@ -137,36 +125,34 @@ func TestBitLevelEquivalence(t *testing.T) {
 // hot loop (including its rolling-west and halo-snapshot invariants) is
 // bit-identical to the naive kernel applied to the same rows.
 func TestEngineSweepMatchesReferenceKernel(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		eng, err := New(Config{Rows: 16, Cols: 192, Temperature: 2.4, Seed: 99, SharedRandom: shared})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Reference state: same geometry, updated with UpdateRowRef directly.
-		ref := words(eng)
-		k := multispin.NewKernel(2.4, 99, shared)
-		W := eng.Cols() / multispin.WordBits
-		refRow := func(r int) []uint64 { return ref[r*W : (r+1)*W] }
-		for sweep := 0; sweep < 5; sweep++ {
-			step := eng.Step()
-			eng.Sweep()
-			for _, pc := range []struct {
-				parity int
-				step   uint64
-			}{{0, step}, {1, step + 1}} {
-				for r := 0; r < eng.Rows(); r++ {
-					row := refRow(r)
-					north := refRow((r - 1 + eng.Rows()) % eng.Rows())
-					south := refRow((r + 1) % eng.Rows())
-					k.UpdateRowRef(row, north, south, row[W-1], row[0], r, 0, pc.parity, pc.step)
-				}
+	eng, err := New(Config{Rows: 16, Cols: 192, Temperature: 2.4, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reference state: same geometry, updated with UpdateRowRef directly.
+	ref := words(eng)
+	k := multispin.NewKernel(2.4, 99, false)
+	W := eng.Cols() / multispin.WordBits
+	refRow := func(r int) []uint64 { return ref[r*W : (r+1)*W] }
+	for sweep := 0; sweep < 5; sweep++ {
+		step := eng.Step()
+		eng.Sweep()
+		for _, pc := range []struct {
+			parity int
+			step   uint64
+		}{{0, step}, {1, step + 1}} {
+			for r := 0; r < eng.Rows(); r++ {
+				row := refRow(r)
+				north := refRow((r - 1 + eng.Rows()) % eng.Rows())
+				south := refRow((r + 1) % eng.Rows())
+				k.UpdateRowRef(row, north, south, row[W-1], row[0], r, 0, pc.parity, pc.step)
 			}
 		}
-		got := words(eng)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("shared=%v: engine word %d = %#x, reference replay %#x", shared, i, got[i], ref[i])
-			}
+	}
+	got := words(eng)
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("engine word %d = %#x, reference replay %#x", i, got[i], ref[i])
 		}
 	}
 }
@@ -196,25 +182,20 @@ func TestObservablesMatchLattice(t *testing.T) {
 }
 
 // TestDeterminismAcrossWorkers: fixed seed + fixed config must give the same
-// final lattice hash regardless of the worker count, in both random modes.
+// final lattice hash regardless of the worker count.
 func TestDeterminismAcrossWorkers(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		var want uint64
-		for i, workers := range []int{1, 2, 3, 7, 16} {
-			e, err := New(Config{
-				Rows: 48, Cols: 128, Temperature: 2.2, Seed: 99,
-				SharedRandom: shared, Workers: workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Run(25)
-			h := e.Hash()
-			if i == 0 {
-				want = h
-			} else if h != want {
-				t.Fatalf("shared=%v: workers=%d hash %x, workers=1 hash %x", shared, workers, h, want)
-			}
+	var want uint64
+	for i, workers := range []int{1, 2, 3, 7, 16} {
+		e, err := New(Config{Rows: 48, Cols: 128, Temperature: 2.2, Seed: 99, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(25)
+		h := e.Hash()
+		if i == 0 {
+			want = h
+		} else if h != want {
+			t.Fatalf("workers=%d hash %x, workers=1 hash %x", workers, h, want)
 		}
 	}
 }
@@ -272,9 +253,14 @@ func TestConfigValidation(t *testing.T) {
 	if e.Name() != "multispin" {
 		t.Fatalf("Name() = %q", e.Name())
 	}
-	if shared, err := New(Config{Rows: 4, Cols: 64, SharedRandom: true}); err != nil || shared.Name() != "multispin-shared" {
-		t.Fatal("shared Name() wrong")
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewKernel accepted the removed shared-random mode")
+			}
+		}()
+		multispin.NewKernel(2.0, 1, true)
+	}()
 }
 
 // TestCountsTrackAttempts checks the host work counter.

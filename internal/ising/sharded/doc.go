@@ -33,9 +33,8 @@
 // moves no interconnect traffic, reads its neighbour rows live and wraps
 // each row onto its own end words, and splits its rows into Config.Workers
 // host row bands with pre-update copies of the band-boundary rows. The
-// registry serves the multispin and multispin-shared backends as this
-// one-shard engine (Config.Name "multispin", Config.SharedRandom for the
-// shared-random kernel). The lane-packed composed engine
+// registry serves the multispin backend as this one-shard engine
+// (Config.Name "multispin"). The lane-packed composed engine
 // (internal/ising/shardedensemble), the batch form of both backends, runs on
 // the same Driver with 64-lane site words, one word per boundary site in its
 // column halos.

@@ -30,10 +30,6 @@ type Config struct {
 	Temperature float64
 	// Seed seeds the site-keyed Philox stream shared by all shards.
 	Seed uint64
-	// SharedRandom selects the cheap kernel variant that draws one random
-	// per 64-column word instead of one per site, at the cost of weak
-	// intra-word correlations; the engine's name gains a "-shared" suffix.
-	SharedRandom bool
 	// Workers is the number of row-band goroutines of a one-shard grid
 	// (0 = GOMAXPROCS); a pod grid runs one goroutine per shard. It never
 	// changes a result.
@@ -47,7 +43,7 @@ type Config struct {
 // ising.Backend.
 type Engine struct {
 	*Driver
-	base        string // Config.Name: the name without the shared-mode suffix
+	name        string // Config.Name, "sharded" by default
 	kern        multispin.Kernel
 	scratch     []multispin.Scratch // per-worker draw scratch for the batched kernel
 	temperature float64
@@ -56,9 +52,9 @@ type Engine struct {
 
 // New builds an engine from the config.
 func New(cfg Config) (*Engine, error) {
-	e := &Engine{base: cmp.Or(cfg.Name, "sharded")}
+	e := &Engine{name: cmp.Or(cfg.Name, "sharded")}
 	d, err := NewDriver(Geometry{
-		Engine: e.base, Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
+		Engine: e.name, Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
 		SiteBits: 1, ColGroup: WordBits, Workers: cfg.Workers,
 	}, e.updateRows)
 	if err != nil {
@@ -69,11 +65,11 @@ func New(cfg Config) (*Engine, error) {
 		temp = ising.CriticalTemperature()
 	}
 	if temp <= 0 {
-		return nil, fmt.Errorf("%s: temperature must be positive, got %g", e.base, temp)
+		return nil, fmt.Errorf("%s: temperature must be positive, got %g", e.name, temp)
 	}
 	e.Driver = d
 	e.temperature = temp
-	e.kern = multispin.NewKernel(temp, cfg.Seed, cfg.SharedRandom)
+	e.kern = multispin.NewKernel(temp, cfg.Seed, false)
 	e.scratch = make([]multispin.Scratch, d.Workers())
 	if cfg.Initial != nil {
 		if err := e.SetLattice(cfg.Initial); err != nil {
@@ -89,14 +85,8 @@ func (e *Engine) updateRows(worker int, run *RowRun, parity int, step uint64) {
 	e.kern.UpdateRows(run, run.Rows(), run.GlobalRow(), run.ColOff()/WordBits, parity, step, &e.scratch[worker])
 }
 
-// Name identifies the engine: Config.Name ("sharded" by default), with a
-// "-shared" suffix in the shared-random mode.
-func (e *Engine) Name() string {
-	if e.kern.Shared {
-		return e.base + "-shared"
-	}
-	return e.base
-}
+// Name identifies the engine: Config.Name ("sharded" by default).
+func (e *Engine) Name() string { return e.name }
 
 // Temperature returns the current temperature.
 func (e *Engine) Temperature() float64 { return e.temperature }
@@ -105,7 +95,7 @@ func (e *Engine) Temperature() float64 { return e.temperature }
 // the current configuration.
 func (e *Engine) SetTemperature(t float64) {
 	if t <= 0 {
-		panic(e.base + ": temperature must be positive")
+		panic(e.name + ": temperature must be positive")
 	}
 	e.kern.SetThresholds(e.thresholds.For(t))
 	e.temperature = t
@@ -165,7 +155,7 @@ func (e *Engine) Lattice() *ising.Lattice {
 // SetLattice scatters a global configuration over the shards.
 func (e *Engine) SetLattice(l *ising.Lattice) error {
 	if l.Rows != e.Rows() || l.Cols != e.Cols() {
-		return fmt.Errorf("%s: lattice is %dx%d, engine is %dx%d", e.base, l.Rows, l.Cols, e.Rows(), e.Cols())
+		return fmt.Errorf("%s: lattice is %dx%d, engine is %dx%d", e.name, l.Rows, l.Cols, e.Rows(), e.Cols())
 	}
 	e.EachRow(func(r, c0 int, words []uint64) {
 		clear(words)

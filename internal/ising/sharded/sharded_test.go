@@ -114,30 +114,28 @@ func TestDegenerateGridIsSingleShard(t *testing.T) {
 // TestBandSplitMatchesSingleBand: the single core's host row bands never
 // change the chain. Every worker count (GOMAXPROCS, one band, a count that
 // does not divide the rows, more workers than rows) must reproduce the
-// one-band run, in both random modes.
+// one-band run.
 func TestBandSplitMatchesSingleBand(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(4)
 	const rows = 64
-	for _, shared := range []bool{false, true} {
-		var want uint64
-		for i, workers := range []int{1, 0, 3, rows + 5} {
-			e, err := New(Config{
-				Rows: rows, Cols: 128, Temperature: 2.3, Seed: 17, SharedRandom: shared,
-				Workers: workers, Initial: ising.NewRandomLattice(rows, 128, rng.New(17)),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if workers > 0 && e.Workers() != min(workers, rows) {
-				t.Fatalf("workers=%d: %d row bands", workers, e.Workers())
-			}
-			e.Run(6)
-			if h := e.Hash(); i == 0 {
-				want = h
-			} else if h != want {
-				t.Fatalf("shared=%v workers=%d: hash %#x, one band %#x", shared, workers, h, want)
-			}
+	var want uint64
+	for i, workers := range []int{1, 0, 3, rows + 5} {
+		e, err := New(Config{
+			Rows: rows, Cols: 128, Temperature: 2.3, Seed: 17,
+			Workers: workers, Initial: ising.NewRandomLattice(rows, 128, rng.New(17)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers > 0 && e.Workers() != min(workers, rows) {
+			t.Fatalf("workers=%d: %d row bands", workers, e.Workers())
+		}
+		e.Run(6)
+		if h := e.Hash(); i == 0 {
+			want = h
+		} else if h != want {
+			t.Fatalf("workers=%d: hash %#x, one band %#x", workers, h, want)
 		}
 	}
 }
@@ -268,8 +266,7 @@ func TestObservablesMatchGatheredLattice(t *testing.T) {
 // masks the kernel draws for up to 64 and 21 rows per Philox call. Each
 // engine — one band, three bands that split the runs unevenly, and pod
 // grids whose shards are one or three words wide — must match the naive
-// UpdateRowRef replayed row by row over the whole lattice, in both random
-// modes.
+// UpdateRowRef replayed row by row over the whole lattice.
 func TestNarrowRowRunsMatchReference(t *testing.T) {
 	cases := []struct {
 		rows, cols, gridR, gridC, workers int
@@ -284,35 +281,33 @@ func TestNarrowRowRunsMatchReference(t *testing.T) {
 	}
 	const temp, seed, sweeps = 2.3, 29, 4
 	for _, tc := range cases {
-		for _, shared := range []bool{false, true} {
-			e, err := New(Config{
-				Rows: tc.rows, Cols: tc.cols, GridR: tc.gridR, GridC: tc.gridC, Workers: tc.workers,
-				Temperature: temp, Seed: seed, SharedRandom: shared,
-				Initial: ising.NewRandomLattice(tc.rows, tc.cols, rng.New(seed)),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("%dx%d grid %dx%d workers %d shared %v", tc.rows, tc.cols, tc.gridR, tc.gridC, tc.workers, shared)
-			W := tc.cols / WordBits
-			ref := globalWords(e)
-			k := multispin.NewKernel(temp, seed, shared)
-			row := func(r int) []uint64 { return ref[r*W : (r+1)*W] }
-			for sweep := 0; sweep < sweeps; sweep++ {
-				step := e.Step()
-				e.Sweep()
-				for parity := 0; parity < 2; parity++ {
-					for r := 0; r < tc.rows; r++ {
-						cur := row(r)
-						k.UpdateRowRef(cur, row((r-1+tc.rows)%tc.rows), row((r+1)%tc.rows), cur[W-1], cur[0],
-							r, 0, parity, step+uint64(parity))
-					}
+		e, err := New(Config{
+			Rows: tc.rows, Cols: tc.cols, GridR: tc.gridR, GridC: tc.gridC, Workers: tc.workers,
+			Temperature: temp, Seed: seed,
+			Initial: ising.NewRandomLattice(tc.rows, tc.cols, rng.New(seed)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%dx%d grid %dx%d workers %d", tc.rows, tc.cols, tc.gridR, tc.gridC, tc.workers)
+		W := tc.cols / WordBits
+		ref := globalWords(e)
+		k := multispin.NewKernel(temp, seed, false)
+		row := func(r int) []uint64 { return ref[r*W : (r+1)*W] }
+		for sweep := 0; sweep < sweeps; sweep++ {
+			step := e.Step()
+			e.Sweep()
+			for parity := 0; parity < 2; parity++ {
+				for r := 0; r < tc.rows; r++ {
+					cur := row(r)
+					k.UpdateRowRef(cur, row((r-1+tc.rows)%tc.rows), row((r+1)%tc.rows), cur[W-1], cur[0],
+						r, 0, parity, step+uint64(parity))
 				}
-				got := globalWords(e)
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Fatalf("%s: sweep %d word %d = %#x, reference replay %#x", label, sweep, i, got[i], ref[i])
-					}
+			}
+			got := globalWords(e)
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%s: sweep %d word %d = %#x, reference replay %#x", label, sweep, i, got[i], ref[i])
 				}
 			}
 		}

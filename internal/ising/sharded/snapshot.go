@@ -11,8 +11,8 @@ import (
 // the shards' packed words are gathered in global row-major word order and
 // dumped little-endian — byte-for-byte the same for every shard grid holding
 // the same configuration, the single core that serves multispin included.
-// The snapshot carries the engine's name (so a multispin, multispin-shared
-// or sharded snapshot restores only into its own backend), the site-keyed
+// The snapshot carries the engine's name (so a multispin or sharded
+// snapshot restores only into its own backend), the site-keyed
 // Philox key and the colour-step counter; the shard grid is deliberately
 // absent, since the chain is a pure function of (seed, step, global site)
 // and restores into any grid of the same lattice. It satisfies

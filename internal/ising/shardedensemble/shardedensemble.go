@@ -259,15 +259,6 @@ func (e *Engine) Energies() []float64 {
 	return append([]float64(nil), e.es...)
 }
 
-// LaneSpin returns lane L's spin at global (row, col) as +-1 (no wrapping).
-func (e *Engine) LaneSpin(lane, row, col int) int8 {
-	words, c := e.Segment(row, col)
-	if words[c]>>uint(lane)&1 == 1 {
-		return 1
-	}
-	return -1
-}
-
 // LaneLattice gathers one lane's configuration as an ising.Lattice.
 func (e *Engine) LaneLattice(lane int) *ising.Lattice {
 	l := ising.NewLattice(e.Rows(), e.Cols())

@@ -38,7 +38,7 @@ type Snapshot struct {
 // that can checkpoint and restore their chain state. The simulation service
 // (internal/service) checkpoints jobs through it every K sweeps, so a
 // restarted daemon resumes bit-identically. The host engines implement it
-// (checkerboard, gpusim, multispin, multispin-shared, sharded).
+// (checkerboard, gpusim, multispin, sharded).
 type Snapshotter interface {
 	Backend
 	// Snapshot captures the chain state.

@@ -63,11 +63,12 @@ func harvestLiveCheckpoint(t *testing.T) []byte {
 // checkpoint, mutilated at every structural boundary — truncations on either
 // side of the header, doubled and trailing-garbage files, single bit flips in
 // header and payload, and a well-formed file carrying an engine snapshot for a
-// batch or a ladder spec (only single chains snapshot) — each restarted over
-// in a fresh daemon. Every mutation
-// must take the same path: reported in the scan's skip list, counted in
-// checkpoint_corrupt, moved byte-for-byte into quarantine/ (evidence, never
-// deleted), its job answering ErrJobCorrupt, and its ID never reissued.
+// batch or a ladder spec (only single chains snapshot) or for a backend the
+// registry no longer has — each restarted over in a fresh daemon. Every
+// mutation must take the same path: reported in the scan's skip list,
+// counted in checkpoint_corrupt, moved byte-for-byte into quarantine/
+// (evidence, never deleted), its job answering ErrJobCorrupt, and its ID
+// never reissued.
 func TestCorruptCheckpointMatrix(t *testing.T) {
 	blob := harvestLiveCheckpoint(t)
 	nl := bytes.IndexByte(blob, '\n')
@@ -106,6 +107,9 @@ func TestCorruptCheckpointMatrix(t *testing.T) {
 		"snapshot-for-ladder": respec(func(s *JobSpec) {
 			s.Temperature, s.Temperatures, s.SwapInterval = 0, []float64{2.0, 2.5}, 5
 		}),
+		// The shared-random backend was removed: its checkpoint must never
+		// resume as a per-site multispin chain.
+		"removed-backend": respec(func(s *JobSpec) { s.Backend = "multispin-shared" }),
 	}
 	for name, mutated := range mutations {
 		t.Run(name, func(t *testing.T) {

@@ -64,15 +64,6 @@ func Binder(ms []float64) float64 {
 	return 1 - m4/(3*m2*m2)
 }
 
-// Kurtosis returns the excess-free kurtosis <x^4>/<x^2>^2.
-func Kurtosis(xs []float64) float64 {
-	m2 := Moment(xs, 2)
-	if m2 == 0 {
-		return 0
-	}
-	return Moment(xs, 4) / (m2 * m2)
-}
-
 // Autocorrelation returns the normalised autocorrelation of xs at the given
 // lag (1 at lag 0).
 func Autocorrelation(xs []float64, lag int) float64 {

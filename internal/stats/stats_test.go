@@ -63,16 +63,6 @@ func TestBinderLimits(t *testing.T) {
 	}
 }
 
-func TestKurtosis(t *testing.T) {
-	// For a +-1 distribution, <x^4>/<x^2>^2 = 1.
-	if Kurtosis([]float64{1, -1, 1, -1}) != 1 {
-		t.Error("kurtosis of +-1")
-	}
-	if Kurtosis([]float64{0}) != 0 {
-		t.Error("degenerate kurtosis")
-	}
-}
-
 func TestAutocorrelation(t *testing.T) {
 	// A perfectly alternating sequence has autocorrelation -1 at lag 1.
 	alt := make([]float64, 1000)

@@ -12,8 +12,8 @@
 //
 // This is the first subsystem that composes backends instead of selecting
 // one: each replica is any ising.Backend that implements ising.Tempered —
-// every registered engine does (checkerboard, gpusim, multispin,
-// multispin-shared, sharded, tpu). The ladder always runs as one
+// every registered engine does (checkerboard, gpusim, multispin, sharded,
+// tpu). The ladder always runs as one
 // ising.BatchTempered whose lane i is walker i: New puts one engine per rung
 // (all of one engine type) behind the ising.NewBatchOf adapter, and NewBatch
 // takes any batch directly, such as the lane-packed engine that
