@@ -9,8 +9,8 @@ import (
 
 // Kernel is the reusable core of the bit-packed Metropolis update: the two
 // integer acceptance thresholds and the Philox key.
-// It is deliberately free of any lattice geometry — UpdateRow is handed the
-// packed words of one row plus its neighbours and the row's *global*
+// It is deliberately free of any lattice geometry — UpdateBlock is handed a
+// block of packed rows plus its neighbours and the block's *global*
 // coordinates, so the single core and every shard of a pod grid
 // (internal/ising/sharded) evaluate exactly the same pure function of
 // (seed, step, global site) and stay bit-identical to each other.
@@ -120,11 +120,10 @@ func Flips(d1, d2, d3, d4, a4, a8 uint64) uint64 {
 // most 2*tileWords uint64 masks (1 KiB).
 const tileWords = 64
 
-// Scratch is the reusable draw buffer of the optimized row kernel. Engines
-// keep one per worker goroutine and pass it to every UpdateRows or
-// UpdateRowScratch call; the zero value is ready to use and grows on first
-// use. It carries no kernel state — only scratch memory — so any kernel may
-// use any scratch.
+// Scratch is the reusable draw buffer of the optimized kernel. Engines keep
+// one per worker goroutine and pass it to every UpdateBlock call; the zero
+// value is ready to use and grows on first use. It carries no kernel state —
+// only scratch memory — so any kernel may use any scratch.
 type Scratch struct {
 	acc []uint64
 }
@@ -138,86 +137,151 @@ func (s *Scratch) masks(n int) (a4, a8 []uint64) {
 	return s.acc[:n], s.acc[n:][:n]
 }
 
-// RowSource hands the rows of a run to UpdateRows in order: each NextRow
-// returns the next row's words, its north and south neighbour rows and its
-// wrap words, as UpdateRow takes them. The pod driver's sharded.RowRun is
-// one.
-type RowSource interface {
-	NextRow() (row, north, south []uint64, westWrap, eastWrap uint64)
+// Block is the contiguous block of rows one worker updates in one colour: a
+// row band of a single core, or a whole shard of a pod grid. sharded.Driver
+// keeps one per band or shard and hands it to the engine's kernel by
+// pointer; UpdateBlock walks it by offset, and the lane-packed engine row by
+// row (RowAt). Every neighbour a colour update reads belongs to the other
+// colour, so live rows, pre-update copies and received halos all serve.
+type Block struct {
+	// Words holds the block's Rows rows of RowWords words each, row-major.
+	Words          []uint64
+	Rows, RowWords int
+	// North and South are the rows just above and just below the block: on a
+	// single core its own torus-wrapped rows or copies of a neighbour band's
+	// boundary rows, on a pod grid the received halo rows.
+	North, South []uint64
+	// West and East are the received boundary columns of the west and east
+	// neighbour shards, holding each row's site just beyond the block's west
+	// and east edge at the words' site density: one bit per row for spin
+	// words (bit r%64 of West[r/64] for row r), one word per row for lane
+	// words. Both are nil on a single core, where each row wraps onto its
+	// own end words.
+	West, East []uint64
+	// Row and Col are the global row and column of the block's first site.
+	Row, Col int
 }
 
-// UpdateRow performs the colour update of the active sites of one packed
-// lattice row, in place. row holds the W words of the row; north and south
-// are the rows above and below (pre-update snapshots are fine: every
-// neighbour bit consumed belongs to the opposite colour, which this update
-// does not write). westWrap is the word logically west of row[0] (only its
-// bit 63 is consumed) and eastWrap the word logically east of row[W-1] (only
-// its bit 0 is consumed); the single core passes the row's own end words for
-// the torus wrap, a shard of a larger grid passes its neighbour's halo.
+// RowAt returns row r of the block and its north and south neighbour rows.
+func (b *Block) RowAt(r int) (row, north, south []uint64) {
+	W := b.RowWords
+	row, north, south = b.Words[r*W:(r+1)*W], b.North, b.South
+	if r > 0 {
+		north = b.Words[(r-1)*W : r*W]
+	}
+	if r+1 < b.Rows {
+		south = b.Words[(r+1)*W : (r+2)*W]
+	}
+	return row, north, south
+}
+
+// haloBits returns row r's spin-word wrap words from the block's received
+// columns, placed where the word loop reads them: the west neighbour at bit
+// 63 of west, the east one at bit 0 of east (the other bits are never read).
+func (b *Block) haloBits(r int) (west, east uint64) {
+	return b.West[r>>6] << (^r & 63), b.East[r>>6] >> (r & 63)
+}
+
+// UpdateRowScratch performs the colour update of the active sites of one
+// packed lattice row, in place: the one-row form of UpdateBlock, running the
+// word loop of its multi-word rows. row holds the W words of the row; north and south are the
+// rows above and below (pre-update snapshots are fine: every neighbour bit
+// consumed belongs to the opposite colour, which this update does not
+// write). westWrap is the word logically west of row[0] (only its bit 63 is
+// consumed) and eastWrap the word logically east of row[W-1] (only its bit 0
+// is consumed); a whole row passes its own end words for the torus wrap.
 //
 // globalRow and wordOff are the row's global row index and the global word
 // index of row[0]: they key the site randoms and select the active-colour
-// parity, so a shard updating a window of a larger lattice draws exactly the
-// randoms the single core would.
-//
-// UpdateRow is the convenience form that brings its own scratch; the
-// engines' hot loops call UpdateRows with a persistent per-worker Scratch
-// instead, and UpdateRowScratch is its one-row case. All three run the
-// optimized kernel — fused Philox accept draws, tiled column blocking,
-// hoisted word-boundary handling — and are bit-identical to UpdateRowRef,
-// the retained naive reference (pinned by the golden equivalence tests in
-// kernel_equiv_test.go).
-func (k Kernel) UpdateRow(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64) {
-	var sc Scratch
-	k.UpdateRowScratch(row, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step, &sc)
-}
-
-// UpdateRowScratch is UpdateRow with a caller-owned scratch buffer: the
-// one-row case of UpdateRows, running the same word loop.
+// parity, so a window of a larger lattice draws exactly the randoms the
+// whole lattice would. Like UpdateBlock it is bit-identical to
+// UpdateRowRef, the retained naive reference (pinned by the golden
+// equivalence tests in kernel_equiv_test.go).
 func (k Kernel) UpdateRowScratch(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64, sc *Scratch) {
 	k.updateRow(row, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step, nil, nil, sc)
 }
 
-// UpdateRows performs the colour update of n consecutive rows taken in order
-// from src, the first at global row globalRow, all of one width and at
-// global word wordOff: the form the engines' hot loops use. One fused Philox
-// call (rng.AcceptRows — the AVX-512 or AVX2 kernel on an amd64 CPU that has
+// UpdateBlock performs the colour update of every row of b, the form the
+// engines' hot loops use. Rows are addressed by offset into b.Words, with
+// b.North and b.South beyond the first and last row. One fused Philox call
+// (rng.AcceptRows — the AVX-512 or AVX2 kernel on an amd64 CPU that has
 // them, the 4-way portable loop otherwise) draws the accept masks of as many
 // whole rows as fit in tileWords words (64 one-word rows, two 32-word rows),
-// compared where the randoms are generated and already on the even columns,
-// so the word loop only shifts them onto the active colour. A row wider than
-// tileWords draws its own tiles. Drawing before updating is exact because no
-// random depends on a spin. One word loop then runs the inlined updateWord
-// over each row's slices, with the wrap/select branches hoisted into
-// explicit first/middle/last word handling.
+// compared where the randoms are generated and already on the even columns.
+// A row wider than tileWords draws its own tiles. Drawing before updating is
+// exact because no random depends on a spin. The masks are keyed by the
+// block's global row and word, so where a block starts and ends never
+// changes the chain.
+//
+// For one-word rows on a single core the row loop is the word loop: each
+// row's north and south are the words before and after it, and its west
+// and east the word itself. Wider rows, and one-word shards that read
+// halo columns, run updateRow's hoisted tile loop on their slices
+// (updateByRow).
 //
 // Within one colour update the kernel writes only active-colour bits and
 // consumes only inactive-colour neighbour bits, so the west bit a word
 // consumes (bit 63 of the word before it, an odd-parity column) is the same
 // before and after that word's update: it is consumed only by even-parity
-// updates and written only by odd-parity ones. That is what lets the loop
-// roll the west neighbour through a local holding the pre-update word, so
-// no word waits for the previous word's update, and it is the same
-// invariant that makes the engines' pre-update halo snapshots exact.
-func (k Kernel) UpdateRows(src RowSource, n, globalRow, wordOff, parity int, step uint64, sc *Scratch) {
-	for r := 0; r < n; {
-		row, north, south, westWrap, eastWrap := src.NextRow()
-		W := len(row)
+// updates and written only by odd-parity ones. That is what lets the loops
+// roll neighbours through locals holding pre-update words, so no word waits
+// for the previous word's update, and it is the same invariant that makes
+// the engines' pre-update halo snapshots exact.
+func (k Kernel) UpdateBlock(b *Block, parity int, step uint64, sc *Scratch) {
+	if b.RowWords != 1 || b.West != nil {
+		k.updateByRow(b, parity, step, sc)
+		return
+	}
+	n := b.Rows
+	words := b.Words[:n]
+	north, cur, last := b.North[0], words[0], b.South[0]
+	// The active columns alternate with the row. Masks come on the even
+	// columns with the odd bits zero, so m*3 = m|m<<1 holds each on both
+	// columns of its pair, and only cmask needs to follow the row.
+	cmask := uint64(evenMask) << uint((parity+b.Row)&1)
+	for r0 := 0; r0 < n; r0 += tileWords {
+		end := min(r0+tileWords, n)
+		rows := words[r0:end]
+		next := last // the row after the run
+		if end < n {
+			next = words[end]
+		}
+		a4, a8 := k.draw(len(rows), 1, b.Row+r0, b.Col/WordBits, step, sc)
+		a4, a8 = a4[:len(rows)], a8[:len(rows)]
+		for i := range rows {
+			south := next
+			if i+1 < len(rows) {
+				south = rows[i+1]
+			}
+			rows[i] = updateWord(cur, north, south, cur, cur, a4[i]*3, a8[i]*3, cmask)
+			north, cur, cmask = cur, south, ^cmask
+		}
+	}
+}
+
+// updateByRow is UpdateBlock for rows of several words, or with halo
+// columns: per run of whole rows that share a draw, the word loop of each
+// row on its slices.
+func (k Kernel) updateByRow(b *Block, parity int, step uint64, sc *Scratch) {
+	W, n := b.RowWords, b.Rows
+	wordOff := b.Col / WordBits
+	for r0 := 0; r0 < n; {
 		run := 1
 		var a4s, a8s []uint64 // the run's masks, row after row; nil: each row draws its own
-		if W > 0 && W <= tileWords {
-			run = min(n-r, tileWords/W)
-			a4s, a8s = sc.masks(run * W)
-			rng.AcceptRows(a4s, a8s, W, rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(globalRow + r)), uint32(wordOff * 8)},
-				k.Key, k.T4, k.T8)
+		if W <= tileWords {
+			run = min(n-r0, tileWords/W)
+			a4s, a8s = k.draw(run*W, W, b.Row+r0, wordOff, step, sc)
 		}
-		for i := 0; ; i++ {
-			k.updateRow(row, north, south, westWrap, eastWrap, globalRow+r, wordOff, parity, step, a4s[i*W:], a8s[i*W:], sc)
-			if r++; i+1 == run {
-				break
+		for i := 0; i < run; i++ {
+			r := r0 + i
+			row, north, south := b.RowAt(r)
+			westWrap, eastWrap := row[W-1], row[0]
+			if b.West != nil {
+				westWrap, eastWrap = b.haloBits(r)
 			}
-			row, north, south, westWrap, eastWrap = src.NextRow()
+			k.updateRow(row, north, south, westWrap, eastWrap, b.Row+r, wordOff, parity, step, a4s[i*W:], a8s[i*W:], sc)
 		}
+		r0 += run
 	}
 }
 
@@ -237,11 +301,11 @@ func (k Kernel) updateRow(row, north, south []uint64, westWrap, eastWrap uint64,
 		ns, ss := north[w0:w1][:n], south[w0:w1][:n]
 		a4, a8 := a4s, a8s
 		if a4 == nil {
-			a4, a8 = k.drawTile(n, globalRow, wordOff+w0, step, sc)
+			a4, a8 = k.draw(n, n, globalRow, wordOff+w0, step, sc)
 		}
 		a4, a8 = a4[:n], a8[:n]
 		// Hoisted boundary handling: the west neighbour rolls through a
-		// local (see UpdateRows), the east select happens once, for the
+		// local (see UpdateBlock), the east select happens once, for the
 		// tile's last word, instead of once per word.
 		west := westWrap
 		if w0 > 0 {
@@ -261,13 +325,14 @@ func (k Kernel) updateRow(row, north, south []uint64, westWrap, eastWrap uint64,
 	}
 }
 
-// drawTile draws the masks of one row's n-word tile starting at global word
-// gw: 8 blocks per word at consecutive counters starting at gw*8, matching
-// the reference's per-word counters exactly (mod-2^32 arithmetic included),
-// so every accept decision is the reference's.
-func (k Kernel) drawTile(n, globalRow, gw int, step uint64, sc *Scratch) (a4s, a8s []uint64) {
+// draw draws the masks of n words of whole rowWords-word rows, the first row
+// at global row globalRow and every row from global word gw: 8 blocks per
+// word at consecutive counters starting at gw*8 and one counter row per
+// lattice row, matching the reference's per-word counters exactly (mod-2^32
+// arithmetic included), so every accept decision is the reference's.
+func (k Kernel) draw(n, rowWords, globalRow, gw int, step uint64, sc *Scratch) (a4s, a8s []uint64) {
 	a4s, a8s = sc.masks(n)
-	rng.AcceptRows(a4s, a8s, n, rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(globalRow)), uint32(gw * 8)},
+	rng.AcceptRows(a4s, a8s, rowWords, rng.Counter{uint32(step), uint32(step >> 32), uint32(int64(globalRow)), uint32(gw * 8)},
 		k.Key, k.T4, k.T8)
 	return a4s, a8s
 }
@@ -281,12 +346,13 @@ func updateWord(cur, north, south, eastSrc, westSrc, a4, a8, cmask uint64) uint6
 	return cur ^ Flips(cur^north, cur^south, cur^(cur>>1|eastSrc<<63), cur^(cur<<1|westSrc>>63), a4, a8)&cmask
 }
 
-// UpdateRowRef is the retained naive reference implementation of UpdateRow:
-// word-at-a-time, branching wrap selection, randoms drawn two blocks at a
-// time inline. It is never called by the engines — it exists so the golden
-// equivalence property test can pin every optimized variant (portable tiled,
-// AVX-512 or AVX2 where the CPU has it) to the exact spins this loop produces at any
-// (seed, step, geometry).
+// UpdateRowRef is the retained naive reference implementation of
+// UpdateRowScratch, and row by row of UpdateBlock: word-at-a-time, branching
+// wrap selection, randoms drawn two blocks at a time inline. It is never
+// called by the engines — it exists so the golden equivalence property tests
+// can pin every optimized variant (portable tiled, AVX-512 or AVX2 where the
+// CPU has it) to the exact spins this loop produces at any (seed, step,
+// geometry).
 func (k Kernel) UpdateRowRef(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64) {
 	W := len(row)
 	s0, s1 := uint32(step), uint32(step>>32)

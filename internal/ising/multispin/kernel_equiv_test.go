@@ -10,12 +10,12 @@ import (
 
 // TestUpdateRowGoldenEquivalence is the golden bit-equivalence property test
 // of the kernel variants: for random (rows, cols, seed, parity, temperature,
-// step, wordOff) tuples, the optimized UpdateRow /
-// UpdateRowScratch paths (tiled + batched Philox; the AVX-512 or AVX2 kernel
-// where the CPU has it) must produce exactly the spins of UpdateRowRef, the
-// retained naive reference. It runs on the host's dispatch, which
-// rng.HasAVX512 and rng.HasAVX2 name; CI also
-// runs it under -race and under GOARCH=386, where the portable loop runs.
+// step, wordOff) tuples, the optimized UpdateRowScratch path (tiled +
+// batched Philox; the AVX-512 or AVX2 kernel where the CPU has it) must
+// produce exactly the spins of UpdateRowRef, the retained naive reference.
+// It runs on the host's dispatch, which rng.HasAVX512 and rng.HasAVX2 name;
+// CI also runs it under -race and under GOARCH=386, where the portable loop
+// runs.
 func TestUpdateRowGoldenEquivalence(t *testing.T) {
 	t.Logf("avx2 kernels active: %v, avx512 accept kernels active: %v", rng.HasAVX2(), rng.HasAVX512())
 	prng := rand.New(rand.NewSource(20260808))
@@ -44,6 +44,67 @@ func TestUpdateRowGoldenEquivalence(t *testing.T) {
 				W, prng.Intn(2), prng.Intn(1<<20), prng.Intn(1<<20), prng.Uint64())
 		}
 	}
+}
+
+// TestUpdateBlockMatchesReference pins the block entry the engines call to
+// UpdateRowRef replayed row by row over the same block. It covers one-word
+// rows (the row loop is the word loop), rows that share one draw (2, 3 and
+// 21 words), rows of a whole draw and wider ones that draw their own tiles;
+// row counts that leave the last draw run short; a nonzero global row and
+// word; and both the torus wrap of a single core (nil halo columns) and
+// random received halo columns.
+func TestUpdateBlockMatchesReference(t *testing.T) {
+	prng := rand.New(rand.NewSource(20261020))
+	var sc Scratch // shared across calls, as an engine worker's is
+	for _, W := range []int{1, 2, 3, 21, 64, 65, 131} {
+		perRun := max(tileWords/W, 1)
+		for _, rows := range []int{1, perRun + 1, 2*perRun + max(perRun/2, 1)} {
+			for _, halo := range []bool{false, true} {
+				k := NewKernel(0.5+4*prng.Float64(), prng.Uint64(), false)
+				b := &Block{
+					Words: randomWords(prng, rows*W), Rows: rows, RowWords: W,
+					North: randomWords(prng, W), South: randomWords(prng, W),
+					Row: prng.Intn(1 << 20), Col: prng.Intn(1<<20) * WordBits,
+				}
+				if halo {
+					b.West, b.East = randomWords(prng, (rows+63)/64), randomWords(prng, (rows+63)/64)
+				}
+				parity, step := prng.Intn(2), prng.Uint64()>>uint(prng.Intn(40))
+				ref := append([]uint64(nil), b.Words...)
+				for r := 0; r < rows; r++ {
+					row, north, south := ref[r*W:(r+1)*W], b.North, b.South
+					if r > 0 {
+						north = ref[(r-1)*W : r*W]
+					}
+					if r+1 < rows {
+						south = ref[(r+1)*W : (r+2)*W]
+					}
+					westWrap, eastWrap := row[W-1], row[0]
+					if halo {
+						westWrap = (b.West[r/64] >> (r % 64) & 1) << 63
+						eastWrap = b.East[r/64] >> (r % 64) & 1
+					}
+					k.UpdateRowRef(row, north, south, westWrap, eastWrap, b.Row+r, b.Col/WordBits, parity, step)
+				}
+				k.UpdateBlock(b, parity, step, &sc)
+				for i := range ref {
+					if b.Words[i] != ref[i] {
+						t.Fatalf("W=%d rows=%d halo=%v row=%d col=%d parity=%d step=%d: word %d (row %d) = %#x, reference %#x",
+							W, rows, halo, b.Row, b.Col, parity, step, i, i/W, b.Words[i], ref[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// randomWords returns n random words.
+func randomWords(prng *rand.Rand, n int) []uint64 {
+	w := make([]uint64, n)
+	for i := range w {
+		w[i] = prng.Uint64()
+	}
+	return w
 }
 
 // TestFlipsTruthTable checks Flips exhaustively. Every bit of its result is
@@ -85,8 +146,8 @@ func TestFlipsTruthTable(t *testing.T) {
 }
 
 // checkRowMatchesRef updates one random W-word row with k through
-// UpdateRowRef, UpdateRow and UpdateRowScratch and fails unless all three
-// agree word for word.
+// UpdateRowRef and UpdateRowScratch and fails unless the two agree word for
+// word.
 func checkRowMatchesRef(t *testing.T, prng *rand.Rand, k Kernel, label string, W, parity, globalRow, wordOff int, step uint64) {
 	t.Helper()
 	rowRef := make([]uint64, W)
@@ -99,19 +160,13 @@ func checkRowMatchesRef(t *testing.T, prng *rand.Rand, k Kernel, label string, W
 	}
 	westWrap, eastWrap := prng.Uint64(), prng.Uint64()
 
-	rowOpt := append([]uint64(nil), rowRef...)
 	rowSc := append([]uint64(nil), rowRef...)
 
 	k.UpdateRowRef(rowRef, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step)
-	k.UpdateRow(rowOpt, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step)
 	var sc Scratch
 	k.UpdateRowScratch(rowSc, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step, &sc)
 
 	for i := 0; i < W; i++ {
-		if rowOpt[i] != rowRef[i] {
-			t.Fatalf("%s (W=%d parity=%d row=%d wordOff=%d step=%d): UpdateRow word %d = %#x, reference %#x",
-				label, W, parity, globalRow, wordOff, step, i, rowOpt[i], rowRef[i])
-		}
 		if rowSc[i] != rowRef[i] {
 			t.Fatalf("%s (W=%d parity=%d row=%d wordOff=%d step=%d): UpdateRowScratch word %d = %#x, reference %#x",
 				label, W, parity, globalRow, wordOff, step, i, rowSc[i], rowRef[i])
@@ -150,5 +205,26 @@ func benchRow(b *testing.B, ref bool) {
 		} else {
 			k.UpdateRowScratch(row, north, south, row[W-1], row[0], 5, 0, 0, uint64(i), &sc)
 		}
+	}
+}
+
+// BenchmarkUpdateBlock times one colour update of a 64-row block through
+// the engines' entry, with the torus wrap of a single core: 64 one-word rows
+// (a 64² lattice's band, one draw for the whole block) and 64 rows of 32
+// words (two rows per draw).
+func BenchmarkUpdateBlock(b *testing.B) {
+	for _, W := range []int{1, 32} {
+		b.Run(fmt.Sprintf("64x%d", W), func(b *testing.B) {
+			const rows = 64
+			k := NewKernel(2.4, 7, false)
+			words := randomWords(rand.New(rand.NewSource(1)), rows*W)
+			blk := &Block{Words: words, Rows: rows, RowWords: W, North: words[(rows-1)*W:], South: words[:W]}
+			var sc Scratch
+			b.SetBytes(rows * int64(W) * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.UpdateBlock(blk, i&1, uint64(i), &sc)
+			}
+		})
 	}
 }

@@ -28,7 +28,11 @@
 // The decomposition itself — shard geometry, the four halo permutes per
 // half-sweep, the lockstep sweep loop and the global row walk behind the
 // gather, scatter, hash and snapshot — is the Driver, which the engine
-// plugs its word layout and row kernel into. A 1x1 grid is the single core,
+// plugs its word layout and block kernel into. The Driver calls the kernel
+// once per shard or row band and colour with a multispin.Block: the block's
+// contiguous words, the rows just above and below it, the received west and
+// east halo columns (nil on a single core) and the global row and column of
+// its first site. A 1x1 grid is the single core,
 // the paper's single-core program: it runs no pod or fabric exchange and
 // moves no interconnect traffic, reads its neighbour rows live and wraps
 // each row onto its own end words, and splits its rows into Config.Workers

@@ -9,6 +9,7 @@ import (
 
 	"tpuising/internal/device/metrics"
 	"tpuising/internal/interconnect"
+	"tpuising/internal/ising/multispin"
 	"tpuising/internal/pod"
 )
 
@@ -42,85 +43,18 @@ type Geometry struct {
 	Workers int
 }
 
-// RowKernel updates the sites of one colour in a run of shard rows, taking
-// the rows in order from run (see RowRun). worker identifies the goroutine
-// making the call — the shard on a pod grid, the row band on a single core —
-// and is below Driver.Workers; calls with different workers run
-// concurrently.
-type RowKernel func(worker int, run *RowRun, parity int, step uint64)
+// BlockKernel updates the sites of one colour in a block of shard rows: a
+// row band of a single core, or every row of a shard on a pod grid (see
+// multispin.Block). worker identifies the goroutine making the call — the
+// shard on a pod grid, the row band on a single core — and is below
+// Driver.Workers; calls with different workers run concurrently.
+type BlockKernel func(worker int, b *multispin.Block, parity int, step uint64)
 
-// RowRun is the run of consecutive shard rows one worker updates in one
-// colour: a row band of a single core, or every row of a shard on a pod
-// grid. The kernel takes the rows in order from NextRow, so it may draw the
-// randoms of several rows before it updates them. Every random is keyed by
-// the global site, so where a run starts and ends never changes the chain.
-type RowRun struct {
-	d     *Driver
-	sh    *shard
-	r, r1 int      // the next local row and the run's end
-	north []uint64 // the next row's north neighbour
-	south []uint64 // the row below the run (nil: the shard's own, read live)
-	row   []uint64 // the next row
-}
-
-// Rows returns the number of rows NextRow has yet to hand out.
-func (rr *RowRun) Rows() int { return rr.r1 - rr.r }
-
-// GlobalRow returns the global row of the next row, which keys its randoms.
-func (rr *RowRun) GlobalRow() int { return rr.sh.rowOff + rr.r }
-
-// ColOff returns the global column of the run's first site.
-func (rr *RowRun) ColOff() int { return rr.sh.colOff }
-
-// NextRow returns the next row of the run and advances past it: the row's
-// words, the rows above and below it (pre-update snapshots where they lie
-// outside the run), and its neighbour sites beyond the shard's west and
-// east edges, placed where the kernel reads them: the high SiteBits bits of
-// westWrap and the low SiteBits bits of eastWrap. A shard that has
-// exchanged halos takes them from the received columns; a single core
-// wraps each row onto its own end words. Every neighbour the kernel reads
-// belongs to the other colour, so live reads, copies and halos agree. Call
-// it at most Rows times.
-func (rr *RowRun) NextRow() (row, north, south []uint64, westWrap, eastWrap uint64) {
-	d, sh, r := rr.d, rr.sh, rr.r
-	row, north, south = rr.row, rr.north, rr.south
-	if r < rr.r1-1 || south == nil {
-		next := r + 1 // the torus wrap without a division per row
-		if next == d.shardRows {
-			next = 0
-		}
-		south = d.row(sh, next)
-	}
-	westWrap, eastWrap = row[d.rowWords-1], row[0]
-	if sh.west != nil {
-		westWrap = d.haloSite(sh.west, r) << (WordBits - d.siteBits)
-		eastWrap = d.haloSite(sh.east, r)
-	}
-	// The rows roll: this row is the next one's north, its south the next
-	// one's row.
-	rr.r, rr.north, rr.row = r+1, row, south
-	return row, north, south, westWrap, eastWrap
-}
-
-// shard is one core's block of the lattice plus its halo buffers.
+// shard is one core's block of the lattice: its words, its global offset
+// and, on a pod grid, the halos received for the current half-sweep.
 type shard struct {
-	words  []uint64 // shardRows rows of rowWords words
-	rowOff int      // global row of local row 0
-	colOff int      // global column of local column 0
-	// north and south hold the neighbour rows received for the current
-	// half-sweep; west and east the neighbours' boundary columns.
-	north, south, west, east []uint64
-	edge                     []uint64 // outgoing boundary column
-	run                      RowRun   // the shard's rows on a pod grid
-}
-
-// band is one host worker's block of rows [r0, r1) on a one-shard grid.
-// north and south receive pre-update copies of the rows just outside it
-// before every colour update; they are nil when one band holds every row.
-type band struct {
-	r0, r1       int
-	north, south []uint64
-	run          RowRun
+	multispin.Block
+	edge []uint64 // outgoing boundary column
 }
 
 // Driver runs one engine over an R x C grid of shards on the simulated pod
@@ -146,14 +80,14 @@ type Driver struct {
 	mesh         interconnect.Mesh // shard grid geometry only: no link model
 	pod          *pod.Pod          // nil on a one-shard grid until Pod is called
 	shards       []*shard          // indexed by core ID (row-major over the mesh grid)
-	kernel       RowKernel
+	kernel       BlockKernel
 	step         uint64
-	bands        []band // one-shard grid only
+	bands        []multispin.Block // one-shard grid only
 }
 
 // NewDriver validates the geometry and allocates a cold (all +1) lattice
 // over the shards.
-func NewDriver(g Geometry, kernel RowKernel) (*Driver, error) {
+func NewDriver(g Geometry, kernel BlockKernel) (*Driver, error) {
 	gridR, gridC := max(g.GridR, 1), max(g.GridC, 1)
 	if g.GridR < 0 || g.GridC < 0 {
 		return nil, fmt.Errorf("%s: shard grid must be positive, got %dx%d", g.Engine, g.GridR, g.GridC)
@@ -195,13 +129,15 @@ func NewDriver(g Geometry, kernel RowKernel) (*Driver, error) {
 	for id := range d.shards {
 		x, y := d.mesh.Coord(id)
 		sh := &shard{
-			words:  make([]uint64, d.shardRows*d.rowWords),
-			rowOff: y * d.shardRows,
-			colOff: x * d.shardCols,
-			edge:   make([]uint64, (d.shardRows+sitesPerWord-1)/sitesPerWord),
+			Block: multispin.Block{
+				Words: make([]uint64, d.shardRows*d.rowWords),
+				Rows:  d.shardRows, RowWords: d.rowWords,
+				Row: y * d.shardRows, Col: x * d.shardCols,
+			},
+			edge: make([]uint64, (d.shardRows+sitesPerWord-1)/sitesPerWord),
 		}
-		for i := range sh.words {
-			sh.words[i] = ^uint64(0)
+		for i := range sh.Words {
+			sh.Words[i] = ^uint64(0)
 		}
 		d.shards[id] = sh
 	}
@@ -212,16 +148,23 @@ func NewDriver(g Geometry, kernel RowKernel) (*Driver, error) {
 }
 
 // planBands splits a one-shard grid's rows into at most `workers` equal
-// bands (0 = GOMAXPROCS), each with its boundary-row copy buffers.
+// bands (0 = GOMAXPROCS). One band holding every row reads its north and
+// south rows live with the torus wrap; several bands get boundary-row copy
+// buffers, filled before every colour update.
 func (d *Driver) planBands(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	sh := d.shards[0]
 	rowsPer := (d.rows + workers - 1) / workers
 	for r0 := 0; r0 < d.rows; r0 += rowsPer {
-		b := band{r0: r0, r1: min(r0+rowsPer, d.rows)}
+		b := sh.Block
+		b.Rows, b.Row = min(rowsPer, d.rows-r0), r0
+		b.Words = sh.Words[r0*d.rowWords : (r0+b.Rows)*d.rowWords]
 		if rowsPer < d.rows {
-			b.north, b.south = make([]uint64, d.rowWords), make([]uint64, d.rowWords)
+			b.North, b.South = make([]uint64, d.rowWords), make([]uint64, d.rowWords)
+		} else {
+			b.North, b.South = d.row(sh, d.rows-1), d.row(sh, 0)
 		}
 		d.bands = append(d.bands, b)
 	}
@@ -242,7 +185,7 @@ func (d *Driver) Grid() (gridR, gridC int) { return d.gridR, d.gridC }
 // NumShards returns the number of shards (= simulated mesh cores).
 func (d *Driver) NumShards() int { return len(d.shards) }
 
-// Workers returns the number of concurrent RowKernel workers: the shards of
+// Workers returns the number of concurrent BlockKernel workers: the shards of
 // a pod grid, the row bands of a single core.
 func (d *Driver) Workers() int { return max(len(d.shards), len(d.bands)) }
 
@@ -280,7 +223,7 @@ func (d *Driver) Counts() metrics.Counts {
 
 // row returns the words of one local row of a shard.
 func (d *Driver) row(sh *shard, r int) []uint64 {
-	return sh.words[r*d.rowWords : (r+1)*d.rowWords]
+	return sh.Words[r*d.rowWords : (r+1)*d.rowWords]
 }
 
 // packEdge gathers the shard's west (first site of every row) or east (last
@@ -299,13 +242,6 @@ func (d *Driver) packEdge(sh *shard, east bool) []uint64 {
 	return sh.edge
 }
 
-// haloSite returns local row r's site from a received boundary column, in
-// the low SiteBits bits.
-func (d *Driver) haloSite(halo []uint64, r int) uint64 {
-	perWord := WordBits / int(d.siteBits)
-	return halo[r/perWord] >> (uint(r%perWord) * d.siteBits) & d.siteMask
-}
-
 // exchangeHalos trades the four boundary halos with the mesh neighbours
 // through the interconnect fabric: whole rows north and south, packed
 // boundary columns east and west. Each call is four lockstep collective
@@ -313,37 +249,26 @@ func (d *Driver) haloSite(halo []uint64, r int) uint64 {
 // because a colour update only reads sites of the other colour.
 func (d *Driver) exchangeHalos(r *pod.Replica, sh *shard) {
 	// Send my last row south; receive my north neighbour's last row.
-	sh.north = r.ShiftExchangeWords(d.row(sh, d.shardRows-1), 0, 1)
+	sh.North = r.ShiftExchangeWords(d.row(sh, d.shardRows-1), 0, 1)
 	// Send my first row north; receive my south neighbour's first row.
-	sh.south = r.ShiftExchangeWords(d.row(sh, 0), 0, -1)
+	sh.South = r.ShiftExchangeWords(d.row(sh, 0), 0, -1)
 	// Send my west column west; receive my east neighbour's west column.
-	sh.east = r.ShiftExchangeWords(d.packEdge(sh, false), -1, 0)
+	sh.East = r.ShiftExchangeWords(d.packEdge(sh, false), -1, 0)
 	// Send my east column east; receive my west neighbour's east column.
-	sh.west = r.ShiftExchangeWords(d.packEdge(sh, true), 1, 0)
-}
-
-// updateRows runs the row kernel over one colour of shard rows [r0, r1) as
-// the run *run. north and south stand in for the rows just outside the
-// range; nil means the shard's own rows, read live with the torus wrap.
-func (d *Driver) updateRows(worker int, run *RowRun, sh *shard, r0, r1 int, north, south []uint64, parity int, step uint64) {
-	if north == nil {
-		north = d.row(sh, (r0-1+d.shardRows)%d.shardRows)
-	}
-	*run = RowRun{d: d, sh: sh, r: r0, r1: r1, north: north, south: south, row: d.row(sh, r0)}
-	d.kernel(worker, run, parity, step)
+	sh.West = r.ShiftExchangeWords(d.packEdge(sh, true), 1, 0)
 }
 
 // UpdateColor performs one colour update (parity 0 = black, 1 = white) of
 // the whole lattice at the given colour-step, without advancing the step
-// counter. On a pod grid all shards exchange halos and update in lockstep;
-// a single core updates its row bands concurrently, after copying each
-// band's boundary neighbour rows.
+// counter: one kernel call per shard or row band. On a pod grid all shards
+// exchange halos and update in lockstep; a single core updates its row
+// bands concurrently, after copying each band's boundary neighbour rows.
 func (d *Driver) UpdateColor(parity int, step uint64) {
 	if len(d.shards) > 1 {
 		err := d.pod.Replicate(func(r *pod.Replica) error {
 			sh := d.shards[r.ID]
 			d.exchangeHalos(r, sh)
-			d.updateRows(r.ID, &sh.run, sh, 0, d.shardRows, sh.north, sh.south, parity, step)
+			d.kernel(r.ID, &sh.Block, parity, step)
 			return nil
 		})
 		if err != nil {
@@ -351,22 +276,21 @@ func (d *Driver) UpdateColor(parity int, step uint64) {
 		}
 		return
 	}
-	sh := d.shards[0]
 	if len(d.bands) == 1 {
-		d.updateRows(0, &d.bands[0].run, sh, 0, d.rows, nil, nil, parity, step)
+		d.kernel(0, &d.bands[0], parity, step)
 		return
 	}
+	sh := d.shards[0]
 	for _, b := range d.bands {
-		copy(b.north, d.row(sh, (b.r0-1+d.rows)%d.rows))
-		copy(b.south, d.row(sh, b.r1%d.rows))
+		copy(b.North, d.row(sh, (b.Row-1+d.rows)%d.rows))
+		copy(b.South, d.row(sh, (b.Row+b.Rows)%d.rows))
 	}
 	var wg sync.WaitGroup
 	for i := range d.bands {
-		b := &d.bands[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d.updateRows(i, &b.run, sh, b.r0, b.r1, b.north, b.south, parity, step)
+			d.kernel(i, &d.bands[i], parity, step)
 		}()
 	}
 	wg.Wait()
@@ -394,7 +318,7 @@ func (d *Driver) EachRow(fn func(row, col int, words []uint64)) {
 	for gr := 0; gr < d.rows; gr++ {
 		for x := 0; x < d.gridC; x++ {
 			sh := d.shards[d.mesh.ID(x, gr/d.shardRows)]
-			fn(gr, sh.colOff, d.row(sh, gr-sh.rowOff))
+			fn(gr, sh.Col, d.row(sh, gr-sh.Row))
 		}
 	}
 }
@@ -421,7 +345,7 @@ func (d *Driver) EachBond(fn func(row, south []uint64, eastWord uint64)) {
 // site's column within it.
 func (d *Driver) Segment(row, col int) (words []uint64, localCol int) {
 	sh := d.shards[d.mesh.ID(col/d.shardCols, row/d.shardRows)]
-	return d.row(sh, row-sh.rowOff), col - sh.colOff
+	return d.row(sh, row-sh.Row), col - sh.Col
 }
 
 // HashWords returns an FNV-1a hash of the lattice words, masked, in global

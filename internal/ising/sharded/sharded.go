@@ -45,7 +45,7 @@ type Engine struct {
 	*Driver
 	name        string // Config.Name, "sharded" by default
 	kern        multispin.Kernel
-	scratch     []multispin.Scratch // per-worker draw scratch for the batched kernel
+	scratch     []multispin.Scratch // per-worker draw scratch of the block kernel
 	temperature float64
 	thresholds  multispin.ThresholdCache // memoized acceptance pairs for SetTemperature
 }
@@ -56,7 +56,7 @@ func New(cfg Config) (*Engine, error) {
 	d, err := NewDriver(Geometry{
 		Engine: e.name, Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
 		SiteBits: 1, ColGroup: WordBits, Workers: cfg.Workers,
-	}, e.updateRows)
+	}, e.updateBlock)
 	if err != nil {
 		return nil, err
 	}
@@ -79,10 +79,10 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// updateRows is the engine's RowKernel: the shared multispin kernel's run
-// form, keyed by global row and word, with the worker's own draw scratch.
-func (e *Engine) updateRows(worker int, run *RowRun, parity int, step uint64) {
-	e.kern.UpdateRows(run, run.Rows(), run.GlobalRow(), run.ColOff()/WordBits, parity, step, &e.scratch[worker])
+// updateBlock is the engine's BlockKernel: the shared multispin kernel's
+// block form, with the worker's own draw scratch.
+func (e *Engine) updateBlock(worker int, b *multispin.Block, parity int, step uint64) {
+	e.kern.UpdateBlock(b, parity, step, &e.scratch[worker])
 }
 
 // Name identifies the engine: Config.Name ("sharded" by default).

@@ -314,6 +314,54 @@ func TestNarrowRowRunsMatchReference(t *testing.T) {
 	}
 }
 
+// TestBlockHandoffMatchesReference pins the one-call-per-block handoff on
+// the shapes TestNarrowRowRunsMatchReference leaves out: two-word rows (32
+// rows per draw) on one band and on three bands, and a 2x2 pod of one-word
+// shards (128x128), whose blocks read every row's west and east neighbours
+// from the received halo columns. Each must match the naive UpdateRowRef
+// replayed row by row over the whole lattice.
+func TestBlockHandoffMatchesReference(t *testing.T) {
+	cases := []struct {
+		rows, cols, gridR, gridC, workers int
+	}{
+		{64, 128, 1, 1, 1},
+		{64, 128, 1, 1, 3},
+		{128, 128, 2, 2, 0},
+	}
+	const temp, seed, sweeps = 2.3, 31, 4
+	for _, tc := range cases {
+		e, err := New(Config{
+			Rows: tc.rows, Cols: tc.cols, GridR: tc.gridR, GridC: tc.gridC, Workers: tc.workers,
+			Temperature: temp, Seed: seed,
+			Initial: ising.NewRandomLattice(tc.rows, tc.cols, rng.New(seed)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%dx%d grid %dx%d workers %d", tc.rows, tc.cols, tc.gridR, tc.gridC, tc.workers)
+		W := tc.cols / WordBits
+		ref := globalWords(e)
+		k := multispin.NewKernel(temp, seed, false)
+		row := func(r int) []uint64 { r = (r + tc.rows) % tc.rows; return ref[r*W : (r+1)*W] }
+		for sweep := 0; sweep < sweeps; sweep++ {
+			step := e.Step()
+			e.Sweep()
+			for parity := 0; parity < 2; parity++ {
+				for r := 0; r < tc.rows; r++ {
+					cur := row(r)
+					k.UpdateRowRef(cur, row(r-1), row(r+1), cur[W-1], cur[0], r, 0, parity, step+uint64(parity))
+				}
+			}
+			got := globalWords(e)
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%s: sweep %d word %d = %#x, reference replay %#x", label, sweep, i, got[i], ref[i])
+				}
+			}
+		}
+	}
+}
+
 // globalWords copies an engine's packed lattice in global row-major order.
 func globalWords(e *Engine) []uint64 {
 	var out []uint64

@@ -37,6 +37,7 @@ import (
 
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/ensemble"
+	"tpuising/internal/ising/multispin"
 	"tpuising/internal/ising/sharded"
 	"tpuising/internal/rng"
 )
@@ -116,7 +117,7 @@ func New(cfg Config) (*Engine, error) {
 	d, err := sharded.NewDriver(sharded.Geometry{
 		Engine: e.prefix, Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
 		SiteBits: MaxLanes, ColGroup: groupCols, Lanes: cfg.Lanes, Workers: cfg.Workers,
-	}, e.updateRows)
+	}, e.updateBlock)
 	if err != nil {
 		return nil, err
 	}
@@ -152,14 +153,20 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// updateRows is the engine's RowKernel: the shared lane-packed kernel, one
-// row at a time, with the global row and the shard's global random-group
-// offset, so the randoms are the same site for site on every grid.
-func (e *Engine) updateRows(_ int, run *sharded.RowRun, parity int, step uint64) {
-	group := run.ColOff() / groupCols
-	for gr := run.GlobalRow(); run.Rows() > 0; gr++ {
-		row, north, south, westWrap, eastWrap := run.NextRow()
-		e.kern.UpdateRow(row, north, south, westWrap, eastWrap, gr, group, parity, step, nil)
+// updateBlock is the engine's BlockKernel: the shared lane-packed kernel
+// over the block's rows in turn, with each row's global row and the block's
+// global random-group offset, so the randoms are the same site for site on
+// every grid. A row's west and east neighbours are its own end words on a
+// single core and the received halo words, one per row, on a pod grid.
+func (e *Engine) updateBlock(_ int, b *multispin.Block, parity int, step uint64) {
+	group := b.Col / groupCols
+	for r := 0; r < b.Rows; r++ {
+		row, north, south := b.RowAt(r)
+		west, east := row[len(row)-1], row[0]
+		if b.West != nil {
+			west, east = b.West[r], b.East[r]
+		}
+		e.kern.UpdateRow(row, north, south, west, east, b.Row+r, group, parity, step, nil)
 	}
 }
 
