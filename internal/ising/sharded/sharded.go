@@ -48,11 +48,21 @@ type Engine struct {
 	scratch     []multispin.Scratch // per-worker draw scratch of the block kernel
 	temperature float64
 	thresholds  multispin.ThresholdCache // memoized acceptance pairs for SetTemperature
+
+	// Observable caches: SumSpins and Energy each cost a pass over the
+	// lattice, and a job reads both at every sample and again for its result
+	// at the last sample's step. A cache is valid while its step stamp
+	// matches the engine's (^0 = never); SetLattice and Restore change the
+	// spins without a step advance, so they drop both.
+	sumStep, energyStep uint64
+	sum                 int64
+	energy              float64
 }
 
 // New builds an engine from the config.
 func New(cfg Config) (*Engine, error) {
 	e := &Engine{name: cmp.Or(cfg.Name, "sharded")}
+	e.dropObservables()
 	d, err := NewDriver(Geometry{
 		Engine: e.name, Rows: cfg.Rows, Cols: cfg.Cols, GridR: cfg.GridR, GridC: cfg.GridC,
 		SiteBits: 1, ColGroup: WordBits, Workers: cfg.Workers,
@@ -92,7 +102,8 @@ func (e *Engine) Name() string { return e.name }
 func (e *Engine) Temperature() float64 { return e.temperature }
 
 // SetTemperature changes the simulation temperature; the chain continues from
-// the current configuration.
+// the current configuration. It changes no spin, so the observable caches
+// stay valid.
 func (e *Engine) SetTemperature(t float64) {
 	if t <= 0 {
 		panic(e.name + ": temperature must be positive")
@@ -103,13 +114,17 @@ func (e *Engine) SetTemperature(t float64) {
 
 // SumSpins returns the total spin.
 func (e *Engine) SumSpins() int64 {
+	if e.sumStep == e.Step() {
+		return e.sum
+	}
 	ones := 0
 	e.EachRow(func(_, _ int, words []uint64) {
 		for _, v := range words {
 			ones += bits.OnesCount64(v)
 		}
 	})
-	return int64(2*ones) - int64(e.N())
+	e.sum, e.sumStep = int64(2*ones)-int64(e.N()), e.Step()
+	return e.sum
 }
 
 // Magnetization returns the magnetisation per spin.
@@ -122,6 +137,9 @@ func (e *Engine) Magnetization() float64 {
 // bonds), with the bonds that cross a shard boundary read from the
 // neighbour shard.
 func (e *Engine) Energy() float64 {
+	if e.energyStep == e.Step() {
+		return e.energy
+	}
 	diff := 0
 	e.EachBond(func(row, south []uint64, eastWord uint64) {
 		for w, v := range row {
@@ -135,7 +153,8 @@ func (e *Engine) Energy() float64 {
 		}
 	})
 	n := e.N()
-	return -ising.J * float64(2*n-2*diff) / float64(n)
+	e.energy, e.energyStep = -ising.J*float64(2*n-2*diff)/float64(n), e.Step()
+	return e.energy
 }
 
 // Lattice gathers the sharded configuration into one global ising.Lattice.
@@ -166,8 +185,13 @@ func (e *Engine) SetLattice(l *ising.Lattice) error {
 			}
 		}
 	})
+	e.dropObservables()
 	return nil
 }
+
+// dropObservables empties the observable caches after a change of spins
+// that does not advance the step.
+func (e *Engine) dropObservables() { e.sumStep, e.energyStep = ^uint64(0), ^uint64(0) }
 
 // Spin returns the spin at global (row, col) as +-1 (no wrapping).
 func (e *Engine) Spin(row, col int) int8 {

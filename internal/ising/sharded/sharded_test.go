@@ -261,6 +261,54 @@ func TestObservablesMatchGatheredLattice(t *testing.T) {
 	}
 }
 
+// TestObservableCacheFollowsState: the step-stamped observable caches must
+// not outlive the spins they were computed from. Restoring a different
+// snapshot taken at the same step, and scattering a new lattice without a
+// sweep, must both be seen by the next Energy and Magnetization.
+func TestObservableCacheFollowsState(t *testing.T) {
+	cfg := Config{Rows: 16, Cols: 128, GridR: 2, GridC: 2, Temperature: 2.2, Seed: 3}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Initial = ising.NewRandomLattice(cfg.Rows, cfg.Cols, rng.New(4))
+	other, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(3)
+	other.Run(3)
+	e.Energy()
+	e.Magnetization()
+	snap, err := other.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	l := other.Lattice()
+	if got, want := e.Magnetization(), l.Magnetization(); got != want {
+		t.Errorf("after Restore at the same step: Magnetization %v, restored lattice %v", got, want)
+	}
+	if got, want := e.Energy(), l.Energy(); math.Abs(got-want) > 1e-12 {
+		t.Errorf("after Restore at the same step: Energy %v, restored lattice %v", got, want)
+	}
+
+	checker := ising.NewLattice(cfg.Rows, cfg.Cols)
+	for i := range checker.Spins {
+		if (i/cfg.Cols+i%cfg.Cols)%2 == 1 {
+			checker.Spins[i] = -1
+		}
+	}
+	if err := e.SetLattice(checker); err != nil {
+		t.Fatal(err)
+	}
+	if m, en := e.Magnetization(), e.Energy(); m != 0 || en != 2*ising.J {
+		t.Errorf("after SetLattice(checkerboard): m=%v e=%v, want 0 and %v", m, en, 2*ising.J)
+	}
+}
+
 // TestNarrowRowRunsMatchReference pins the run form of the row kernel on
 // the lattices it changes most: rows of one and three words, whose accept
 // masks the kernel draws for up to 64 and 21 rows per Philox call. Each

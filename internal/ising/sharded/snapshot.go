@@ -60,5 +60,6 @@ func (e *Engine) Restore(snap *ising.Snapshot) error {
 	})
 	e.SetTemperature(snap.Temperature)
 	e.SetStep(snap.Step)
+	e.dropObservables()
 	return nil
 }

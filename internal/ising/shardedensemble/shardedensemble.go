@@ -28,12 +28,20 @@
 // chain, and a batch of fewer lanes, runs on internal/ising/sharded's
 // one-bit-per-site words, one chain per lane: this engine sweeps a whole
 // 64-lane word per site whatever the lane count.
+//
+// The per-lane observables are counted bit-sliced, as multi-spin coding
+// counts: Magnetizations and Energies each make one pass over the site
+// words through a vertical counter (laneCounter) whose plane k holds bit k
+// of every lane's count. Words enter seven register planes through full
+// adders and a ripple of ANDs and XORs, for all 64 lanes at once; a block
+// of 127 words (63 sites for the energy, two bond words each) is then added
+// into wide planes, and the lane counts are read out once per pass. The
+// counts are the same integers a bit-by-bit count gives.
 package shardedensemble
 
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/ensemble"
@@ -100,12 +108,14 @@ type Engine struct {
 	kern   *ensemble.Kernel
 	seed   uint64
 
-	// Observable caches: Magnetizations/Energies are O(lanes * N) passes, so
-	// consumers that read several observables per step (tempering, the
-	// service's per-lane sampling) share one pass per step. A cache is valid
-	// while its step stamp matches the engine's (stamps start at ^0 = never).
+	// Observable caches: Magnetizations and Energies each cost one pass over
+	// the lattice's N site words, so consumers that read several observables
+	// per step (tempering, the service's per-lane sampling) share one pass
+	// per step. A cache is valid while its step stamp matches the engine's
+	// (stamps start at ^0 = never).
 	magsStep, esStep uint64
 	mags, es         []float64
+	count            laneCounter // both passes' bit-sliced per-lane counter
 }
 
 // New builds an engine from the config.
@@ -200,17 +210,8 @@ func (e *Engine) refreshMags() {
 	if e.mags == nil {
 		e.mags = make([]float64, e.lanes)
 	}
-	mask := e.kern.LaneMask()
-	up := make([]int64, e.lanes)
-	e.EachRow(func(_, _ int, words []uint64) {
-		for _, w := range words {
-			w &= mask
-			for w != 0 {
-				up[bits.TrailingZeros64(w)]++
-				w &= w - 1
-			}
-		}
-	})
+	e.EachRow(func(_, _ int, words []uint64) { e.count.addOnes(words) })
+	up := e.count.counts(e.kern.LaneMask())
 	n := int64(e.N())
 	for l := range e.mags {
 		e.mags[l] = float64(2*up[l]-n) / float64(n)
@@ -226,7 +227,7 @@ func (e *Engine) Magnetizations() []float64 {
 
 // refreshEnergies recomputes the per-lane energies: each site's east and
 // south bonds are compared wordwise and the per-lane disagreement bits
-// accumulated, with the bonds that cross a shard boundary read from the
+// counted, with the bonds that cross a shard boundary read from the
 // neighbour shard.
 func (e *Engine) refreshEnergies() {
 	if e.es != nil && e.esStep == e.Step() {
@@ -235,24 +236,8 @@ func (e *Engine) refreshEnergies() {
 	if e.es == nil {
 		e.es = make([]float64, e.lanes)
 	}
-	mask := e.kern.LaneMask()
-	diff := make([]int64, e.lanes)
-	e.EachBond(func(row, south []uint64, eastWord uint64) {
-		for c, v := range row {
-			east := eastWord
-			if c+1 < len(row) {
-				east = row[c+1]
-			}
-			de := (v ^ east) & mask
-			ds := (v ^ south[c]) & mask
-			for w := de; w != 0; w &= w - 1 {
-				diff[bits.TrailingZeros64(w)]++
-			}
-			for w := ds; w != 0; w &= w - 1 {
-				diff[bits.TrailingZeros64(w)]++
-			}
-		}
-	})
+	e.EachBond(e.count.addBonds)
+	diff := e.count.counts(e.kern.LaneMask())
 	n := int64(e.N())
 	for l := range e.es {
 		e.es[l] = -ising.J * float64(2*n-2*diff[l]) / float64(n)

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"tpuising/internal/ising"
 	"tpuising/internal/perf"
 )
 
@@ -216,5 +217,92 @@ func benchSweep(b *testing.B, gridR, gridC int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Sweep()
+	}
+}
+
+// naiveCounts counts one lane's up spins and frustrated bonds (east and
+// south, with the torus wrap) site by site from its gathered lattice.
+func naiveCounts(e *Engine, lane int) (up, diff int64) {
+	l := e.LaneLattice(lane)
+	for r := 0; r < l.Rows; r++ {
+		row, south := l.Spins[r*l.Cols:(r+1)*l.Cols], l.Spins[(r+1)%l.Rows*l.Cols:]
+		for c, s := range row {
+			if s == 1 {
+				up++
+			}
+			if s != row[(c+1)%l.Cols] {
+				diff++
+			}
+			if s != south[c] {
+				diff++
+			}
+		}
+	}
+	return up, diff
+}
+
+// TestLaneObservablesMatchNaive: the bit-sliced per-lane counts behind
+// Magnetizations and Energies equal a site-by-site count of every lane, on
+// single and pod grids, at lane counts that leave padding lanes in the
+// word. The lattice holds 2^16 sites per lane with shard rows of at least
+// 256 words, so a row spans several counter blocks and the counts carry
+// far past the block planes; the cold start puts the maximum, N, in the
+// magnetisation count, and a checkerboard lane puts the maximum, 2N, in
+// the energy count (a full bond block), for every grid.
+func TestLaneObservablesMatchNaive(t *testing.T) {
+	const rows, cols = 128, 512
+	checker := ising.NewLattice(rows, cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if (r+c)%2 == 1 {
+				checker.Set(r, c, -1)
+			}
+		}
+	}
+	for _, grid := range [][2]int{{1, 1}, {2, 2}, {2, 1}} {
+		for _, lanes := range []int{1, 7, 17, 64} {
+			for _, hot := range []bool{false, true} {
+				e, err := New(Config{
+					Rows: rows, Cols: cols, GridR: grid[0], GridC: grid[1],
+					Lanes: lanes, Temperature: 2.0, Seed: 9, Hot: hot,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hot {
+					if err := e.SetLaneLattice(lanes-1, checker); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ms, es := e.Magnetizations(), e.Energies()
+				n := int64(e.N())
+				for l := 0; l < lanes; l++ {
+					up, diff := naiveCounts(e, l)
+					wantM := float64(2*up-n) / float64(n)
+					wantE := -ising.J * float64(2*n-2*diff) / float64(n)
+					if ms[l] != wantM || es[l] != wantE {
+						t.Fatalf("grid %v lanes %d hot %v lane %d: m=%v e=%v, naive count (%d up, %d frustrated) gives m=%v e=%v",
+							grid, lanes, hot, l, ms[l], es[l], up, diff, wantM, wantE)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkLaneObservables times one measurement of the lane-packed pod
+// (a 2x2 grid of a 128x128 lattice, 64 lanes): a fresh Magnetizations and
+// Energies pass per op.
+func BenchmarkLaneObservables(b *testing.B) {
+	e, err := New(Config{Rows: 128, Cols: 128, GridR: 2, GridC: 2, Lanes: 64, Temperature: 2.0, Seed: 1, Hot: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.Run(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.magsStep, e.esStep = ^uint64(0), ^uint64(0)
+		e.Magnetizations()
+		e.Energies()
 	}
 }

@@ -217,7 +217,9 @@ func AcceptLanes(a4, a8 *[4]uint64, ctr Counter, k0s, k1s []uint32, t4s, t8s []u
 		}
 		i = m
 	}
-	acceptLanesGeneric(a4, a8, ctr, k0s, k1s, t4s, t8s, i, n)
+	if i < n {
+		acceptLanesGeneric(a4, a8, ctr, k0s, k1s, t4s, t8s, i, n)
+	}
 }
 
 // LaneGroup returns the lane count AcceptLanes draws per vector state: 16
